@@ -5,11 +5,34 @@ Each test prints a single "criterion N (...): PASS/FAIL" line (visible with
 -s or -rA; the per-test verdicts in -v output mirror them one to one).
 """
 
+import hashlib
 from pathlib import Path
 
 from sqcomm import load_config, report_csv_bytes, report_json_bytes, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256(report JSON bytes + report CSV bytes) of each bundled config, so a
+# change to any reported number fails here.  05_dense_regression and
+# 08_hamiltonian are left out: their report bytes change with the BLAS thread
+# count (one thread and the default give different digests for those two only).
+GOLDEN_DIGESTS = {
+    "01_protocol_exactness.json": "cca78ba1e03a69255d49d99128a8f6345aad221224cebfc1c868548be822ce9e",
+    "02_bit_fit.json": "280b3155d25efb47b8797a62315f6b8d7d0f2a1489b5829aa43d4fd3bf11197c",
+    "03_oversampling.json": "0f23369d2545b66d052e630f2e0d2612ff02cbecba27f38362f35c6a5ea93ad1",
+    "04_sparse_regression.json": "6d301b8eb1b28aba6185cce3c3949e080e32b802c5bf58f8669463d4ffe241cc",
+    "06_clustering.json": "07b7c56e0caad5acce89e2681556973dcc0bd82c829c9b16a4b736687453857c",
+    "07_pca_recsys.json": "51cdad89d99be39a416f7792cc910585cabc75bed7898587440a1bf961f27497",
+    "09_oracle.json": "9d0fc5352f6b84d63af533baea2261770f6c3df01c1e5cc377476bd32d0ca41d",
+}
+
+
+def _check_digest(config_name, report):
+    want = GOLDEN_DIGESTS.get(config_name)
+    if want is None:
+        return
+    got = hashlib.sha256(report_json_bytes(report) + report_csv_bytes(report)).hexdigest()
+    assert got == want, f"{config_name}: report bytes differ from the golden digest"
 
 
 def _run_criterion(num, label, config_name, runtime_cap=None):
@@ -28,6 +51,7 @@ def _run_criterion(num, label, config_name, runtime_cap=None):
         assert report.wall_clock_s < runtime_cap, (
             f"{report.wall_clock_s:.2f}s over the {runtime_cap}s budget"
         )
+    _check_digest(config_name, report)
     return report
 
 
@@ -79,6 +103,7 @@ def test_criterion_9_determinism():
     for name in ("09_oracle.json", "06_clustering.json"):
         config = load_config(CONFIG_DIR / name)
         first, second = run(config), run(config)
+        _check_digest(name, first)
         same = (report_json_bytes(first) == report_json_bytes(second)
                 and report_csv_bytes(first) == report_csv_bytes(second))
         outcomes.append(same)

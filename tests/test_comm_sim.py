@@ -2,6 +2,7 @@
 combinations, and transcript replay."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -421,3 +422,91 @@ def test_transcript_exports(tmp_path):
     assert table[0] == ["kind", "phase", "messages", "bits"]
     assert sum(int(r[3]) for r in table[1:]) == s.meter.total_bits
     assert [r[0] for r in table[1:]] == sorted(r[0] for r in table[1:])
+
+
+def _lincomb_session():
+    # k=3 same-shape shares on both sides, with zero entries in every share
+    b_blocks = [(0, [1.0, 2.0, 0.0]), (1, [0.0, 1.0, -1.0]), (2, [2.0, -1.0, 1.0])]
+    a_blocks = [
+        (0, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+        (1, [[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        (2, [[1.0, 1.0, 1.0], [2.0, 0.0, -1.0], [0.0, 3.0, 0.0]]),
+    ]
+    return open_session_blocks(3, a_blocks, b_blocks)
+
+
+def _rejection(result):
+    rs, bits = result
+    return (rs.index, rs.rounds), bits
+
+
+def test_golden_stacked_transcript():
+    # literal draws and costs for fixed seeds: any change to the RNG draw
+    # order, the owner mixture or the bit widths shows up here
+    s = _mixed_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    rng = np.random.default_rng(101)
+    assert [coord_b_sample(s, rng) for _ in range(12)] == [
+        (2, 0), (2, 0), (4, 11), (2, 0), (4, 11), (2, 0),
+        (2, 0), (4, 11), (1, 11), (2, 0), (4, 11), (4, 11),
+    ]
+    assert [coord_a_access(s, "row_norm_sample", rng) for _ in range(12)] == [
+        (5, 11), (5, 11), (5, 11), (5, 11), (4, 11), (0, 11),
+        (2, 0), (5, 11), (5, 11), (2, 0), (0, 11), (5, 11),
+    ]
+    assert [coord_a_access(s, ("row_sample", i), rng)
+            for i in (0, 2, 3, 4, 5, 0, 2, 3)] == [
+        (2, 13), (1, 0), (0, 13), (0, 13), (2, 13), (2, 13), (1, 0), (1, 13),
+    ]
+    assert dataclasses.asdict(meter_report(s)) == {
+        "total_bits": 512, "n_messages": 56, "n_rounds": 28,
+        "bits_by_kind": {"a_row_norm_sample": 110, "a_row_sample": 78,
+                         "a_setup": 129, "b_sample": 66, "b_setup": 129},
+        "bits_by_phase": {"access": 254, "setup": 258},
+        "messages_by_kind": {"a_row_norm_sample": 20, "a_row_sample": 12,
+                             "a_setup": 6, "b_sample": 12, "b_setup": 6},
+    }
+
+
+def test_golden_lincomb_transcript():
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    mu = [1.0, -0.5, 2.0]
+    lam = [0.5, 1.0, -1.0]
+    rng = np.random.default_rng(202)
+    assert [lincomb_b_access(s, mu, "dominator_sample", rng) for _ in range(6)] == [
+        (0, 10), (2, 10), (0, 10), (0, 10), (0, 10), (0, 10),
+    ]
+    assert [_rejection(lincomb_b_access(s, mu, "sq_sample_via_rejection", rng))
+            for _ in range(6)] == [
+        ((0, 4), 544), ((2, 1), 136), ((0, 7), 952),
+        ((1, 6), 816), ((0, 4), 544), ((0, 1), 136),
+    ]
+    assert lincomb_b_access(s, mu, ("norm_estimate", 0.5, 0.1), rng) == (
+        5.759235365247837, 14144)
+    assert [lincomb_a_access(s, lam, "dominator_row_norm_sample", rng)
+            for _ in range(6)] == [
+        (0, 10), (1, 10), (0, 10), (0, 10), (2, 10), (0, 10),
+    ]
+    assert [lincomb_a_access(s, lam, ("dominator_row_sample", i), rng)
+            for i in (0, 1, 2)] == [(2, 138), (0, 138), (1, 138)]
+    assert [_rejection(lincomb_a_access(s, lam, ("sq_row_sample_via_rejection", i), rng))
+            for i in (0, 1, 2, 1)] == [
+        ((1, 10), 2700), ((2, 52), 14040), ((1, 2), 540), ((2, 6), 1620),
+    ]
+    assert dataclasses.asdict(meter_report(s)) == {
+        "total_bits": 36970, "n_messages": 2056, "n_rounds": 1028,
+        "bits_by_kind": {"a_setup": 132, "b_setup": 132,
+                         "lincomb_a_query": 9240, "lincomb_a_row_norm": 9198,
+                         "lincomb_a_row_norm_sample": 60,
+                         "lincomb_a_row_sample": 876,
+                         "lincomb_b_query": 16002, "lincomb_b_sample": 1330},
+        "bits_by_phase": {"access": 36706, "setup": 264},
+        "messages_by_kind": {"a_setup": 6, "b_setup": 6,
+                             "lincomb_a_query": 420, "lincomb_a_row_norm": 438,
+                             "lincomb_a_row_norm_sample": 12,
+                             "lincomb_a_row_sample": 146,
+                             "lincomb_b_query": 762, "lincomb_b_sample": 266},
+    }
