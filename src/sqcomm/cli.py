@@ -23,7 +23,7 @@ from .comm_sim import (
     coord_b_sample,
     coord_b_setup,
 )
-from .harness import fit_bit_costs, load_config, run
+from .harness import fit_bit_costs, fit_verdict, load_config, run, sweep_session
 from .verify import SUITES, run_suite, suite_passed
 
 
@@ -75,8 +75,7 @@ def _parse_sweep(text: str):
 
 def _reduction_session(name: str, rng):
     if name == "generic":
-        from .harness import _sweep_session
-        return _sweep_session(8, 256, 256, rng, comm_sim.EncodingSpec())
+        return sweep_session(8, 256, 256, rng, comm_sim.EncodingSpec())
     if name == "sparse":
         inst = reductions.gen_disjointness(8, 64, True, rng)
         return reductions.build_regression_sparse(inst).session
@@ -99,7 +98,7 @@ def _player_rows(session):
     rows = []
     for bl in session.a_blocks:
         if bl.owner != comm_sim.PUBLIC:
-            mass = np.abs(bl.matrix).sum(axis=1)
+            mass = np.abs(bl.data).sum(axis=1)
             rows.extend(int(bl.offset + i) for i in np.flatnonzero(mass > 0))
     return rows
 
@@ -108,7 +107,7 @@ def _player_b_indices(session):
     idx = []
     for bl in session.b_blocks:
         if bl.owner != comm_sim.PUBLIC:
-            idx.extend(range(bl.offset, bl.offset + bl.values.size))
+            idx.extend(range(bl.offset, bl.offset + bl.data.size))
     return idx
 
 
@@ -180,7 +179,7 @@ def _cmd_fit_bits(args) -> int:
     print(f"# word bits w = {fit['word_bits']}, players k = {k}")
     print(f"# total = c0*k*w + c1*T*w with c0 = {fit['c0']:.6f}, "
           f"c1 = {fit['c1']:.6f}, R^2 = {fit['r_squared']:.9f}")
-    ok = fit["r_squared"] > 0.999 and 0 <= fit["c0"] <= 4 and 0 <= fit["c1"] <= 4
+    ok = all(fit_verdict(fit))
     print(f"# fit check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

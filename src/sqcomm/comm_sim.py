@@ -16,6 +16,11 @@ Two access families share a session:
   coordinator serves queries by fanning out to all k players and serves samples
   through a dominating vector (oversampled access + rejection).
 
+Every sampling access of both families is one owner-mixture draw,
+`_owner_draw`: the coordinator picks an owner by squared norm and that owner
+makes one local l2 draw; `_mixture_law` gives its exact law.  Every rejection
+draw runs through the one rejection loop in `sq_access`.
+
 Randomness is caller-owned: coordinator decisions draw from the Generator
 passed to each operation, and player-local sampling draws from a child spawned
 per exchange, so a transcript replay (with player data deleted) reproduces
@@ -35,16 +40,15 @@ import numpy as np
 from .sq_access import (
     AllZero,
     IndexOutOfRange,
-    SqMatrix,
     SqVector,
     build_sq_matrix,
     build_sq_vector,
     exact_distribution,
-    rejection_round_cap,
     sq_row,
     sq_sample,
-    RejectionSample,
-    Timeout,
+    _norm_estimate_draws,
+    _norm_from_ratios,
+    _rejection_loop,
 )
 
 PUBLIC = "public"
@@ -129,53 +133,93 @@ class BitMeter:
 
 
 @dataclass(frozen=True, eq=False)
-class _VecBlock:
+class _Block:
     owner: object            # player index or PUBLIC
-    offset: int
-    values: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
-class _MatBlock:
-    owner: object
     offset: int              # global row offset
-    matrix: np.ndarray | None
+    data: np.ndarray         # a 1-d vector block or a 2-d matrix block
 
 
-class _OwnerVec:
-    """One owner's view of its stacked vector blocks."""
+def _stack_blocks(k: int, blocks, ndim: int):
+    """Validate (owner, data) pairs and stack them in order; returns (blocks, rows)."""
+    out, off = [], 0
+    for owner, data in blocks:
+        owner = PUBLIC if owner is None else owner
+        if owner != PUBLIC and not 0 <= owner < k:
+            raise ValueError(f"owner {owner} outside [0, {k})")
+        arr = np.asarray(data)
+        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+        if arr.ndim != ndim or arr.size == 0:
+            noun = "vector" if ndim == 1 else "matrix"
+            raise DimensionMismatch(f"{noun} blocks must be nonempty {ndim}-d")
+        if out and ndim == 2 and arr.shape[1] != out[0].data.shape[1]:
+            raise DimensionMismatch("matrix blocks disagree on column count")
+        out.append(_Block(owner, off, arr))
+        off += arr.shape[0]
+    return out, off
+
+
+class _OwnerView:
+    """One owner's stacked blocks on one side, and the SQ law stage 2 samples:
+    the vector handle itself, or the matrix handle's row-norm vector."""
 
     def __init__(self, blocks):
         self.globals = np.concatenate(
-            [np.arange(b.offset, b.offset + b.values.size) for b in blocks]
+            [np.arange(b.offset, b.offset + len(b.data)) for b in blocks]
         ) if blocks else np.zeros(0, dtype=np.int64)
-        self.values = np.concatenate([b.values for b in blocks]) if blocks else None
-        self.handle = None
-        if self.values is not None and np.any(self.values != 0):
-            self.handle = build_sq_vector(self.values)
-        self.norm = self.handle.norm if self.handle is not None else 0.0
+        self.data = np.concatenate([b.data for b in blocks]) if blocks else None
+        self.handle = self.law = None
+        if self.data is not None and np.any(self.data != 0):
+            if self.data.ndim == 1:
+                self.handle = self.law = build_sq_vector(self.data)
+            else:
+                self.handle = build_sq_matrix(self.data)
+                self.law = self.handle.row_norm_vector
+        self.norm = self.law.norm if self.law is not None else 0.0
         self.size = int(self.globals.size)
 
-
-class _OwnerMat:
-    """One owner's view of its stacked matrix blocks."""
-
-    def __init__(self, blocks):
-        self.globals = np.concatenate(
-            [np.arange(b.offset, b.offset + b.matrix.shape[0]) for b in blocks]
-        ) if blocks else np.zeros(0, dtype=np.int64)
-        self.matrix = np.vstack([b.matrix for b in blocks]) if blocks else None
-        self.handle: SqMatrix | None = None
-        if self.matrix is not None and np.any(self.matrix != 0):
-            self.handle = build_sq_matrix(self.matrix)
-        self.fro = (
-            self.handle.row_norm_vector.norm if self.handle is not None else 0.0
-        )
-        self.rows = int(self.globals.size)
+    def sample_law(self, row=None) -> SqVector:
+        """The view's own law, or the law of one row of its matrix."""
+        return self.law if row is None else sq_row(self.handle, row)
 
 
-def _player_name(owner) -> str:
-    return "PUB" if owner == PUBLIC else f"P{owner + 1}"
+class _Side:
+    """One stacked side of a session (vector b or matrix A): the owner views,
+    the layout-only routing tables, and the coordinator's setup knowledge."""
+
+    def __init__(self, name: str, k: int, blocks, rows: int):
+        self.name = name                    # "b" or "a", as in coord_b_setup
+        self.noun = "vector" if name == "b" else "matrix"
+        self.blocks = blocks
+        self.rows = rows
+        self.views = {o: _OwnerView([bl for bl in blocks if bl.owner == o])
+                      for o in list(range(k)) + [PUBLIC]}
+        # owner-local index -> global index; layout only, so a replay clone
+        # keeps it after its private views are dropped
+        self.globals = {o: v.globals for o, v in self.views.items()}
+        # routing table: global index -> (owner, index local to the owner's view)
+        self.route = []
+        used = dict.fromkeys(self.views, 0)
+        for bl in blocks:
+            self.route.append((bl.offset, bl.offset + len(bl.data), bl.owner, used[bl.owner]))
+            used[bl.owner] += len(bl.data)
+        # rows per player share, when all k are equal and nonempty (the
+        # precondition of linear-combination access)
+        shares = {self.views[i].size for i in range(k)}
+        self.share_rows = shares.pop() if len(shares) == 1 and 0 not in shares else None
+        self.share_mismatch = ("vector shares differ in length" if name == "b"
+                               else "matrix shares differ in shape")
+        self.norms: np.ndarray | None = None    # filled by the one-time setup
+        self.counts: list | None = None
+
+    def locate(self, g: int):
+        for start, end, owner, local in self.route:
+            if start <= g < end:
+                return owner, local + (g - start)
+        raise IndexOutOfRange(f"index {g} outside the stacked range")
+
+    def require_setup(self) -> None:
+        if self.norms is None:
+            raise NotSetup(f"run coord_{self.name}_setup first")
 
 
 class Session:
@@ -191,120 +235,41 @@ class Session:
         self._round = 0
         self._replay_queue: deque | None = None
 
-        owners = list(range(self.k)) + [PUBLIC]
-        self.b_blocks: list[_VecBlock] = []
-        off = 0
-        for owner, values in b_blocks:
-            owner = PUBLIC if owner is None else owner
-            if owner != PUBLIC and not 0 <= owner < self.k:
-                raise ValueError(f"owner {owner} outside [0, {self.k})")
-            arr = np.asarray(values)
-            arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise DimensionMismatch("vector blocks must be nonempty 1-d")
-            self.b_blocks.append(_VecBlock(owner, off, arr))
-            off += arr.size
-        self.m = off
-
-        self.a_blocks: list[_MatBlock] = []
-        off = 0
-        n_cols = None
-        for owner, matrix in a_blocks:
-            owner = PUBLIC if owner is None else owner
-            if owner != PUBLIC and not 0 <= owner < self.k:
-                raise ValueError(f"owner {owner} outside [0, {self.k})")
-            arr = np.asarray(matrix)
-            arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-            if arr.ndim != 2 or arr.size == 0:
-                raise DimensionMismatch("matrix blocks must be nonempty 2-d")
-            if n_cols is None:
-                n_cols = arr.shape[1]
-            elif arr.shape[1] != n_cols:
-                raise DimensionMismatch("matrix blocks disagree on column count")
-            self.a_blocks.append(_MatBlock(owner, off, arr))
-            off += arr.shape[0]
-        self.a_rows = off
-        self.n = n_cols
-
+        self.b_blocks, self.m = _stack_blocks(self.k, b_blocks, 1)
+        self.a_blocks, self.a_rows = _stack_blocks(self.k, a_blocks, 2)
+        self.n = self.a_blocks[0].data.shape[1] if self.a_blocks else None
         if self.a_blocks and self.b_blocks and self.a_rows != self.m:
             raise DimensionMismatch(
                 f"stacked row counts disagree: A has {self.a_rows}, b has {self.m}"
             )
+        self._b = _Side("b", self.k, self.b_blocks, self.m)
+        self._a = _Side("a", self.k, self.a_blocks, self.a_rows)
 
-        self._b_owner = {o: _OwnerVec([bl for bl in self.b_blocks if bl.owner == o]) for o in owners}
-        self._a_owner = {o: _OwnerMat([bl for bl in self.a_blocks if bl.owner == o]) for o in owners}
-
-        # routing tables: global index -> (owner, index local to the owner's view)
-        self._b_route = self._build_route(
-            [(bl.owner, bl.offset, bl.values.size) for bl in self.b_blocks]
-        )
-        self._a_route = self._build_route(
-            [(bl.owner, bl.offset, bl.matrix.shape[0]) for bl in self.a_blocks]
-        )
-
-        # coordinator knowledge, filled by the one-time setups
-        self.b_setup_done = False
-        self.b_norms: np.ndarray | None = None
-        self.b_sizes: list | None = None
-        self.a_setup_done = False
-        self.a_fro_norms: np.ndarray | None = None
-        self.a_row_counts: list | None = None
-
-    # layout-only sizes (valid even in a replay clone, where data is stripped)
-
-    def _b_share_size(self, owner) -> int:
-        return sum(bl.values.size for bl in self.b_blocks if bl.owner == owner)
-
-    def _a_share_rows(self, owner) -> int:
-        return sum(bl.matrix.shape[0] for bl in self.a_blocks if bl.owner == owner)
-
-    def _lincomb_b_size(self) -> int:
-        sizes = {self._b_share_size(i) for i in range(self.k)}
-        if len(sizes) != 1 or 0 in sizes:
-            raise DimensionMismatch("vector shares differ in length")
-        return sizes.pop()
-
-    def _lincomb_a_shape(self):
-        row_counts = {self._a_share_rows(i) for i in range(self.k)}
-        if len(row_counts) != 1 or 0 in row_counts:
-            raise DimensionMismatch("matrix shares differ in shape")
-        return row_counts.pop(), self.n
-
-    @staticmethod
-    def _build_route(spans):
-        starts, ends, owners, locals_ = [], [], [], []
-        local_used: dict = {}
-        for owner, offset, length in spans:
-            starts.append(offset)
-            ends.append(offset + length)
-            owners.append(owner)
-            locals_.append(local_used.get(owner, 0))
-            local_used[owner] = local_used.get(owner, 0) + length
-        return starts, ends, owners, locals_
-
-    @staticmethod
-    def _route(route, g: int):
-        starts, ends, owners, locals_ = route
-        for s, e, o, loc in zip(starts, ends, owners, locals_):
-            if s <= g < e:
-                return o, loc + (g - s)
-        raise IndexOutOfRange(f"index {g} outside the stacked range")
+    # coordinator knowledge, filled by the one-time setups
+    b_norms = property(lambda self: self._b.norms)
+    b_sizes = property(lambda self: self._b.counts)
+    b_setup_done = property(lambda self: self._b.norms is not None)
+    a_fro_norms = property(lambda self: self._a.norms)
+    a_row_counts = property(lambda self: self._a.counts)
+    a_setup_done = property(lambda self: self._a.norms is not None)
 
     # --- transcript plumbing -------------------------------------------------
 
     def _exchange(self, owner: int, kind: str, phase: str, req_bits: int,
                   resp_bits: int, respond):
         """One round: coordinator request to a player, player response back."""
+        name = "PUB" if owner == PUBLIC else f"P{owner + 1}"
         if self._replay_queue is not None:
             req = self._pop(Message)
             resp = self._pop(Message)
-            if req.kind != kind or resp.kind != kind:
-                raise RuntimeError(f"transcript mismatch: expected {kind}, saw {req.kind}")
+            want = (kind, name, req_bits, resp_bits)
+            seen = (req.kind, req.receiver, req.bits, resp.bits)
+            if resp.kind != kind or seen != want:
+                raise RuntimeError(f"transcript mismatch: expected {want}, saw {seen}")
             payload = resp.payload
         else:
             payload = respond()
         self._round += 1
-        name = _player_name(owner)
         self.meter.add(Message(self._round, "C", name, kind, req_bits, phase))
         self.meter.add(Message(self._round, name, "C", kind, resp_bits, phase, payload))
         return payload, req_bits + resp_bits
@@ -352,19 +317,16 @@ def open_session_blocks(k: int, a_blocks, b_blocks, encoding: EncodingSpec | Non
 def make_replay_session(session: Session) -> Session:
     """Clone the session layout with private data deleted; responses come from
     the recorded transcript.  Public blocks stay (the coordinator knows them)."""
-    a_blocks = [
-        (bl.owner, bl.matrix if bl.owner == PUBLIC else np.zeros_like(bl.matrix))
-        for bl in session.a_blocks
-    ]
-    b_blocks = [
-        (bl.owner, bl.values if bl.owner == PUBLIC else np.zeros_like(bl.values))
-        for bl in session.b_blocks
-    ]
-    clone = Session(session.k, a_blocks, b_blocks, session.encoding)
+    def stripped(blocks):
+        return [(bl.owner, bl.data if bl.owner == PUBLIC else np.zeros_like(bl.data))
+                for bl in blocks]
+
+    clone = Session(session.k, stripped(session.a_blocks), stripped(session.b_blocks),
+                    session.encoding)
     # drop the private views entirely; only the layout and public data remain
-    for o in range(clone.k):
-        clone._b_owner[o] = None
-        clone._a_owner[o] = None
+    for side in (clone._b, clone._a):
+        for o in range(clone.k):
+            side.views[o] = None
     clone._replay_queue = deque(session.meter.entries)
     return clone
 
@@ -375,78 +337,136 @@ def assemble_stacked(session: Session):
     Not a protocol operation: used by oracles, validators, and the output
     stand-ins, never by coordinator logic.
     """
-    A = None
-    if session.a_blocks:
-        A = np.vstack([bl.matrix for bl in session.a_blocks])
-    b = None
-    if session.b_blocks:
-        b = np.concatenate([bl.values for bl in session.b_blocks])
+    A = np.vstack([bl.data for bl in session.a_blocks]) if session.a_blocks else None
+    b = np.concatenate([bl.data for bl in session.b_blocks]) if session.b_blocks else None
     return A, b
+
+
+def _split(request):
+    """A request as (kind, args); a bare string is a kind without arguments."""
+    if isinstance(request, str):
+        request = (request,)
+    return request[0], request[1:]
+
+
+# --- protocol primitives ------------------------------------------------------
+
+def _setup(session: Session, side: _Side, kind: str) -> int:
+    """One-time norm/size broadcast for one side; returns bits charged.
+
+    Every player answers (empty holdings answer zero), so the cost is exactly
+    k * (opcode_bits + scalar_bits + index_bits(rows)).
+    """
+    if side.norms is not None:
+        raise AlreadySetup(f"{side.noun} setup already ran on this session")
+    if not side.blocks:
+        raise DimensionMismatch(f"session holds no {side.noun} blocks")
+    enc = session.encoding
+    resp_bits = enc.scalar_bits + enc.index_bits(side.rows)
+    norms, counts = [], []
+    for i in range(session.k):
+        payload, _ = session._exchange(
+            i, kind, "setup", enc.opcode_bits, resp_bits,
+            lambda v=side.views[i]: (v.norm, v.size),
+        )
+        norms.append(float(payload[0]))
+        counts.append(int(payload[1]))
+    side.norms, side.counts = np.asarray(norms), counts
+    return session.k * (enc.opcode_bits + resp_bits)
+
+
+def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
+                resp_bits: int, weights=None, owner=None, row=None):
+    """The coordinator's one sampling move; returns (owner, local index, bits).
+
+    Stage 1 picks an owner with probability proportional to `weights` (one
+    squared norm per player, plus a last entry for the public view when public
+    blocks take part), unless `owner` is given.  Stage 2 is one l2 draw from
+    that owner's view: its own law, or the law of its row `row`.  The public
+    view draws from rng for free; a player draws from a child stream spawned
+    after the pick, so the coordinator's stream never depends on player data.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"{kind} needs a numpy Generator")
+    if owner is None:
+        total = weights.sum()
+        if total <= 0.0:
+            raise AllZero("no sampling mass anywhere")
+        u = rng.random() * total
+        owner = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+        if owner >= weights.size:
+            owner = int(np.flatnonzero(weights)[-1])
+        if owner == session.k:
+            owner = PUBLIC
+    view = side.views[owner]
+    if owner == PUBLIC:
+        return owner, sq_sample(view.sample_law(row), rng), 0
+    child = rng.spawn(1)[0]
+    local, bits = session._exchange(
+        owner, kind, "access", req_bits, resp_bits,
+        lambda: int(sq_sample(view.sample_law(row), child)),
+    )
+    return owner, int(local), bits
+
+
+def _stacked_sample(session: Session, side: _Side, kind: str, rng):
+    """Draw a global index under the stacked side's l2 law; returns (j, bits).
+
+    Players are weighted by their setup norms, public mass by the
+    coordinator's own view; the owner's local index maps back to the stacked
+    space through the public layout.
+    """
+    side.require_setup()
+    enc = session.encoding
+    weights = np.append(side.norms**2, side.views[PUBLIC].norm**2)
+    owner, local, bits = _owner_draw(session, side, kind, rng, enc.opcode_bits,
+                                     enc.index_bits(side.rows), weights=weights)
+    return int(side.globals[owner][local]), bits
+
+
+def _owner_query(session: Session, side: _Side, kind: str, g: int, read, column=None):
+    """One scalar read off stacked row g (at `column` for a matrix entry) by the
+    row's owner; returns (value, bits).  Public rows are answered for free."""
+    owner, local = side.locate(g)
+    enc = session.encoding
+    req_bits = enc.opcode_bits + enc.index_bits(side.rows)
+    if column is not None:
+        if not 0 <= column < session.n:
+            raise IndexOutOfRange(f"column {column} outside [0, {session.n})")
+        req_bits += enc.index_bits(session.n)
+    view = side.views[owner]
+    if owner == PUBLIC:
+        return read(view.data[local]), 0
+    return session._exchange(owner, kind, "access", req_bits, enc.scalar_bits,
+                             lambda: read(view.data[local]))
+
+
+def _mixture_law(size: int, weights, views, empty: str, row=None, stacked=False) -> np.ndarray:
+    """Exact law of an owner mixture: the sum of (w / total) * exact_distribution
+    over the views' stage-2 laws, placed at each view's global indices when
+    `stacked`; the shares of a combination all index one space."""
+    weights = np.array(weights)
+    total = weights.sum()
+    if total <= 0:
+        raise AllZero(empty)
+    p = np.zeros(size)
+    for w, view in zip(weights, views):
+        if w > 0:
+            p[view.globals if stacked else slice(None)] += (
+                (w / total) * exact_distribution(view.sample_law(row)))
+    return p
 
 
 # --- stacked-access protocol ops ---------------------------------------------
 
 def coord_b_setup(session: Session) -> int:
-    """One-time norm/size broadcast for the vector side; returns bits charged.
-
-    Every player answers (empty holdings answer zero), so the cost is exactly
-    k * (opcode_bits + scalar_bits + index_bits(m)).
-    """
-    if session.b_setup_done:
-        raise AlreadySetup("vector setup already ran on this session")
-    if not session.b_blocks:
-        raise DimensionMismatch("session holds no vector blocks")
-    enc = session.encoding
-    norms, sizes = [], []
-    for i in range(session.k):
-        ov = session._b_owner[i]
-        payload, _ = session._exchange(
-            i, "b_setup", "setup",
-            req_bits=enc.opcode_bits,
-            resp_bits=enc.scalar_bits + enc.index_bits(session.m),
-            respond=(lambda ov=ov: (ov.norm, ov.size)),
-        )
-        norms.append(float(payload[0]))
-        sizes.append(int(payload[1]))
-    session.b_norms = np.asarray(norms)
-    session.b_sizes = sizes
-    session.b_setup_done = True
-    return session.k * (enc.opcode_bits + enc.scalar_bits + enc.index_bits(session.m))
+    """One-time norm/size broadcast for the vector side; returns bits charged."""
+    return _setup(session, session._b, "b_setup")
 
 
 def coord_a_setup(session: Session) -> int:
     """One-time Frobenius-norm/row-count broadcast for the matrix side."""
-    if session.a_setup_done:
-        raise AlreadySetup("matrix setup already ran on this session")
-    if not session.a_blocks:
-        raise DimensionMismatch("session holds no matrix blocks")
-    enc = session.encoding
-    norms, counts = [], []
-    for i in range(session.k):
-        om = session._a_owner[i]
-        payload, _ = session._exchange(
-            i, "a_setup", "setup",
-            req_bits=enc.opcode_bits,
-            resp_bits=enc.scalar_bits + enc.index_bits(session.a_rows),
-            respond=(lambda om=om: (om.fro, om.rows)),
-        )
-        norms.append(float(payload[0]))
-        counts.append(int(payload[1]))
-    session.a_fro_norms = np.asarray(norms)
-    session.a_row_counts = counts
-    session.a_setup_done = True
-    return session.k * (enc.opcode_bits + enc.scalar_bits + enc.index_bits(session.a_rows))
-
-
-def _stage1_pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    total = weights.sum()
-    if total <= 0.0:
-        raise AllZero("no sampling mass anywhere")
-    u = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-    if idx >= weights.size:
-        idx = int(np.flatnonzero(weights)[-1])
-    return idx
+    return _setup(session, session._a, "a_setup")
 
 
 def coord_b_sample(session: Session, rng: np.random.Generator):
@@ -455,49 +475,12 @@ def coord_b_sample(session: Session, rng: np.random.Generator):
     Stage 1 picks an owner from the setup norms (public mass sampled locally
     for free); stage 2 delegates one local draw to that owner.
     """
-    if not session.b_setup_done:
-        raise NotSetup("run coord_b_setup first")
-    enc = session.encoding
-    pub = session._b_owner[PUBLIC]
-    weights = np.append(session.b_norms**2, pub.norm**2)
-    pick = _stage1_pick(weights, rng)
-    if pick == session.k:
-        local = sq_sample(pub.handle, rng)
-        return int(pub.globals[local]), 0
-    child = rng.spawn(1)[0]
-    ov = session._b_owner[pick]
-    local, bits = session._exchange(
-        pick, "b_sample", "access",
-        req_bits=enc.opcode_bits,
-        resp_bits=enc.index_bits(session.m),
-        respond=(lambda: int(sq_sample(ov.handle, child))),
-    )
-    # map the player's local index to the stacked space via the public layout
-    return _global_from_local(session._b_route, pick, int(local)), bits
-
-
-def _global_from_local(route, owner, local: int) -> int:
-    starts, ends, owners, locals_ = route
-    for s, e, o, loc in zip(starts, ends, owners, locals_):
-        if o == owner and loc <= local < loc + (e - s):
-            return s + (local - loc)
-    raise IndexOutOfRange(f"local index {local} outside owner {owner}'s view")
+    return _stacked_sample(session, session._b, "b_sample", rng)
 
 
 def coord_b_query(session: Session, j: int):
     """Entry query against the stacked vector; returns (value, bits)."""
-    enc = session.encoding
-    owner, local = session._route(session._b_route, j)
-    if owner == PUBLIC:
-        return session._b_owner[PUBLIC].values[local].item(), 0
-    ov = session._b_owner[owner]
-    payload, bits = session._exchange(
-        owner, "b_query", "access",
-        req_bits=enc.opcode_bits + enc.index_bits(session.m),
-        resp_bits=enc.scalar_bits,
-        respond=(lambda: ov.values[local].item()),
-    )
-    return payload, bits
+    return _owner_query(session, session._b, "b_query", j, lambda x: x.item())
 
 
 def coord_a_access(session: Session, request, rng: np.random.Generator | None = None):
@@ -506,81 +489,35 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
     Request kinds: "row_norm_sample", ("row_sample", i), ("entry_query", i, j),
     "frobenius_query", ("row_norm_query", i).
     """
-    if isinstance(request, str):
-        request = (request,)
-    kind, args = request[0], request[1:]
+    kind, args = _split(request)
+    side = session._a
     enc = session.encoding
 
     if kind == "frobenius_query":
-        if not session.a_setup_done:
-            raise NotSetup("run coord_a_setup first")
-        pub = session._a_owner[PUBLIC]
-        total = float((session.a_fro_norms**2).sum() + pub.fro**2)
+        side.require_setup()
+        total = float((side.norms**2).sum() + side.views[PUBLIC].norm**2)
         return math.sqrt(total), 0
 
     if kind == "row_norm_sample":
-        if not session.a_setup_done:
-            raise NotSetup("run coord_a_setup first")
-        pub = session._a_owner[PUBLIC]
-        weights = np.append(session.a_fro_norms**2, pub.fro**2)
-        pick = _stage1_pick(weights, rng)
-        if pick == session.k:
-            local = sq_sample(pub.handle.row_norm_vector, rng)
-            return int(pub.globals[local]), 0
-        child = rng.spawn(1)[0]
-        om = session._a_owner[pick]
-        local, bits = session._exchange(
-            pick, "a_row_norm_sample", "access",
-            req_bits=enc.opcode_bits,
-            resp_bits=enc.index_bits(session.a_rows),
-            respond=(lambda: int(sq_sample(om.handle.row_norm_vector, child))),
-        )
-        return _global_from_local(session._a_route, pick, int(local)), bits
+        return _stacked_sample(session, side, "a_row_norm_sample", rng)
 
     if kind == "row_sample":
         (i,) = args
-        owner, local = session._route(session._a_route, i)
-        if owner == PUBLIC:
-            return sq_sample(sq_row(session._a_owner[PUBLIC].handle, local), rng), 0
-        child = rng.spawn(1)[0]
-        om = session._a_owner[owner]
-        payload, bits = session._exchange(
-            owner, "a_row_sample", "access",
-            req_bits=enc.opcode_bits + enc.index_bits(session.a_rows),
-            resp_bits=enc.index_bits(session.n),
-            respond=(lambda: int(sq_sample(sq_row(om.handle, local), child))),
-        )
-        return int(payload), bits
+        owner, local = side.locate(i)
+        _, j, bits = _owner_draw(session, side, "a_row_sample", rng,
+                                 enc.opcode_bits + enc.index_bits(session.a_rows),
+                                 enc.index_bits(session.n), owner=owner, row=local)
+        return j, bits
 
     if kind == "entry_query":
         i, j = args
-        owner, local = session._route(session._a_route, i)
-        if not 0 <= j < session.n:
-            raise IndexOutOfRange(f"column {j} outside [0, {session.n})")
-        if owner == PUBLIC:
-            return session._a_owner[PUBLIC].matrix[local, j].item(), 0
-        om = session._a_owner[owner]
-        payload, bits = session._exchange(
-            owner, "a_entry_query", "access",
-            req_bits=enc.opcode_bits + enc.index_bits(session.a_rows) + enc.index_bits(session.n),
-            resp_bits=enc.scalar_bits,
-            respond=(lambda: om.matrix[local, j].item()),
-        )
-        return payload, bits
+        return _owner_query(session, side, "a_entry_query", i, lambda row: row[j].item(),
+                            column=j)
 
     if kind == "row_norm_query":
         (i,) = args
-        owner, local = session._route(session._a_route, i)
-        if owner == PUBLIC:
-            return float(np.linalg.norm(session._a_owner[PUBLIC].matrix[local])), 0
-        om = session._a_owner[owner]
-        payload, bits = session._exchange(
-            owner, "a_row_norm_query", "access",
-            req_bits=enc.opcode_bits + enc.index_bits(session.a_rows),
-            resp_bits=enc.scalar_bits,
-            respond=(lambda: float(np.linalg.norm(om.matrix[local]))),
-        )
-        return payload, bits
+        return _owner_query(session, side, "a_row_norm_query", i,
+                            lambda row: float(np.linalg.norm(row)))
 
     raise ValueError(f"unknown matrix access kind: {kind!r}")
 
@@ -594,164 +531,130 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
     exact probability vector; no RNG is consumed and no bits are charged.  This
     is a verification aid and reads block data directly.
     """
-    if isinstance(access, str):
-        access = (access,)
-    kind, args = access[0], access[1:]
+    kind, args = _split(access)
 
-    if kind == "b_sample":
-        p = np.zeros(session.m)
-        owners = list(range(session.k)) + [PUBLIC]
-        weights = np.array([session._b_owner[o].norm ** 2 for o in owners])
-        total = weights.sum()
-        if total <= 0:
-            raise AllZero("stacked vector is identically zero")
-        for o, w in zip(owners, weights):
-            ov = session._b_owner[o]
-            if w > 0:
-                p[ov.globals] += (w / total) * exact_distribution(ov.handle)
-        return p
-
-    if kind == "row_norm_sample":
-        p = np.zeros(session.a_rows)
-        owners = list(range(session.k)) + [PUBLIC]
-        weights = np.array([session._a_owner[o].fro ** 2 for o in owners])
-        total = weights.sum()
-        if total <= 0:
-            raise AllZero("stacked matrix is identically zero")
-        for o, w in zip(owners, weights):
-            om = session._a_owner[o]
-            if w > 0:
-                p[om.globals] += (w / total) * exact_distribution(om.handle.row_norm_vector)
-        return p
+    if kind in ("b_sample", "row_norm_sample"):
+        side = session._b if kind == "b_sample" else session._a
+        views = list(side.views.values())
+        return _mixture_law(side.rows, [v.norm**2 for v in views], views,
+                            f"stacked {side.noun} is identically zero", stacked=True)
 
     if kind == "row_sample":
         (i,) = args
-        owner, local = session._route(session._a_route, i)
-        return exact_distribution(sq_row(session._a_owner[owner].handle, local))
+        owner, local = session._a.locate(i)
+        return exact_distribution(session._a.views[owner].sample_law(local))
 
-    if kind == "lincomb_b_dominator":
-        (mu,) = args
-        views = _lincomb_b_views(session, mu)
-        weights = np.array([abs(m_) ** 2 * v.norm**2 for m_, v in views])
-        total = weights.sum()
-        if total <= 0:
-            raise AllZero("all combination shares are zero")
-        p = np.zeros(views[0][1].values.size)
-        for (m_, v), w in zip(views, weights):
-            if w > 0:
-                p += (w / total) * exact_distribution(v.handle)
-        return p
-
-    if kind == "lincomb_A_row_norm":
-        (lambdas,) = args
-        views = _lincomb_a_views(session, lambdas)
-        weights = np.array([abs(l_) ** 2 * v.fro**2 for l_, v in views])
-        total = weights.sum()
-        if total <= 0:
-            raise AllZero("all combination shares are zero")
-        p = np.zeros(views[0][1].matrix.shape[0])
-        for (l_, v), w in zip(views, weights):
-            if w > 0:
-                p += (w / total) * exact_distribution(v.handle.row_norm_vector)
-        return p
+    if kind in ("lincomb_b_dominator", "lincomb_A_row_norm"):
+        side = session._b if kind == "lincomb_b_dominator" else session._a
+        (coeffs,) = args
+        views = _combination_views(session, side, coeffs)
+        return _mixture_law(views[0][1].size, [abs(c) ** 2 * v.norm**2 for c, v in views],
+                            [v for _, v in views], "all combination shares are zero")
 
     if kind == "lincomb_A_row":
         lambdas, i = args
-        views = _lincomb_a_views(session, lambdas)
-        weights = np.array(
-            [abs(l_) ** 2 * float(np.linalg.norm(v.matrix[i]) ** 2) for l_, v in views]
-        )
-        total = weights.sum()
-        if total <= 0:
-            raise AllZero(f"dominator row {i} is identically zero")
-        p = np.zeros(session.n)
-        for (l_, v), w in zip(views, weights):
-            if w > 0:
-                p += (w / total) * exact_distribution(sq_row(v.handle, i))
-        return p
+        views = _combination_views(session, session._a, lambdas)
+        weights = [abs(c) ** 2 * float(np.linalg.norm(v.data[i]) ** 2) for c, v in views]
+        return _mixture_law(session.n, weights, [v for _, v in views],
+                            f"dominator row {i} is identically zero", row=i)
 
     raise ValueError(f"unknown access kind: {kind!r}")
 
 
 # --- linear-combination access -------------------------------------------------
 
-def _lincomb_b_views(session: Session, mu):
-    mu = np.asarray(mu)
-    if mu.shape != (session.k,):
-        raise DimensionMismatch(f"need {session.k} coefficients, got {mu.shape}")
+def _coefficients(session: Session, coeffs) -> np.ndarray:
+    c = np.asarray(coeffs)
+    if c.shape != (session.k,):
+        raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
+    return c
+
+
+def _combination_views(session: Session, side: _Side, coeffs):
+    """(coefficient, player view) pairs over all k same-shape shares."""
+    c = _coefficients(session, coeffs)
     views = []
-    size = None
     for i in range(session.k):
-        ov = session._b_owner[i]
-        if ov is None or ov.values is None or ov.size == 0:
-            raise DimensionMismatch(f"player {i} holds no vector share")
-        if size is None:
-            size = ov.size
-        elif ov.size != size:
-            raise DimensionMismatch("vector shares differ in length")
-        views.append((complex(mu[i]) if np.iscomplexobj(mu) else float(mu[i]), ov))
+        view = side.views[i]
+        if view is None or view.data is None:
+            raise DimensionMismatch(f"player {i} holds no {side.noun} share")
+        if views and view.data.shape != views[0][1].data.shape:
+            raise DimensionMismatch(side.share_mismatch)
+        views.append((complex(c[i]) if np.iscomplexobj(c) else float(c[i]), view))
     return views
 
 
-def _lincomb_a_views(session: Session, lambdas):
-    lam = np.asarray(lambdas)
-    if lam.shape != (session.k,):
-        raise DimensionMismatch(f"need {session.k} coefficients, got {lam.shape}")
-    views = []
-    shape = None
-    for i in range(session.k):
-        om = session._a_owner[i]
-        if om is None or om.matrix is None or om.rows == 0:
-            raise DimensionMismatch(f"player {i} holds no matrix share")
-        if shape is None:
-            shape = om.matrix.shape
-        elif om.matrix.shape != shape:
-            raise DimensionMismatch("matrix shares differ in shape")
-        views.append((complex(lam[i]) if np.iscomplexobj(lam) else float(lam[i]), om))
-    return views
+def _phi(session: Session, side: _Side, coeffs, row=None) -> float:
+    """Exact oversampling ratio k sum_i |c_i|^2 ||share_i||^2 / ||combined||^2
+    of a combination, or of its row `row` (simulation-side)."""
+    views = _combination_views(session, side, coeffs)
+    if row is None:
+        shares = [v.data for _, v in views]
+        share_sq = [v.norm**2 for _, v in views]
+        what = "combination"
+    else:
+        shares = [v.data[row] for _, v in views]
+        share_sq = [float(np.linalg.norm(s) ** 2) for s in shares]
+        what = f"combined row {row}"
+    combined = sum(c * s for (c, _), s in zip(views, shares))
+    c_norm2 = float(np.linalg.norm(combined) ** 2)
+    if c_norm2 <= CANCELLATION_TOL**2:
+        raise Cancellation(f"{what} cancels below tolerance")
+    return session.k * sum(abs(c) ** 2 * q for (c, _), q in zip(views, share_sq)) / c_norm2
 
 
 def lincomb_b_phi(session: Session, mu) -> float:
     """Exact oversampling ratio phi for the combined vector (simulation-side)."""
-    views = _lincomb_b_views(session, mu)
-    combined = sum(m_ * v.values for m_, v in views)
-    c_norm2 = float(np.linalg.norm(combined) ** 2)
-    if c_norm2 <= CANCELLATION_TOL**2:
-        raise Cancellation("combination cancels below tolerance")
-    share = sum(abs(m_) ** 2 * v.norm**2 for m_, v in views)
-    return session.k * share / c_norm2
+    return _phi(session, session._b, mu)
 
 
 def lincomb_a_phi(session: Session, lambdas) -> float:
     """Exact oversampling ratio phi for the combined matrix (simulation-side)."""
-    views = _lincomb_a_views(session, lambdas)
-    combined = sum(l_ * v.matrix for l_, v in views)
-    c_norm2 = float(np.linalg.norm(combined) ** 2)
-    if c_norm2 <= CANCELLATION_TOL**2:
-        raise Cancellation("combination cancels below tolerance")
-    share = sum(abs(l_) ** 2 * v.fro**2 for l_, v in views)
-    return session.k * share / c_norm2
+    return _phi(session, session._a, lambdas)
 
 
-def _lincomb_b_fan_query(session: Session, j: int):
-    """Query all k shares at j (always fans out, even for zero coefficients)."""
-    enc = session.encoding
-    size = session._lincomb_b_size()
-    if not 0 <= j < size:
-        raise IndexOutOfRange(f"index {j} outside [0, {size})")
-    bits = 0
-    values = []
+def _combination_access(session: Session, side: _Side, coeffs):
+    """Checks shared by the combination accesses; returns (coefficients, rows per share)."""
+    side.require_setup()
+    c = _coefficients(session, coeffs)
+    if side.share_rows is None:
+        raise DimensionMismatch(side.share_mismatch)
+    return c, side.share_rows
+
+
+def _share_weights(side: _Side, coeffs) -> np.ndarray:
+    # coordinator-known: |c_i|^2 * (norm received at setup)^2
+    return np.abs(coeffs) ** 2 * side.norms**2
+
+
+def _dominator_norm(session: Session, side: _Side, coeffs) -> float:
+    return math.sqrt(session.k * float(_share_weights(side, coeffs).sum()))
+
+
+def _fan_out(session: Session, side: _Side, kind: str, req_bits: int, read):
+    """Ask all k players for one scalar of their share (zero coefficients
+    included); returns (values, bits)."""
+    values, bits = [], 0
     for i in range(session.k):
-        v = None if session.replaying else session._b_owner[i]
-        payload, cost = session._exchange(
-            i, "lincomb_b_query", "access",
-            req_bits=enc.opcode_bits + enc.index_bits(size),
-            resp_bits=enc.scalar_bits,
-            respond=(lambda v=v: v.values[j].item()),
+        value, cost = session._exchange(
+            i, kind, "access", req_bits, session.encoding.scalar_bits,
+            lambda v=side.views[i]: read(v.data),
         )
-        values.append(payload)
+        values.append(value)
         bits += cost
     return values, bits
+
+
+def _combine(k: int, coeffs, values):
+    """Combined entry sum_i c_i v_i and squared dominator entry k sum_i |c_i v_i|^2."""
+    return (sum(c * v for c, v in zip(coeffs, values)),
+            k * sum(abs(c * v) ** 2 for c, v in zip(coeffs, values)))
+
+
+def _accept_ratio(k: int, coeffs, values):
+    """|combined|^2 / dominator^2 at a fanned-out entry; None where the dominator is zero."""
+    combined, dom_sq = _combine(k, coeffs, values)
+    return abs(combined) ** 2 / dom_sq if dom_sq > 0 else None
 
 
 def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | None = None):
@@ -762,87 +665,57 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
     ("norm_estimate", eps, delta).  Queries fan out to all k players; samples
     go through the dominating vector with entries sqrt(k sum_i |mu_i b_j^(i)|^2).
     """
-    if isinstance(request, str):
-        request = (request,)
-    kind, args = request[0], request[1:]
+    kind, args = _split(request)
+    side = session._b
+    mu_arr, size = _combination_access(session, side, mu)
     enc = session.encoding
-    mu_arr = np.asarray(mu)
-    if not session.b_setup_done:
-        raise NotSetup("run coord_b_setup first")
-    if mu_arr.shape != (session.k,):
-        raise DimensionMismatch(f"need {session.k} coefficients, got {mu_arr.shape}")
-    size = session._lincomb_b_size()
 
-    def dominator_weights():
-        # coordinator-known: |mu_i|^2 * (norm received at setup)^2
-        return np.abs(mu_arr) ** 2 * session.b_norms**2
+    def fan_query(j):
+        if not 0 <= j < size:
+            raise IndexOutOfRange(f"index {j} outside [0, {size})")
+        return _fan_out(session, side, "lincomb_b_query",
+                        enc.opcode_bits + enc.index_bits(size), lambda d: d[j].item())
 
-    def dominator_sample(rng):
-        weights = dominator_weights()
-        pick = _stage1_pick(weights, rng)
-        child = rng.spawn(1)[0]
-        ov = None if session.replaying else session._b_owner[pick]
-        payload, cost = session._exchange(
-            pick, "lincomb_b_sample", "access",
-            req_bits=enc.opcode_bits,
-            resp_bits=enc.index_bits(size),
-            respond=(lambda: int(sq_sample(ov.handle, child))),
-        )
-        return int(payload), cost
+    def dominator_sample():
+        _, j, bits = _owner_draw(session, side, "lincomb_b_sample", rng, enc.opcode_bits,
+                                 enc.index_bits(size), weights=_share_weights(side, mu_arr))
+        return j, bits
 
-    def ratio_at(j):
-        values, cost = _lincomb_b_fan_query(session, j)
-        combined = sum(m_ * v for m_, v in zip(mu_arr, values))
-        dom_sq = session.k * sum(abs(m_ * v) ** 2 for m_, v in zip(mu_arr, values))
-        return combined, dom_sq, cost
+    def one_round():
+        j, bits = dominator_sample()
+        values, cost = fan_query(j)
+        return j, _accept_ratio(session.k, mu_arr, values), bits + cost
 
-    if kind == "query":
+    def phi():
+        return session._annotate("phi_b", lambda: lincomb_b_phi(session, mu_arr))
+
+    if kind in ("query", "dominator_query"):
         (j,) = args
-        values, bits = _lincomb_b_fan_query(session, j)
-        return sum(m_ * v for m_, v in zip(mu_arr, values)), bits
-
-    if kind == "dominator_query":
-        (j,) = args
-        values, bits = _lincomb_b_fan_query(session, j)
-        return math.sqrt(session.k * sum(abs(m_ * v) ** 2 for m_, v in zip(mu_arr, values))), bits
+        values, bits = fan_query(j)
+        combined, dom_sq = _combine(session.k, mu_arr, values)
+        return (combined if kind == "query" else math.sqrt(dom_sq)), bits
 
     if kind == "dominator_norm":
-        return math.sqrt(session.k * float(dominator_weights().sum())), 0
+        return _dominator_norm(session, side, mu_arr), 0
 
     if kind == "dominator_sample":
-        return dominator_sample(rng)
+        return dominator_sample()
 
     if kind == "sq_sample_via_rejection":
         delta = args[0] if args else DEFAULT_REJECTION_DELTA
-        phi = session._annotate("phi_b", lambda: lincomb_b_phi(session, mu_arr))
-        cap = rejection_round_cap(phi, delta)
-        bits = 0
-        for rounds in range(1, cap + 1):
-            j, cost = dominator_sample(rng)
-            bits += cost
-            combined, dom_sq, cost = ratio_at(j)
-            bits += cost
-            if dom_sq <= 0:
-                continue
-            if rng.random() < abs(combined) ** 2 / dom_sq:
-                return RejectionSample(index=j, rounds=rounds), bits
-        raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g})")
+        return _rejection_loop(one_round, phi, delta, rng)
 
     if kind == "norm_estimate":
         eps, delta = args
-        phi = session._annotate("phi_b", lambda: lincomb_b_phi(session, mu_arr))
-        n_draws = max(1, int(math.ceil(4.0 * phi * math.log(1.0 / delta) / eps**2)))
+        n_draws = _norm_estimate_draws(eps, delta, phi)
         bits = 0
         total_ratio = 0.0
         for _ in range(n_draws):
-            j, cost = dominator_sample(rng)
+            _, ratio, cost = one_round()
             bits += cost
-            combined, dom_sq, cost = ratio_at(j)
-            bits += cost
-            if dom_sq > 0:
-                total_ratio += abs(combined) ** 2 / dom_sq
-        dom_norm = math.sqrt(session.k * float(dominator_weights().sum()))
-        return dom_norm * math.sqrt(total_ratio / n_draws), bits
+            if ratio is not None:
+                total_ratio += ratio
+        return _norm_from_ratios(_dominator_norm(session, side, mu_arr), total_ratio / n_draws), bits
 
     raise ValueError(f"unknown combination access kind: {kind!r}")
 
@@ -855,16 +728,12 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     "dominator_row_norm_sample", ("dominator_row_sample", i),
     ("sq_row_sample_via_rejection", i[, delta]).
     """
-    if isinstance(request, str):
-        request = (request,)
-    kind, args = request[0], request[1:]
+    kind, args = _split(request)
+    side = session._a
+    lam, rows = _combination_access(session, side, lambdas)
+    cols = session.n
     enc = session.encoding
-    lam = np.asarray(lambdas)
-    if not session.a_setup_done:
-        raise NotSetup("run coord_a_setup first")
-    if lam.shape != (session.k,):
-        raise DimensionMismatch(f"need {session.k} coefficients, got {lam.shape}")
-    rows, cols = session._lincomb_a_shape()
+    row_req = enc.opcode_bits + enc.index_bits(rows)
 
     def check_row(i):
         if not 0 <= i < rows:
@@ -873,61 +742,30 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     def fan_entry(i, j):
         if not 0 <= j < cols:
             raise IndexOutOfRange(f"column {j} outside [0, {cols})")
-        bits = 0
-        values = []
-        for t in range(session.k):
-            om = None if session.replaying else session._a_owner[t]
-            payload, cost = session._exchange(
-                t, "lincomb_a_query", "access",
-                req_bits=enc.opcode_bits + enc.index_bits(rows) + enc.index_bits(cols),
-                resp_bits=enc.scalar_bits,
-                respond=(lambda om=om: om.matrix[i, j].item()),
-            )
-            values.append(payload)
-            bits += cost
-        return values, bits
+        return _fan_out(session, side, "lincomb_a_query", row_req + enc.index_bits(cols),
+                        lambda d: d[i, j].item())
 
     def fan_row_norms(i):
-        bits = 0
-        norms = []
-        for t in range(session.k):
-            om = None if session.replaying else session._a_owner[t]
-            payload, cost = session._exchange(
-                t, "lincomb_a_row_norm", "access",
-                req_bits=enc.opcode_bits + enc.index_bits(rows),
-                resp_bits=enc.scalar_bits,
-                respond=(lambda om=om: float(np.linalg.norm(om.matrix[i]))),
-            )
-            norms.append(float(payload))
-            bits += cost
-        return norms, bits
+        return _fan_out(session, side, "lincomb_a_row_norm", row_req,
+                        lambda d: float(np.linalg.norm(d[i])))
 
-    def row_sample(i, weights, rng):
-        pick = _stage1_pick(weights, rng)
-        child = rng.spawn(1)[0]
-        om = None if session.replaying else session._a_owner[pick]
-        payload, cost = session._exchange(
-            pick, "lincomb_a_row_sample", "access",
-            req_bits=enc.opcode_bits + enc.index_bits(rows),
-            resp_bits=enc.index_bits(cols),
-            respond=(lambda: int(sq_sample(sq_row(om.handle, i), child))),
-        )
-        return int(payload), cost
+    def row_sample(i):
+        # dominator row i: owners weighted by |lambda_t|^2 ||A^(t)_i||^2
+        norms, bits = fan_row_norms(i)
+        weights = np.abs(lam) ** 2 * np.asarray(norms) ** 2
+        _, j, cost = _owner_draw(session, side, "lincomb_a_row_sample", rng, row_req,
+                                 enc.index_bits(cols), weights=weights, row=i)
+        return j, bits + cost
 
-    if kind == "query":
+    if kind in ("query", "dominator_query"):
         i, j = args
         check_row(i)
         values, bits = fan_entry(i, j)
-        return sum(l_ * v for l_, v in zip(lam, values)), bits
-
-    if kind == "dominator_query":
-        i, j = args
-        check_row(i)
-        values, bits = fan_entry(i, j)
-        return math.sqrt(session.k * sum(abs(l_ * v) ** 2 for l_, v in zip(lam, values))), bits
+        combined, dom_sq = _combine(session.k, lam, values)
+        return (combined if kind == "query" else math.sqrt(dom_sq)), bits
 
     if kind == "dominator_fro_norm":
-        return math.sqrt(session.k * float((np.abs(lam) ** 2 * session.a_fro_norms**2).sum())), 0
+        return _dominator_norm(session, side, lam), 0
 
     if kind == "dominator_row_norm_query":
         (i,) = args
@@ -936,58 +774,30 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
         return math.sqrt(session.k * sum(abs(l_) ** 2 * r**2 for l_, r in zip(lam, norms))), bits
 
     if kind == "dominator_row_norm_sample":
-        weights = np.abs(lam) ** 2 * session.a_fro_norms**2
-        pick = _stage1_pick(weights, rng)
-        child = rng.spawn(1)[0]
-        om = None if session.replaying else session._a_owner[pick]
-        payload, bits = session._exchange(
-            pick, "lincomb_a_row_norm_sample", "access",
-            req_bits=enc.opcode_bits,
-            resp_bits=enc.index_bits(rows),
-            respond=(lambda: int(sq_sample(om.handle.row_norm_vector, child))),
-        )
-        return int(payload), bits
+        _, i, bits = _owner_draw(session, side, "lincomb_a_row_norm_sample", rng,
+                                 enc.opcode_bits, enc.index_bits(rows),
+                                 weights=_share_weights(side, lam))
+        return i, bits
 
     if kind == "dominator_row_sample":
         (i,) = args
         check_row(i)
-        norms, bits = fan_row_norms(i)
-        weights = np.abs(lam) ** 2 * np.asarray(norms) ** 2
-        j, cost = row_sample(i, weights, rng)
-        return j, bits + cost
+        return row_sample(i)
 
     if kind == "sq_row_sample_via_rejection":
         i = args[0]
         check_row(i)
         delta = args[1] if len(args) > 1 else DEFAULT_REJECTION_DELTA
 
-        def phi_row():
-            views = _lincomb_a_views(session, lam)
-            combined = sum(l_ * v.matrix[i] for l_, v in views)
-            c = float(np.linalg.norm(combined) ** 2)
-            if c <= CANCELLATION_TOL**2:
-                raise Cancellation(f"combined row {i} cancels below tolerance")
-            dom = session.k * sum(abs(l_) ** 2 * float(np.linalg.norm(v.matrix[i]) ** 2) for l_, v in views)
-            return dom / c
-
-        phi = session._annotate("phi_row", phi_row)
-        cap = rejection_round_cap(phi, delta)
-        bits = 0
-        for rounds in range(1, cap + 1):
-            norms, cost = fan_row_norms(i)
-            bits += cost
-            weights = np.abs(lam) ** 2 * np.asarray(norms) ** 2
-            j, cost = row_sample(i, weights, rng)
-            bits += cost
+        def one_round():
+            j, bits = row_sample(i)
             values, cost = fan_entry(i, j)
-            bits += cost
-            combined = sum(l_ * v for l_, v in zip(lam, values))
-            dom_sq = session.k * sum(abs(l_ * v) ** 2 for l_, v in zip(lam, values))
-            if dom_sq <= 0:
-                continue
-            if rng.random() < abs(combined) ** 2 / dom_sq:
-                return RejectionSample(index=j, rounds=rounds), bits
-        raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g})")
+            return j, _accept_ratio(session.k, lam, values), bits + cost
+
+        def phi():
+            return session._annotate("phi_row", lambda: _phi(session, side, lam, row=i))
+
+        return _rejection_loop(one_round, phi, delta, rng)
 
     raise ValueError(f"unknown combination access kind: {kind!r}")
 

@@ -379,10 +379,14 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
 # --- experiment: bit-cost law -------------------------------------------------------
 
 _SWEEP_KINDS = 5    # cycle length of the access mix below
+_R2_FLOOR = 0.999   # default pass rule of the bit-cost fit
+_COEF_CAP = 4.0
 
 
-def _sweep_session(k: int, m: int, n: int, rng, encoding: EncodingSpec) -> Session:
-    # all rows player-owned and nonzero, so every access costs the same
+def sweep_session(k: int, m: int, n: int, rng, encoding: EncodingSpec) -> Session:
+    """The generic bit-fit session: k players split m rows of an m x n matrix
+    and of a vector, all rows player-owned and nonzero, so every access costs
+    the same."""
     bounds = np.linspace(0, m, k + 1).astype(int)
     a_blocks, b_blocks = [], []
     for i in range(k):
@@ -426,6 +430,12 @@ def fit_bit_costs(k: int, t_values, totals, encoding: EncodingSpec, m: int, n: i
             "r_squared": r_squared, "word_bits": w}
 
 
+def fit_verdict(fit: dict, r2_floor: float = _R2_FLOOR, c_cap: float = _COEF_CAP):
+    """The bit-fit pass rule: (R^2 above the floor, c0 and c1 both in [0, c_cap])."""
+    return (bool(fit["r_squared"] > r2_floor),
+            bool(0 <= fit["c0"] <= c_cap and 0 <= fit["c1"] <= c_cap))
+
+
 def run_bit_fit(config: ExperimentConfig) -> Report:
     p = config.params
     k = p.get("k", 8)
@@ -437,22 +447,22 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
     totals = []
     per_trial = []
     for t_accesses, rng in zip(t_values, rngs):
-        session = _sweep_session(k, m, n, rng, config.encoding)
+        session = sweep_session(k, m, n, rng, config.encoding)
         total = _run_access_mix(session, t_accesses, rng)
         totals.append(total)
         per_trial.append({"t": t_accesses, "total_bits": total})
     fit = fit_bit_costs(k, t_values, totals, config.encoding, m, n)
-    c_cap = p.get("coefficient_cap", 4.0)
-    r2_floor = p.get("r_squared_floor", 0.999)
+    c_cap = p.get("coefficient_cap", _COEF_CAP)
+    linear, bounded = fit_verdict(fit, p.get("r_squared_floor", _R2_FLOOR), c_cap)
     checks = [
         CheckResult(
             name="bit_total_linear_in_accesses",
-            passed=bool(fit["r_squared"] > r2_floor),
+            passed=linear,
             detail=f"R^2 = {fit['r_squared']:.9f} over T in [{t_start}, {t_stop}]",
         ),
         CheckResult(
             name="fit_coefficients_bounded",
-            passed=bool(0 <= fit["c0"] <= c_cap and 0 <= fit["c1"] <= c_cap),
+            passed=bounded,
             detail=f"c0 = {_fmt(fit['c0'])}, c1 = {_fmt(fit['c1'])} (cap {c_cap})",
         ),
     ]

@@ -4,7 +4,8 @@ An SQ handle on a vector v supports three operations: query an entry, query the
 l2 norm, and draw an index i with probability |v_i|^2 / ||v||^2.  A matrix handle
 is a row of vector handles plus an SQ handle on the vector of row norms.  An
 oversampled handle relaxes sampling to a dominating vector and recovers the true
-law by rejection.
+law by rejection; the one rejection loop here also serves comm_sim's
+linear-combination access.
 
 Complex entries are supported throughout; real input stays real.  All handles
 are immutable after construction and hold no RNG state: every sampling operation
@@ -232,6 +233,32 @@ class RejectionSample:
         return self.rounds
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+
+
+def _rejection_loop(one_round, phi, delta: float, rng: np.random.Generator):
+    """The one rejection loop behind every oversampled draw.
+
+    one_round() draws a dominator index j and returns (j, |target_j|^2 /
+    |dom_j|^2 or None where dom_j is zero, bits spent); each round with a
+    ratio draws one accept uniform from rng.  phi is called once delta is
+    known to be valid, and sets the round cap.  Returns (RejectionSample,
+    bits); raises Timeout after the cap (probability <= delta).
+    """
+    _check_delta(delta)
+    phi = phi()
+    cap = rejection_round_cap(phi, delta)
+    bits = 0
+    for rounds in range(1, cap + 1):
+        j, ratio, cost = one_round()
+        bits += cost
+        if ratio is not None and rng.random() < ratio:
+            return RejectionSample(index=j, rounds=rounds), bits
+    raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g}, delta={delta:g})")
+
+
 def rejection_sample(ov: OversampleAccess, delta: float, rng: np.random.Generator) -> RejectionSample:
     """Sample an index under the target's l2 law via the dominator.
 
@@ -239,16 +266,29 @@ def rejection_sample(ov: OversampleAccess, delta: float, rng: np.random.Generato
     conditioned on acceptance the index follows the target law. Raises Timeout
     after the round cap (probability <= delta).
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    cap = rejection_round_cap(ov.phi, delta)
     t_w = np.abs(ov.target) ** 2
-    for rounds in range(1, cap + 1):
+
+    def one_round():
         j = sq_sample(ov.dominator, rng)
-        ratio = t_w[j] / ov.dominator.weights[j]
-        if rng.random() < ratio:
-            return RejectionSample(index=j, rounds=rounds)
-    raise Timeout(f"no acceptance within {cap} rounds (phi={ov.phi:.3g}, delta={delta:g})")
+        return j, t_w[j] / ov.dominator.weights[j], 0
+
+    return _rejection_loop(one_round, lambda: ov.phi, delta, rng)[0]
+
+
+def _norm_estimate_draws(eps: float, delta: float, phi) -> int:
+    """ceil(4 phi eps^-2 ln(1/delta)) dominator draws for a norm estimate
+    within relative eps, failure probability <= delta.  The ratios lie in
+    [0, 1] with mean 1/phi, so a Bernstein bound gives that failure
+    probability.  phi is called once eps and delta are known to be valid."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    _check_delta(delta)
+    return max(1, int(math.ceil(4.0 * phi() * math.log(1.0 / delta) / eps**2)))
+
+
+def _norm_from_ratios(dom_norm: float, mean_ratio: float) -> float:
+    """||target|| = ||dom|| * sqrt(E|target_j|^2/|dom_j|^2), j under the dominator law."""
+    return float(dom_norm * math.sqrt(max(mean_ratio, 0.0)))
 
 
 def estimate_norm(ov: OversampleAccess, eps: float, delta: float, rng: np.random.Generator) -> float:
@@ -256,15 +296,9 @@ def estimate_norm(ov: OversampleAccess, eps: float, delta: float, rng: np.random
 
     Returns dominator norm times the square root of the empirical mean of
     |target_j|^2/|dom_j|^2 over ceil(4 phi eps^-2 ln(1/delta)) dominator draws.
-    The ratios lie in [0, 1] with mean 1/phi, so a Bernstein bound gives the
-    stated failure probability.
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    n_draws = max(1, int(math.ceil(4.0 * ov.phi * math.log(1.0 / delta) / eps**2)))
+    n_draws = _norm_estimate_draws(eps, delta, lambda: ov.phi)
     js = sq_sample_many(ov.dominator, n_draws, rng)
     t_w = np.abs(ov.target) ** 2
     ratios = t_w[js] / ov.dominator.weights[js]
-    return float(ov.dominator.norm * math.sqrt(max(ratios.mean(), 0.0)))
+    return _norm_from_ratios(ov.dominator.norm, ratios.mean())

@@ -60,6 +60,17 @@ def _pair_session():
     return open_session_blocks(2, [], [(0, [1.0, 0.0]), (1, [0.0, 1.0])])
 
 
+def _lincomb_session():
+    # k=3 same-shape shares on both sides, with zero entries in every share
+    b_blocks = [(0, [1.0, 2.0, 0.0]), (1, [0.0, 1.0, -1.0]), (2, [2.0, -1.0, 1.0])]
+    a_blocks = [
+        (0, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+        (1, [[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        (2, [[1.0, 1.0, 1.0], [2.0, 0.0, -1.0], [0.0, 3.0, 0.0]]),
+    ]
+    return open_session_blocks(3, a_blocks, b_blocks)
+
+
 def test_index_bits_frozen():
     bits = EncodingSpec.index_bits
     assert [bits(1), bits(2), bits(4), bits(5), bits(512)] == [0, 1, 2, 3, 9]
@@ -194,6 +205,11 @@ def test_a_access_values_and_costs():
     j, _ = coord_a_access(s, ("row_sample", 5), rng)
     assert j == 2  # row (0, 0, 5) has a single support point
 
+    # every sampling kind names the missing generator, public rows included
+    for request in (("row_sample", 0), ("row_sample", 2), "row_norm_sample"):
+        with pytest.raises(ValueError, match="needs a numpy Generator"):
+            coord_a_access(s, request)
+
 
 def test_open_session_pairs():
     A1 = np.ones((2, 2))
@@ -283,6 +299,26 @@ def test_lincomb_norm_estimate_exact_ratios():
     # every acceptance ratio is exactly 1/2, so the estimate is exact
     assert est == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert bits > 0
+
+
+def test_lincomb_bounds_validated():
+    # eps in (0, 1] and delta in (0, 1), checked before anything is metered
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    entries = len(s.meter.entries)
+    rng = np.random.default_rng(0)
+    mu = [1.0, -0.5, 2.0]
+    for request in (("norm_estimate", 0.0, 0.1), ("norm_estimate", 1.5, 0.1),
+                    ("norm_estimate", 0.1, 2.0), ("norm_estimate", 0.1, 0.0),
+                    ("sq_sample_via_rejection", 0.0), ("sq_sample_via_rejection", 1.5)):
+        with pytest.raises(ValueError, match="must lie in"):
+            lincomb_b_access(s, mu, request, rng)
+    for delta in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="must lie in"):
+            lincomb_a_access(s, [0.5, 1.0, -1.0],
+                             ("sq_row_sample_via_rejection", 0, delta), rng)
+    assert len(s.meter.entries) == entries
 
 
 def test_lincomb_matrix_access():
@@ -386,6 +422,12 @@ def test_replay_detects_divergence():
     with pytest.raises(RuntimeError, match="exhausted"):
         coord_b_query(clone2, 1)
 
+    # same kind and bits, but index 3 belongs to another player
+    live = open_session_blocks(3, [], [(0, [1.0]), (1, [1.0, 5.0]), (2, [7.0, 9.0])])
+    coord_b_query(live, 0)
+    with pytest.raises(RuntimeError, match="transcript mismatch"):
+        coord_b_query(make_replay_session(live), 3)
+
 
 def test_meter_report_consistency():
     s = _mixed_session()
@@ -422,17 +464,6 @@ def test_transcript_exports(tmp_path):
     assert table[0] == ["kind", "phase", "messages", "bits"]
     assert sum(int(r[3]) for r in table[1:]) == s.meter.total_bits
     assert [r[0] for r in table[1:]] == sorted(r[0] for r in table[1:])
-
-
-def _lincomb_session():
-    # k=3 same-shape shares on both sides, with zero entries in every share
-    b_blocks = [(0, [1.0, 2.0, 0.0]), (1, [0.0, 1.0, -1.0]), (2, [2.0, -1.0, 1.0])]
-    a_blocks = [
-        (0, [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
-        (1, [[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-        (2, [[1.0, 1.0, 1.0], [2.0, 0.0, -1.0], [0.0, 3.0, 0.0]]),
-    ]
-    return open_session_blocks(3, a_blocks, b_blocks)
 
 
 def _rejection(result):
