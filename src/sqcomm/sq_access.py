@@ -238,17 +238,17 @@ def _check_delta(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
-def _rejection_loop(one_round, phi, delta: float, rng: np.random.Generator):
+def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
     """The one rejection loop behind every oversampled draw.
 
     one_round() draws a dominator index j and returns (j, |target_j|^2 /
     |dom_j|^2 or None where dom_j is zero, bits spent); each round with a
-    ratio draws one accept uniform from rng.  phi is called once delta is
-    known to be valid, and sets the round cap.  Returns (RejectionSample,
+    ratio draws one accept uniform from rng.  get_phi() is called once delta
+    is known to be valid, and its phi sets the round cap.  Returns (RejectionSample,
     bits); raises Timeout after the cap (probability <= delta).
     """
     _check_delta(delta)
-    phi = phi()
+    phi = get_phi()
     cap = rejection_round_cap(phi, delta)
     bits = 0
     for rounds in range(1, cap + 1):
@@ -275,15 +275,15 @@ def rejection_sample(ov: OversampleAccess, delta: float, rng: np.random.Generato
     return _rejection_loop(one_round, lambda: ov.phi, delta, rng)[0]
 
 
-def _norm_estimate_draws(eps: float, delta: float, phi) -> int:
+def _norm_estimate_draws(eps: float, delta: float, get_phi) -> int:
     """ceil(4 phi eps^-2 ln(1/delta)) dominator draws for a norm estimate
     within relative eps, failure probability <= delta.  The ratios lie in
     [0, 1] with mean 1/phi, so a Bernstein bound gives that failure
-    probability.  phi is called once eps and delta are known to be valid."""
+    probability.  get_phi() is called once eps and delta are known to be valid."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     _check_delta(delta)
-    return max(1, int(math.ceil(4.0 * phi() * math.log(1.0 / delta) / eps**2)))
+    return max(1, int(math.ceil(4.0 * get_phi() * math.log(1.0 / delta) / eps**2)))
 
 
 def _norm_from_ratios(dom_norm: float, mean_ratio: float) -> float:
