@@ -42,7 +42,6 @@ from .sq_access import (
     IndexOutOfRange,
     SqVector,
     build_sq_matrix,
-    build_sq_vector,
     exact_distribution,
     sq_row,
     sq_sample,
@@ -88,6 +87,8 @@ class EncodingSpec:
     def __post_init__(self):
         if self.scalar_bits < 8:
             raise ValueError("scalar_bits must be at least 8")
+        if self.opcode_bits < 0:
+            raise ValueError("opcode_bits must be nonnegative")
 
     @staticmethod
     def index_bits(count: int) -> int:
@@ -136,11 +137,12 @@ class BitMeter:
 class _Block:
     owner: object            # player index or PUBLIC
     offset: int              # global row offset
-    data: np.ndarray         # a 1-d vector block or a 2-d matrix block
+    data: np.ndarray         # a 2-d matrix block; a vector block is one column
 
 
 def _stack_blocks(k: int, blocks, ndim: int):
-    """Validate (owner, data) pairs and stack them in order; returns (blocks, rows)."""
+    """Validate (owner, data) pairs and stack them in order, a vector block as
+    one column; returns (blocks, rows)."""
     out, off = [], 0
     for owner, data in blocks:
         owner = PUBLIC if owner is None else owner
@@ -151,7 +153,8 @@ def _stack_blocks(k: int, blocks, ndim: int):
         if arr.ndim != ndim or arr.size == 0:
             noun = "vector" if ndim == 1 else "matrix"
             raise DimensionMismatch(f"{noun} blocks must be nonempty {ndim}-d")
-        if out and ndim == 2 and arr.shape[1] != out[0].data.shape[1]:
+        arr = arr.reshape(arr.shape[0], -1)
+        if out and arr.shape[1] != out[0].data.shape[1]:
             raise DimensionMismatch("matrix blocks disagree on column count")
         out.append(_Block(owner, off, arr))
         off += arr.shape[0]
@@ -159,22 +162,19 @@ def _stack_blocks(k: int, blocks, ndim: int):
 
 
 class _OwnerView:
-    """One owner's stacked blocks on one side, and the SQ law stage 2 samples:
-    the vector handle itself, or the matrix handle's row-norm vector."""
+    """One owner's stacked blocks on one side as one SQ matrix handle; stage 2
+    samples its row-norm vector (for a one-column vector side, |b_j|), or the
+    law of one of its rows."""
 
     def __init__(self, blocks):
         self.globals = np.concatenate(
             [np.arange(b.offset, b.offset + len(b.data)) for b in blocks]
         ) if blocks else np.zeros(0, dtype=np.int64)
         self.data = np.concatenate([b.data for b in blocks]) if blocks else None
-        self.handle = self.law = None
-        if self.data is not None and np.any(self.data != 0):
-            if self.data.ndim == 1:
-                self.handle = self.law = build_sq_vector(self.data)
-            else:
-                self.handle = build_sq_matrix(self.data)
-                self.law = self.handle.row_norm_vector
-        self.norm = self.law.norm if self.law is not None else 0.0
+        nonzero = self.data is not None and np.any(self.data != 0)
+        self.handle = build_sq_matrix(self.data) if nonzero else None
+        self.law = self.handle.row_norm_vector if nonzero else None
+        self.norm = self.law.norm if nonzero else 0.0
         self.size = int(self.globals.size)
 
     def sample_law(self, row=None) -> SqVector:
@@ -321,8 +321,9 @@ def make_replay_session(session: Session) -> Session:
         return [(bl.owner, bl.data if bl.owner == PUBLIC else np.zeros_like(bl.data))
                 for bl in blocks]
 
-    clone = Session(session.k, stripped(session.a_blocks), stripped(session.b_blocks),
-                    session.encoding)
+    # b blocks are stored as one column; a session takes them as 1-d vectors
+    clone = Session(session.k, stripped(session.a_blocks),
+                    [(o, d[:, 0]) for o, d in stripped(session.b_blocks)], session.encoding)
     # drop the private views entirely; only the layout and public data remain
     for side in (clone._b, clone._a):
         for o in range(clone.k):
@@ -338,7 +339,7 @@ def assemble_stacked(session: Session):
     stand-ins, never by coordinator logic.
     """
     A = np.vstack([bl.data for bl in session.a_blocks]) if session.a_blocks else None
-    b = np.concatenate([bl.data for bl in session.b_blocks]) if session.b_blocks else None
+    b = np.concatenate([bl.data[:, 0] for bl in session.b_blocks]) if session.b_blocks else None
     return A, b
 
 
@@ -480,7 +481,7 @@ def coord_b_sample(session: Session, rng: np.random.Generator):
 
 def coord_b_query(session: Session, j: int):
     """Entry query against the stacked vector; returns (value, bits)."""
-    return _owner_query(session, session._b, "b_query", j, lambda x: x.item())
+    return _owner_query(session, session._b, "b_query", j, lambda row: row[0].item())
 
 
 def coord_a_access(session: Session, request, rng: np.random.Generator | None = None):
@@ -674,7 +675,7 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
         if not 0 <= j < size:
             raise IndexOutOfRange(f"index {j} outside [0, {size})")
         return _fan_out(session, side, "lincomb_b_query",
-                        enc.opcode_bits + enc.index_bits(size), lambda d: d[j].item())
+                        enc.opcode_bits + enc.index_bits(size), lambda d: d[j, 0].item())
 
     def dominator_sample():
         _, j, bits = _owner_draw(session, side, "lincomb_b_sample", rng, enc.opcode_bits,

@@ -14,6 +14,7 @@ the acceptance tests consume the same results.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -160,7 +161,14 @@ class ExperimentConfig:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
+    """Validate a config object; params missing from it take their canonical
+    values from the default_config table, and a param that table does not
+    list for the experiment is rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("config: must be a JSON object")
     if "experiment" not in obj:
@@ -170,10 +178,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment: unknown name {name!r}")
     if "seed" not in obj:
         raise ConfigError("seed: required")
-    if not isinstance(obj["seed"], int):
+    if not _is_int(obj["seed"]):
         raise ConfigError("seed: must be an integer")
     trials = obj.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("trials: must be a positive integer")
     if trials > SIZE_CAPS["trials"]:
         raise ConfigError(f"trials: {trials} exceeds cap {SIZE_CAPS['trials']}")
@@ -183,10 +191,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     for key in ("k", "m", "n", "d"):
         if key in raw_params:
             value = raw_params[key]
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(f"params.{key}: must be a positive integer")
             if value > SIZE_CAPS[key]:
                 raise ConfigError(f"params.{key}: {value} exceeds cap {SIZE_CAPS[key]}")
+    canonical = _CANONICAL[name]["params"]
+    for key in raw_params:
+        if key not in canonical:
+            raise ConfigError(f"params.{key}: unknown field")
     enc_obj = obj.get("encoding", {})
     if not isinstance(enc_obj, dict):
         raise ConfigError("encoding: must be an object")
@@ -201,7 +213,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
     return ExperimentConfig(experiment=name, seed=obj["seed"], trials=trials,
-                            params=raw_params, encoding=encoding)
+                            params={**copy.deepcopy(canonical), **raw_params},
+                            encoding=encoding)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -351,12 +364,12 @@ def _exactness_deviation(session: Session, rng) -> float:
     return worst
 
 
+_EXACTNESS_TOL = 1e-12    # max abs deviation of a stacked law from the centralized one
+
+
 def run_protocol_exactness(config: ExperimentConfig) -> Report:
     p = config.params
-    max_k = p.get("max_players", 8)
-    max_rows = p.get("max_rows", 512)
-    max_cols = p.get("max_cols", 512)
-    tol = p.get("tolerance", 1e-12)
+    max_k, max_rows, max_cols = p["max_players"], p["max_rows"], p["max_cols"]
     rngs = _trial_rngs(config.seed, config.trials)
     worst = 0.0
     per_trial = []
@@ -368,8 +381,9 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
         per_trial.append({"trial": t, "deviation": dev})
     checks = [CheckResult(
         name="stacked_laws_match_centralized",
-        passed=bool(worst <= tol),
-        detail=f"max abs deviation {_fmt(worst)} over {config.trials} partitions (tol {_fmt(tol)})",
+        passed=bool(worst <= _EXACTNESS_TOL),
+        detail=(f"max abs deviation {_fmt(worst)} over {config.trials} partitions "
+                f"(tol {_fmt(_EXACTNESS_TOL)})"),
     )]
     return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
                   seed=config.seed, trials=config.trials, checks=checks,
@@ -379,7 +393,7 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
 # --- experiment: bit-cost law -------------------------------------------------------
 
 _SWEEP_KINDS = 5    # cycle length of the access mix below
-_R2_FLOOR = 0.999   # default pass rule of the bit-cost fit
+_R2_FLOOR = 0.999   # pass rule of the bit-cost fit
 _COEF_CAP = 4.0
 
 
@@ -430,18 +444,16 @@ def fit_bit_costs(k: int, t_values, totals, encoding: EncodingSpec, m: int, n: i
             "r_squared": r_squared, "word_bits": w}
 
 
-def fit_verdict(fit: dict, r2_floor: float = _R2_FLOOR, c_cap: float = _COEF_CAP):
-    """The bit-fit pass rule: (R^2 above the floor, c0 and c1 both in [0, c_cap])."""
-    return (bool(fit["r_squared"] > r2_floor),
-            bool(0 <= fit["c0"] <= c_cap and 0 <= fit["c1"] <= c_cap))
+def fit_verdict(fit: dict):
+    """The bit-fit pass rule: (R^2 above the floor, c0 and c1 both in [0, cap])."""
+    return (bool(fit["r_squared"] > _R2_FLOOR),
+            bool(0 <= fit["c0"] <= _COEF_CAP and 0 <= fit["c1"] <= _COEF_CAP))
 
 
 def run_bit_fit(config: ExperimentConfig) -> Report:
     p = config.params
-    k = p.get("k", 8)
-    m = p.get("m", 256)
-    n = p.get("n", 256)
-    t_start, t_stop, t_step = p.get("t_sweep", [10, 1000, 15])
+    k, m, n = p["k"], p["m"], p["n"]
+    t_start, t_stop, t_step = p["t_sweep"]
     t_values = [t for t in range(t_start, t_stop + 1, t_step)]
     rngs = _trial_rngs(config.seed, len(t_values))
     totals = []
@@ -452,8 +464,7 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
         totals.append(total)
         per_trial.append({"t": t_accesses, "total_bits": total})
     fit = fit_bit_costs(k, t_values, totals, config.encoding, m, n)
-    c_cap = p.get("coefficient_cap", _COEF_CAP)
-    linear, bounded = fit_verdict(fit, p.get("r_squared_floor", _R2_FLOOR), c_cap)
+    linear, bounded = fit_verdict(fit)
     checks = [
         CheckResult(
             name="bit_total_linear_in_accesses",
@@ -463,7 +474,7 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
         CheckResult(
             name="fit_coefficients_bounded",
             passed=bounded,
-            detail=f"c0 = {_fmt(fit['c0'])}, c1 = {_fmt(fit['c1'])} (cap {c_cap})",
+            detail=f"c0 = {_fmt(fit['c0'])}, c1 = {_fmt(fit['c1'])} (cap {_COEF_CAP})",
         ),
     ]
     return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
@@ -493,14 +504,14 @@ def _random_lincomb_session(rng, max_players: int, max_len: int,
     return session, np.asarray(mu), parts
 
 
+_OVERSAMPLING_TOL = 1e-9       # norm identity and entrywise domination
+_REJECTION_LAW_TOL = 1e-12     # enumerated rejection law against the target law
+_PHI_CAP = 8.0                 # rounds are drawn only for combinations with phi <= cap
+
+
 def run_oversampling(config: ExperimentConfig) -> Report:
     p = config.params
-    max_players = p.get("max_players", 6)
-    max_len = p.get("max_len", 64)
-    tol = p.get("tolerance", 1e-9)
-    law_tol = p.get("law_tolerance", 1e-12)
-    rounds_draws = p.get("rounds_draws", 10)
-    phi_cap = p.get("phi_cap", 8.0)
+    max_players, max_len, rounds_draws = p["max_players"], p["max_len"], p["rounds_draws"]
     rngs = _trial_rngs(config.seed, config.trials)
 
     worst_norm_identity = 0.0
@@ -537,7 +548,7 @@ def run_oversampling(config: ExperimentConfig) -> Report:
         worst_law = max(worst_law, float(np.abs(accept_law - target).max()))
 
         row = {"trial": t, "k": k, "phi": phi}
-        if phi <= phi_cap:
+        if phi <= _PHI_CAP:
             qualifying += 1
             phi_total += phi * rounds_draws
             cap = rejection_round_cap(phi, comm_sim.DEFAULT_REJECTION_DELTA)
@@ -557,24 +568,25 @@ def run_oversampling(config: ExperimentConfig) -> Report:
     checks = [
         CheckResult(
             name="dominator_norm_identity",
-            passed=bool(worst_norm_identity <= tol),
-            detail=f"max relative error {_fmt(worst_norm_identity)} (tol {_fmt(tol)})",
+            passed=bool(worst_norm_identity <= _OVERSAMPLING_TOL),
+            detail=(f"max relative error {_fmt(worst_norm_identity)} "
+                    f"(tol {_fmt(_OVERSAMPLING_TOL)})"),
         ),
         CheckResult(
             name="entrywise_domination",
-            passed=bool(worst_domination <= tol),
-            detail=f"max violation {_fmt(worst_domination)} (tol {_fmt(tol)})",
+            passed=bool(worst_domination <= _OVERSAMPLING_TOL),
+            detail=f"max violation {_fmt(worst_domination)} (tol {_fmt(_OVERSAMPLING_TOL)})",
         ),
         CheckResult(
             name="rejection_law_exact",
-            passed=bool(worst_law <= law_tol),
-            detail=f"max abs deviation {_fmt(worst_law)} (tol {_fmt(law_tol)})",
+            passed=bool(worst_law <= _REJECTION_LAW_TOL),
+            detail=f"max abs deviation {_fmt(worst_law)} (tol {_fmt(_REJECTION_LAW_TOL)})",
         ),
         CheckResult(
             name="mean_rounds_tracks_phi",
             passed=bool(abs(rounds_ratio - 1.0) <= 0.10),
             detail=(f"observed/expected rounds = {rounds_ratio:.4f} over "
-                    f"{qualifying} combinations with phi <= {phi_cap}"),
+                    f"{qualifying} combinations with phi <= {_PHI_CAP}"),
         ),
     ]
     return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
@@ -585,13 +597,14 @@ def run_oversampling(config: ExperimentConfig) -> Report:
 
 # --- experiment: sparse regression / disjointness ------------------------------------
 
+_CLOSED_FORM_TOL = 1e-9     # protocol x* against the pseudoinverse solve
+_ACCURACY_FLOOR = 0.99      # share of disjointness decisions that must be correct
+
+
 def run_sparse_regression(config: ExperimentConfig) -> Report:
     p = config.params
-    k = p.get("k", 8)
-    n = p.get("n", 64)
-    num_samples = p.get("num_samples", 10)
-    closed_form_instances = p.get("closed_form_instances", 100)
-    tol = p.get("tolerance", 1e-9)
+    k, n, num_samples = p["k"], p["n"], p["num_samples"]
+    closed_form_instances = p["closed_form_instances"]
     rngs = _trial_rngs(config.seed, config.trials + closed_form_instances)
 
     worst_closed_form = 0.0
@@ -623,13 +636,14 @@ def run_sparse_regression(config: ExperimentConfig) -> Report:
     checks = [
         CheckResult(
             name="closed_form_matches_pinv",
-            passed=bool(worst_closed_form <= tol),
+            passed=bool(worst_closed_form <= _CLOSED_FORM_TOL),
             detail=(f"max abs deviation {_fmt(worst_closed_form)} over "
-                    f"{closed_form_instances} instances (tol {_fmt(tol)})"),
+                    f"{closed_form_instances} instances "
+                    f"(tol {_fmt(_CLOSED_FORM_TOL)})"),
         ),
         CheckResult(
             name="disjointness_decision_accuracy",
-            passed=bool(accuracy >= p.get("accuracy_floor", 0.99)),
+            passed=bool(accuracy >= _ACCURACY_FLOOR),
             detail=f"{correct}/{config.trials} correct (accuracy {accuracy:.4f})",
         ),
     ]
@@ -642,13 +656,13 @@ def run_sparse_regression(config: ExperimentConfig) -> Report:
 
 # --- experiment: dense regression -----------------------------------------------------
 
+_DENSE_LAW_TOL = 1e-9     # solution law against the sign-correlation law
+
+
 def run_dense_regression(config: ExperimentConfig) -> Report:
     p = config.params
-    exhaustive_n = p.get("exhaustive_max_n", 2)
-    random_ns = p.get("random_ns", [3, 4, 5, 6, 7, 8])
-    pairs_per_n = p.get("pairs_per_n", config.trials)
-    params_max_n = p.get("params_max_n", 10)
-    tol = p.get("tolerance", 1e-9)
+    exhaustive_n, random_ns = p["exhaustive_max_n"], p["random_ns"]
+    params_max_n = p["params_max_n"]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     worst_law = 0.0
@@ -665,7 +679,7 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
                 worst_tv = max(worst_tv, tv_distance(law, build.target_law))
                 count += 1
     for n in random_ns:
-        for _ in range(pairs_per_n):
+        for _ in range(config.trials):
             build = reductions.build_regression_dense(
                 reductions.gen_function_pair(n, rng))
             law = reductions.dense_solution_law(build)
@@ -684,9 +698,9 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
     checks = [
         CheckResult(
             name="solution_law_matches_sign_correlation",
-            passed=bool(worst_law <= tol),
+            passed=bool(worst_law <= _DENSE_LAW_TOL),
             detail=(f"max abs deviation {_fmt(worst_law)} over {count} pairs "
-                    f"(TV max {_fmt(worst_tv)}, tol {_fmt(tol)})"),
+                    f"(TV max {_fmt(worst_tv)}, tol {_fmt(_DENSE_LAW_TOL)})"),
         ),
         CheckResult(
             name="condition_numbers",
@@ -705,8 +719,7 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
 
 def run_clustering(config: ExperimentConfig) -> Report:
     p = config.params
-    ks = p.get("ks", [1, 3, 5])
-    ds = p.get("ds", [64, 256])
+    ks, ds = p["ks"], p["ds"]
     rngs = _trial_rngs(config.seed, config.trials)
 
     worst_dist = 0.0
@@ -756,8 +769,7 @@ def run_clustering(config: ExperimentConfig) -> Report:
 
 def run_pca_recsys(config: ExperimentConfig) -> Report:
     p = config.params
-    n = p.get("n", 64)
-    level = p.get("level", 1.2)
+    n, level = p["n"], p["level"]
     rngs = _trial_rngs(config.seed, config.trials)
 
     worst_sigma = 0.0
@@ -818,12 +830,12 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
 
 # --- experiment: Hamiltonian evolution ----------------------------------------------------
 
+_IDENTITY_TOL = 1e-8     # Frobenius error of evolution against the signed Hadamard
+
+
 def run_hamiltonian(config: ExperimentConfig) -> Report:
     p = config.params
-    exhaustive_max_n = p.get("exhaustive_max_n", 4)
-    random_ns = p.get("random_ns", [6, 8])
-    random_count = p.get("random_count", config.trials)
-    identity_tol = p.get("identity_tolerance", 1e-8)
+    exhaustive_max_n, random_ns = p["exhaustive_max_n"], p["random_ns"]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     worst_identity = 0.0
@@ -834,7 +846,7 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
         worst_identity = max(worst_identity, float(errors.max()))
         checked += errors.size
     for n in random_ns:
-        fs = rng.choice((-1.0, 1.0), size=(random_count, 2**n))
+        fs = rng.choice((-1.0, 1.0), size=(config.trials, 2**n))
         errors = reductions.hamiltonian_identity_errors_batch(n, fs)
         worst_identity = max(worst_identity, float(errors.max()))
         checked += errors.size
@@ -855,9 +867,9 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
     checks = [
         CheckResult(
             name="evolution_equals_signed_hadamard",
-            passed=bool(worst_identity <= identity_tol),
+            passed=bool(worst_identity <= _IDENTITY_TOL),
             detail=(f"max Frobenius error {_fmt(worst_identity)} over {checked} "
-                    f"sign vectors (tol {_fmt(identity_tol)})"),
+                    f"sign vectors (tol {_fmt(_IDENTITY_TOL)})"),
         ),
         CheckResult(
             name="generator_norms",
@@ -982,31 +994,31 @@ EXPERIMENTS = {
 }
 
 
+# The canonical parameter set of each experiment: the one source of parameter
+# names and default values (the checked-in config files mirror it).
+_CANONICAL = {
+    "protocol_exactness": {"seed": 101, "trials": 50, "params": {
+        "max_players": 8, "max_rows": 512, "max_cols": 512}},
+    "bit_fit": {"seed": 202, "trials": 1, "params": {
+        "k": 8, "m": 256, "n": 256, "t_sweep": [10, 1000, 15]}},
+    "oversampling": {"seed": 303, "trials": 1000, "params": {
+        "max_players": 6, "max_len": 64, "rounds_draws": 10}},
+    "sparse_regression": {"seed": 404, "trials": 200, "params": {
+        "k": 8, "n": 64, "num_samples": 10, "closed_form_instances": 100}},
+    "dense_regression": {"seed": 505, "trials": 25, "params": {
+        "exhaustive_max_n": 2, "random_ns": [3, 4, 5, 6, 7, 8], "params_max_n": 10}},
+    "clustering": {"seed": 606, "trials": 500, "params": {
+        "ks": [1, 3, 5], "ds": [64, 256]}},
+    "pca_recsys": {"seed": 707, "trials": 200, "params": {
+        "n": 64, "level": 1.2}},
+    "hamiltonian": {"seed": 808, "trials": 100, "params": {
+        "exhaustive_max_n": 4, "random_ns": [6, 8]}},
+    "oracle_properties": {"seed": 909, "trials": 40, "params": {}},
+}
+
+
 def default_config(name: str) -> ExperimentConfig:
-    """Canonical parameter set for each experiment; the checked-in config files
-    mirror these values."""
-    table = {
-        "protocol_exactness": {"seed": 101, "trials": 50, "params": {
-            "max_players": 8, "max_rows": 512, "max_cols": 512}},
-        "bit_fit": {"seed": 202, "trials": 1, "params": {
-            "k": 8, "m": 256, "n": 256, "t_sweep": [10, 1000, 15]}},
-        "oversampling": {"seed": 303, "trials": 1000, "params": {
-            "max_players": 6, "max_len": 64, "rounds_draws": 10}},
-        "sparse_regression": {"seed": 404, "trials": 200, "params": {
-            "k": 8, "n": 64, "num_samples": 10, "closed_form_instances": 100}},
-        "dense_regression": {"seed": 505, "trials": 25, "params": {
-            "exhaustive_max_n": 2, "random_ns": [3, 4, 5, 6, 7, 8],
-            "pairs_per_n": 25, "params_max_n": 10}},
-        "clustering": {"seed": 606, "trials": 500, "params": {
-            "ks": [1, 3, 5], "ds": [64, 256]}},
-        "pca_recsys": {"seed": 707, "trials": 200, "params": {
-            "n": 64, "level": 1.2}},
-        "hamiltonian": {"seed": 808, "trials": 100, "params": {
-            "exhaustive_max_n": 4, "random_ns": [6, 8], "random_count": 100}},
-        "oracle_properties": {"seed": 909, "trials": 40, "params": {}},
-    }
-    if name not in table:
+    """Canonical config of each experiment, from the _CANONICAL table."""
+    if name not in _CANONICAL:
         raise ConfigError(f"experiment: unknown name {name!r}")
-    entry = dict(table[name])
-    entry["experiment"] = name
-    return parse_config(entry)
+    return parse_config({**_CANONICAL[name], "experiment": name})

@@ -2,9 +2,10 @@
 
 An SQ handle on a vector v supports three operations: query an entry, query the
 l2 norm, and draw an index i with probability |v_i|^2 / ||v||^2.  A matrix handle
-is a row of vector handles plus an SQ handle on the vector of row norms.  An
-oversampled handle relaxes sampling to a dominating vector and recovers the true
-law by rejection; the one rejection loop here also serves comm_sim's
+is one 2-D table (entries, squared magnitudes, per-row cumulative sums) plus an
+SQ handle on the vector of row norms; a row handle is a view into that table.
+An oversampled handle relaxes sampling to a dominating vector and recovers the
+true law by rejection; the one rejection loop here also serves comm_sim's
 linear-combination access.
 
 Complex entries are supported throughout; real input stays real.  All handles
@@ -32,15 +33,17 @@ class Timeout(RuntimeError):
     """Raised when rejection sampling exhausts its round budget."""
 
 
-def _as_1d(values) -> np.ndarray:
+def _table(values, ndim: int):
+    """A nonempty float64 (or complex128) copy of `values` with `ndim` axes and
+    its squared magnitudes; raises ValueError on a nan or infinite entry."""
     arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d array of scalars")
-    if arr.size == 0:
-        raise ValueError("expected a nonempty vector")
-    if np.iscomplexobj(arr):
-        return arr.astype(np.complex128)
-    return arr.astype(np.float64)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError("expected a nonempty 1-d vector" if ndim == 1
+                         else "expected a nonempty 2-d matrix")
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite (found nan or inf)")
+    return arr, np.abs(arr) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +61,9 @@ class SqVector:
 
 
 def build_sq_vector(values) -> SqVector:
-    """Build an SQ handle in O(n). Raises AllZero for the zero vector."""
-    arr = _as_1d(values)
-    weights = np.abs(arr) ** 2
+    """Build an SQ handle in O(n). Raises AllZero for the zero vector and
+    ValueError for a non-finite entry."""
+    arr, weights = _table(values, 1)
     total = float(weights.sum())
     if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero vector")
@@ -117,15 +120,22 @@ def exact_distribution(v: SqVector) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SqMatrix:
-    """SQ handle on a matrix: per-row handles plus the row-norm vector handle.
+    """SQ handle on a matrix: one m x n table plus the row-norm vector handle.
 
-    Zero rows are legal inside a nonzero matrix; their handle slot is None and
-    row_norm_vector gives them zero mass, so two-stage sampling never lands there.
+    `weights` holds |A_ij|^2 and `cum` its cumulative sums along each row, so
+    row i is a ready sampling table.  Zero rows are legal inside a nonzero
+    matrix; row_norm_vector gives them zero mass, so two-stage sampling never
+    lands there.
     """
 
-    rows: list
+    values: np.ndarray
+    weights: np.ndarray
+    cum: np.ndarray = field(repr=False)
     row_norm_vector: SqVector
-    shape: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape
 
     @property
     def m(self) -> int:
@@ -137,36 +147,25 @@ class SqMatrix:
 
 
 def build_sq_matrix(matrix) -> SqMatrix:
-    """Build row handles and the row-norm handle in O(mn). Raises AllZero if M = 0."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("expected a nonempty 2-d matrix")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128)
-    else:
-        arr = arr.astype(np.float64)
-    rows = []
-    norms = np.empty(arr.shape[0])
-    for i in range(arr.shape[0]):
-        try:
-            handle = build_sq_vector(arr[i])
-        except AllZero:
-            handle = None
-        rows.append(handle)
-        norms[i] = handle.norm if handle is not None else 0.0
-    if not norms.any():
+    """Build the table and the row-norm handle in O(mn). Raises AllZero if
+    M = 0 and ValueError for a non-finite entry."""
+    arr, weights = _table(matrix, 2)
+    row_sq = weights.sum(axis=1)
+    if not row_sq.any():
         raise AllZero("cannot build an l2 sampling law on the zero matrix")
-    return SqMatrix(rows=rows, row_norm_vector=build_sq_vector(norms), shape=arr.shape)
+    return SqMatrix(values=arr, weights=weights, cum=np.cumsum(weights, axis=1),
+                    row_norm_vector=build_sq_vector(np.sqrt(row_sq)))
 
 
 def sq_row(m: SqMatrix, i: int) -> SqVector:
-    """Handle for row i. Raises AllZero for a zero row, IndexOutOfRange off the end."""
+    """Handle for row i, a view into the table. Raises AllZero for a zero row,
+    IndexOutOfRange off the end."""
     if not 0 <= i < m.m:
         raise IndexOutOfRange(f"row {i} outside [0, {m.m})")
-    handle = m.rows[i]
-    if handle is None:
+    norm = float(m.row_norm_vector.values[i])
+    if norm == 0.0:
         raise AllZero(f"row {i} is identically zero")
-    return handle
+    return SqVector(values=m.values[i], norm=norm, weights=m.weights[i], cum=m.cum[i])
 
 
 # --- oversampled access -----------------------------------------------------
@@ -195,11 +194,10 @@ class OversampleAccess:
 
 def build_oversample(target, dominator) -> OversampleAccess:
     """Validate entrywise domination and compute phi = ||dom||^2 / ||target||^2."""
-    tgt = _as_1d(target)
+    tgt, t_w = _table(target, 1)
     dom = build_sq_vector(dominator)
     if tgt.size != dom.n:
         raise ValueError("target and dominator lengths differ")
-    t_w = np.abs(tgt) ** 2
     total = float(t_w.sum())
     if total == 0.0:
         raise AllZero("target vector is identically zero")

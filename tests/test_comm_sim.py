@@ -76,6 +76,9 @@ def test_index_bits_frozen():
     assert [bits(1), bits(2), bits(4), bits(5), bits(512)] == [0, 1, 2, 3, 9]
     with pytest.raises(ValueError):
         EncodingSpec(scalar_bits=4)
+    with pytest.raises(ValueError, match="opcode_bits"):
+        EncodingSpec(opcode_bits=-50)
+    assert EncodingSpec(opcode_bits=0).opcode_bits == 0
 
 
 def test_setup_costs_frozen():
@@ -233,6 +236,11 @@ def test_session_validation():
         open_session_blocks(1, [(0, np.ones(3))], [])
     with pytest.raises(ValueError):
         open_session_blocks(0, [], [(0, [1.0])])
+    # a non-finite entry would give a nan norm and a skewed owner draw
+    with pytest.raises(ValueError, match="finite"):
+        open_session_blocks(2, [], [(0, [1.0, np.nan]), (1, [2.0, 3.0])])
+    with pytest.raises(ValueError, match="finite"):
+        open_session_blocks(2, [(None, [[1.0, np.inf]])], [])
 
 
 def test_lincomb_phi_frozen():

@@ -111,12 +111,30 @@ def test_parse_config_field_errors():
         parse_config(dict(base, extra=2))
     with pytest.raises(ConfigError, match="^config: must be"):
         parse_config([1, 2])
+    # bool is an int subclass; it is not a valid seed, count or size
+    with pytest.raises(ConfigError, match="^seed: must be an integer"):
+        parse_config(dict(base, seed=True))
+    with pytest.raises(ConfigError, match="^trials: must be a positive"):
+        parse_config(dict(base, trials=True))
+    with pytest.raises(ConfigError, match="^params.k: must be a positive"):
+        parse_config(dict(base, params={"k": True}))
+    # a misspelled or retired param name is rejected, not ignored
+    over = {"experiment": "oversampling", "seed": 1}
+    with pytest.raises(ConfigError, match="^params.max_player: unknown field"):
+        parse_config(dict(over, params={"max_player": 3}))
+    with pytest.raises(ConfigError, match="^params.tolerance: unknown field"):
+        parse_config(dict(over, params={"tolerance": 1.0}))
+    with pytest.raises(ConfigError, match="^encoding: opcode_bits"):
+        parse_config(dict(base, encoding={"opcode_bits": -50}))
 
 
 def test_config_round_trip():
     for name in EXPERIMENTS:
         cfg = default_config(name)
         assert parse_config(cfg.to_dict()) == cfg
+        # params left out take their canonical values
+        bare = parse_config({"experiment": name, "seed": cfg.seed, "trials": cfg.trials})
+        assert bare == cfg
 
 
 def test_bundled_configs_cover_experiments():

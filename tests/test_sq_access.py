@@ -56,6 +56,13 @@ def test_vector_handle_errors():
         build_sq_vector(np.ones((2, 2)))
     with pytest.raises(ValueError):
         build_sq_vector([])
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            build_sq_vector([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            build_sq_matrix([[1.0, 2.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        build_oversample([1.0, np.nan], [2.0, 2.0])
 
 
 def test_sample_never_returns_zero_mass():
@@ -95,6 +102,31 @@ def test_matrix_handle_and_zero_rows():
         sq_row(m, 5)
     with pytest.raises(AllZero):
         build_sq_matrix(np.zeros((3, 3)))
+
+    # a row handle is the vector handle of that row, bit for bit
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-5, 5, size=(m, 1))
+        if trial % 2:
+            A = A + 1j * rng.normal(size=(m, n))
+        A[rng.random(m) < 0.2] = 0.0
+        A[0, 0] = 1.0
+        handle = build_sq_matrix(A)
+        for i in range(m):
+            if not A[i].any():
+                with pytest.raises(AllZero):
+                    sq_row(handle, i)
+                continue
+            row, want = sq_row(handle, i), build_sq_vector(A[i])
+            for name in ("values", "weights", "cum"):
+                np.testing.assert_array_equal(getattr(row, name), getattr(want, name))
+            assert row.norm == want.norm
+        # one column: the row-norm law is the column vector's own law
+        law, want = build_sq_matrix(A[:, :1]).row_norm_vector, build_sq_vector(A[:, 0])
+        np.testing.assert_array_equal(law.weights, want.weights)
+        np.testing.assert_array_equal(law.cum, want.cum)
+        assert law.norm == want.norm
 
 
 def test_two_stage_matrix_sampling_law():
