@@ -33,6 +33,7 @@ from .sq_access import (
     sq_query,
     sq_row,
     sq_sample,
+    sq_sample_at,
     sq_sample_many,
 )
 from .linalg_oracle import (
@@ -63,6 +64,7 @@ from .comm_sim import (
     EncodingSpec,
     Message,
     MeterReport,
+    NoPlayerData,
     NotSetup,
     Session,
     assemble_stacked,

@@ -21,9 +21,12 @@ Every sampling access of both families is one owner-mixture draw,
 makes one local l2 draw; `_mixture_law` gives its exact law.  Every rejection
 draw runs through the one rejection loop in `sq_access`.
 
-Randomness is caller-owned: coordinator decisions draw from the Generator
-passed to each operation, and player-local sampling draws from a child spawned
-per exchange, so a transcript replay (with player data deleted) reproduces
+Randomness is caller-owned and public-coin: every draw takes uniforms from
+the Generator passed to each operation.  The coordinator draws the owner pick
+and then one more uniform for the owner's local draw, which that owner maps
+through its own law (`sq_sample_at`); the uniform is never sent and costs no
+bits.  Each access thus consumes a fixed number of uniforms whatever the
+players hold, so a transcript replay (with player data deleted) reproduces
 every coordinator decision bit for bit.
 """
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -67,6 +71,11 @@ class NotSetup(RuntimeError):
 
 class Cancellation(RuntimeError):
     """Raised when a linear combination cancels below tolerance."""
+
+
+class NoPlayerData(RuntimeError):
+    """Raised when simulation-side code asks a replay session for the player
+    data it does not hold."""
 
 
 CANCELLATION_TOL = 1e-9
@@ -179,7 +188,29 @@ class _OwnerView:
 
     def sample_law(self, row=None) -> SqVector:
         """The view's own law, or the law of one row of its matrix."""
+        if self.handle is None:
+            raise AllZero("the owner's blocks are identically zero")
         return self.law if row is None else sq_row(self.handle, row)
+
+
+class _OwnerLaw:
+    """Stage 1 of an owner-mixture draw: owners chosen with probability
+    proportional to `weights`, with the total and cumulative sums computed
+    once, so each pick is one uniform and one bisect."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.total = float(weights.sum())
+        self.cum = np.cumsum(weights).tolist()
+
+    def pick(self, rng) -> int:
+        if self.total <= 0.0:
+            raise AllZero("no sampling mass anywhere")
+        owner = bisect_right(self.cum, rng.random() * self.total)
+        if owner >= len(self.cum):
+            # the uniform rounded up onto the total; take the last owner with mass
+            owner = int(np.flatnonzero(self.weights)[-1])
+        return owner
 
 
 class _Side:
@@ -196,11 +227,12 @@ class _Side:
         # owner-local index -> global index; layout only, so a replay clone
         # keeps it after its private views are dropped
         self.globals = {o: v.globals for o, v in self.views.items()}
-        # routing table: global index -> (owner, index local to the owner's view)
+        # routing table: block start -> (owner, index local to the owner's view)
+        self.starts = [bl.offset for bl in blocks]
         self.route = []
         used = dict.fromkeys(self.views, 0)
         for bl in blocks:
-            self.route.append((bl.offset, bl.offset + len(bl.data), bl.owner, used[bl.owner]))
+            self.route.append((bl.owner, used[bl.owner]))
             used[bl.owner] += len(bl.data)
         # rows per player share, when all k are equal and nonempty (the
         # precondition of linear-combination access)
@@ -210,12 +242,14 @@ class _Side:
                                else "matrix shares differ in shape")
         self.norms: np.ndarray | None = None    # filled by the one-time setup
         self.counts: list | None = None
+        self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
 
     def locate(self, g: int):
-        for start, end, owner, local in self.route:
-            if start <= g < end:
-                return owner, local + (g - start)
-        raise IndexOutOfRange(f"index {g} outside the stacked range")
+        if not 0 <= g < self.rows:
+            raise IndexOutOfRange(f"index {g} outside the stacked range")
+        t = bisect_right(self.starts, g) - 1
+        owner, local = self.route[t]
+        return owner, local + (g - self.starts[t])
 
     def require_setup(self) -> None:
         if self.norms is None:
@@ -257,9 +291,16 @@ class Session:
 
     def _exchange(self, owner: int, kind: str, phase: str, req_bits: int,
                   resp_bits: int, respond):
-        """One round: coordinator request to a player, player response back."""
+        """One round: coordinator request to a player, player response back.
+
+        A player whose local step fails (say, a draw from its zero row) answers
+        with that failure at the same widths: the round is recorded with the
+        exception as payload, then the exception is raised, and a replay
+        raises the same type at the same point.
+        """
         name = "PUB" if owner == PUBLIC else f"P{owner + 1}"
-        if self._replay_queue is not None:
+        replaying = self._replay_queue is not None
+        if replaying:
             req = self._pop(Message)
             resp = self._pop(Message)
             want = (kind, name, req_bits, resp_bits)
@@ -268,10 +309,15 @@ class Session:
                 raise RuntimeError(f"transcript mismatch: expected {want}, saw {seen}")
             payload = resp.payload
         else:
-            payload = respond()
+            try:
+                payload = respond()
+            except (ValueError, IndexError) as err:
+                payload = err
         self._round += 1
         self.meter.add(Message(self._round, "C", name, kind, req_bits, phase))
         self.meter.add(Message(self._round, name, "C", kind, resp_bits, phase, payload))
+        if isinstance(payload, Exception):
+            raise type(payload)(*payload.args) if replaying else payload
         return payload, req_bits + resp_bits
 
     def _annotate(self, kind: str, compute):
@@ -316,7 +362,8 @@ def open_session_blocks(k: int, a_blocks, b_blocks, encoding: EncodingSpec | Non
 
 def make_replay_session(session: Session) -> Session:
     """Clone the session layout with private data deleted; responses come from
-    the recorded transcript.  Public blocks stay (the coordinator knows them)."""
+    the recorded transcript.  Public blocks stay (the coordinator knows them);
+    simulation-side reads of player data raise NoPlayerData."""
     def stripped(blocks):
         return [(bl.owner, bl.data if bl.owner == PUBLIC else np.zeros_like(bl.data))
                 for bl in blocks]
@@ -341,6 +388,13 @@ def assemble_stacked(session: Session):
     A = np.vstack([bl.data for bl in session.a_blocks]) if session.a_blocks else None
     b = np.concatenate([bl.data[:, 0] for bl in session.b_blocks]) if session.b_blocks else None
     return A, b
+
+
+def _require_player_data(session: Session, what: str) -> None:
+    """Simulation-side reads of player data fail on a replay session."""
+    if session.replaying:
+        raise NoPlayerData(f"{what} reads player data, which a replay session "
+                           f"does not hold")
 
 
 def _split(request):
@@ -373,41 +427,51 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
         norms.append(float(payload[0]))
         counts.append(int(payload[1]))
     side.norms, side.counts = np.asarray(norms), counts
+    # stage 1 of every stacked draw: player masses, then the public view's
+    side.owner_law = _OwnerLaw(np.append(side.norms**2, side.views[PUBLIC].norm**2))
     return session.k * (enc.opcode_bits + resp_bits)
 
 
+class _Coin:
+    """The one uniform the coordinator drew for an owner's local draw, served
+    as a one-draw stream: the owner samples with `sq_sample` as usual, which
+    maps it through `sq_sample_at`, and every local draw stays a `sq_sample`
+    call (the sampling layer perfbench's tracer counts)."""
+
+    __slots__ = ("r",)
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
+
+
 def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
-                resp_bits: int, weights=None, owner=None, row=None):
+                resp_bits: int, owner_law=None, owner=None, row=None):
     """The coordinator's one sampling move; returns (owner, local index, bits).
 
-    Stage 1 picks an owner with probability proportional to `weights` (one
-    squared norm per player, plus a last entry for the public view when public
-    blocks take part), unless `owner` is given.  Stage 2 is one l2 draw from
-    that owner's view: its own law, or the law of its row `row`.  The public
-    view draws from rng for free; a player draws from a child stream spawned
-    after the pick, so the coordinator's stream never depends on player data.
+    Stage 1 picks an owner from `owner_law` (an `_OwnerLaw` with one squared
+    norm per player, plus a last entry for the public view when public blocks
+    take part), unless `owner` is given.  Stage 2 is one l2 draw from that
+    owner's view, its own law or the law of its row `row`, at one more uniform
+    from rng: public coin, drawn on every stage 2, live or replayed, so the
+    coordinator's stream never depends on player data.  The public view draws
+    for free.
     """
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"{kind} needs a numpy Generator")
     if owner is None:
-        total = weights.sum()
-        if total <= 0.0:
-            raise AllZero("no sampling mass anywhere")
-        u = rng.random() * total
-        owner = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-        if owner >= weights.size:
-            owner = int(np.flatnonzero(weights)[-1])
+        owner = owner_law.pick(rng)
         if owner == session.k:
             owner = PUBLIC
+    coin = _Coin(rng.random())
     view = side.views[owner]
     if owner == PUBLIC:
-        return owner, sq_sample(view.sample_law(row), rng), 0
-    child = rng.spawn(1)[0]
-    local, bits = session._exchange(
-        owner, kind, "access", req_bits, resp_bits,
-        lambda: int(sq_sample(view.sample_law(row), child)),
-    )
-    return owner, int(local), bits
+        return owner, sq_sample(view.sample_law(row), coin), 0
+    local, bits = session._exchange(owner, kind, "access", req_bits, resp_bits,
+                                    lambda: sq_sample(view.sample_law(row), coin))
+    return owner, local, bits
 
 
 def _stacked_sample(session: Session, side: _Side, kind: str, rng):
@@ -419,9 +483,8 @@ def _stacked_sample(session: Session, side: _Side, kind: str, rng):
     """
     side.require_setup()
     enc = session.encoding
-    weights = np.append(side.norms**2, side.views[PUBLIC].norm**2)
     owner, local, bits = _owner_draw(session, side, kind, rng, enc.opcode_bits,
-                                     enc.index_bits(side.rows), weights=weights)
+                                     enc.index_bits(side.rows), owner_law=side.owner_law)
     return int(side.globals[owner][local]), bits
 
 
@@ -532,6 +595,7 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
     exact probability vector; no RNG is consumed and no bits are charged.  This
     is a verification aid and reads block data directly.
     """
+    _require_player_data(session, "protocol_distribution")
     kind, args = _split(access)
 
     if kind in ("b_sample", "row_norm_sample"):
@@ -573,11 +637,12 @@ def _coefficients(session: Session, coeffs) -> np.ndarray:
 
 def _combination_views(session: Session, side: _Side, coeffs):
     """(coefficient, player view) pairs over all k same-shape shares."""
+    _require_player_data(session, "the exact phi of a combination")
     c = _coefficients(session, coeffs)
     views = []
     for i in range(session.k):
         view = side.views[i]
-        if view is None or view.data is None:
+        if view.data is None:
             raise DimensionMismatch(f"player {i} holds no {side.noun} share")
         if views and view.data.shape != views[0][1].data.shape:
             raise DimensionMismatch(side.share_mismatch)
@@ -679,7 +744,7 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
 
     def dominator_sample():
         _, j, bits = _owner_draw(session, side, "lincomb_b_sample", rng, enc.opcode_bits,
-                                 enc.index_bits(size), weights=_share_weights(side, mu_arr))
+                                 enc.index_bits(size), owner_law=dominator)
         return j, bits
 
     def one_round():
@@ -698,6 +763,9 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
 
     if kind == "dominator_norm":
         return _dominator_norm(session, side, mu_arr), 0
+
+    # every kind below samples the dominator: one owner law per request
+    dominator = _OwnerLaw(_share_weights(side, mu_arr))
 
     if kind == "dominator_sample":
         return dominator_sample()
@@ -753,9 +821,9 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     def row_sample(i):
         # dominator row i: owners weighted by |lambda_t|^2 ||A^(t)_i||^2
         norms, bits = fan_row_norms(i)
-        weights = np.abs(lam) ** 2 * np.asarray(norms) ** 2
+        owner_law = _OwnerLaw(np.abs(lam) ** 2 * np.asarray(norms) ** 2)
         _, j, cost = _owner_draw(session, side, "lincomb_a_row_sample", rng, row_req,
-                                 enc.index_bits(cols), weights=weights, row=i)
+                                 enc.index_bits(cols), owner_law=owner_law, row=i)
         return j, bits + cost
 
     if kind in ("query", "dominator_query"):
@@ -777,7 +845,7 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     if kind == "dominator_row_norm_sample":
         _, i, bits = _owner_draw(session, side, "lincomb_a_row_norm_sample", rng,
                                  enc.opcode_bits, enc.index_bits(rows),
-                                 weights=_share_weights(side, lam))
+                                 owner_law=_OwnerLaw(_share_weights(side, lam)))
         return i, bits
 
     if kind == "dominator_row_sample":

@@ -165,6 +165,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_size(path: str, value, low: int, cap: int) -> None:
+    if not _is_int(value) or value < low:
+        raise ConfigError(f"{path}: must be a positive integer" if low == 1
+                          else f"{path}: must be an integer >= {low}")
+    if value > cap:
+        raise ConfigError(f"{path}: {value} exceeds cap {cap}")
+
+
+# (lowest value, cap) of the size params beyond k/m/n/d, by experiment; a list
+# param (a list in the default_config table) is checked entry by entry
+_PARAM_BOUNDS = {
+    "protocol_exactness": {"max_players": (2, SIZE_CAPS["k"]), "max_rows": (2, SIZE_CAPS["m"]),
+                           "max_cols": (1, SIZE_CAPS["n"])},
+    "oversampling": {"max_players": (2, SIZE_CAPS["k"]), "max_len": (4, SIZE_CAPS["m"])},
+    "dense_regression": {"random_ns": (1, reductions.DENSE_MAX_N)},
+    "hamiltonian": {"random_ns": (1, reductions.EVOLUTION_MAX_N)},
+}
+
+
+def _check_sweep(path: str, sweep) -> None:
+    """A [start, stop, step] access-count sweep with 1 <= start <= stop, step >= 1."""
+    if not (isinstance(sweep, list) and len(sweep) == 3 and all(map(_is_int, sweep))):
+        raise ConfigError(f"{path}: must be [start, stop, step] integers")
+    start, stop, step = sweep
+    if start < 1 or stop < start or step < 1:
+        raise ConfigError(f"{path}: {sweep} is not a range with 1 <= start <= stop "
+                          f"and step >= 1")
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     """Validate a config object; params missing from it take their canonical
     values from the default_config table, and a param that table does not
@@ -190,15 +219,24 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("params: must be an object")
     for key in ("k", "m", "n", "d"):
         if key in raw_params:
-            value = raw_params[key]
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"params.{key}: must be a positive integer")
-            if value > SIZE_CAPS[key]:
-                raise ConfigError(f"params.{key}: {value} exceeds cap {SIZE_CAPS[key]}")
+            _check_size(f"params.{key}", raw_params[key], 1, SIZE_CAPS[key])
     canonical = _CANONICAL[name]["params"]
     for key in raw_params:
         if key not in canonical:
             raise ConfigError(f"params.{key}: unknown field")
+    for key, (low, cap) in _PARAM_BOUNDS.get(name, {}).items():
+        if key not in raw_params:
+            continue
+        value = raw_params[key]
+        if isinstance(canonical[key], list):
+            if not isinstance(value, list):
+                raise ConfigError(f"params.{key}: must be a list")
+        else:
+            value = [value]
+        for entry in value:
+            _check_size(f"params.{key}", entry, low, cap)
+    if "t_sweep" in raw_params:
+        _check_sweep("params.t_sweep", raw_params["t_sweep"])
     enc_obj = obj.get("encoding", {})
     if not isinstance(enc_obj, dict):
         raise ConfigError("encoding: must be an object")

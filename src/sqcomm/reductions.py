@@ -50,6 +50,9 @@ from .sq_access import (
     sq_sample_many,
 )
 
+DENSE_MAX_N = 10        # largest n of the dense regression construction
+EVOLUTION_MAX_N = 8     # largest n of the Hamiltonian evolution construction
+
 
 class PromiseViolation(ValueError):
     """An instance fails its promise verifier."""
@@ -293,8 +296,8 @@ def build_regression_dense(pair: FunctionPair) -> DenseRegressionBuild:
     """Full-rank orthogonal system: sampling its solution reproduces the
     squared-correlation law of the two sign vectors."""
     pair.verify()
-    if pair.n > 10:
-        raise BadDimension("dense construction capped at n = 10")
+    if pair.n > DENSE_MAX_N:
+        raise BadDimension(f"dense construction capped at n = {DENSE_MAX_N}")
     f = np.asarray(pair.f, dtype=np.float64)
     g = np.asarray(pair.g, dtype=np.float64)
     A = f[:, None] * hadamard_matrix(pair.n)
@@ -616,8 +619,8 @@ def build_hamiltonian(pair: FunctionPair) -> HamiltonianBuild:
     Hadamard conjugation; evolving the signed uniform state reproduces the
     squared-correlation law."""
     pair.verify()
-    if pair.n > 8:
-        raise BadDimension("evolution construction capped at n = 8")
+    if pair.n > EVOLUTION_MAX_N:
+        raise BadDimension(f"evolution construction capped at n = {EVOLUTION_MAX_N}")
     n = pair.n
     f = np.asarray(pair.f, dtype=np.float64)
     g = np.asarray(pair.g, dtype=np.float64)

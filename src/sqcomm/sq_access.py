@@ -10,7 +10,8 @@ linear-combination access.
 
 Complex entries are supported throughout; real input stays real.  All handles
 are immutable after construction and hold no RNG state: every sampling operation
-takes a caller-owned numpy Generator.
+takes a caller-owned numpy Generator, or (`sq_sample_at`) a uniform already
+drawn from one.
 """
 
 from __future__ import annotations
@@ -90,17 +91,25 @@ def _last_nonzero(weights: np.ndarray) -> int:
     return int(np.flatnonzero(weights)[-1])
 
 
-def sq_sample(v: SqVector, rng: np.random.Generator) -> int:
-    """Draw one index with probability weights[i] / sum(weights).
-
-    One uniform draw per call; zero-mass buckets are never returned.
-    """
-    u = rng.random() * v.cum[-1]
+def sq_sample_at(v: SqVector, r: float) -> int:
+    """The index a uniform r in [0, 1) selects under v's l2 law: the first i
+    whose cumulative mass exceeds r times the total.  A uniform r gives index
+    i with probability weights[i] / sum(weights); zero-mass buckets are never
+    returned."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"uniform {r!r} outside [0, 1)")
+    u = r * v.cum[-1]
     idx = int(np.searchsorted(v.cum, u, side="right"))
     if idx >= v.n:
         # u rounded up onto the total mass; land in the last populated bucket
         idx = _last_nonzero(v.weights)
     return idx
+
+
+def sq_sample(v: SqVector, rng: np.random.Generator) -> int:
+    """Draw one index with probability weights[i] / sum(weights): one uniform
+    from rng, mapped by sq_sample_at."""
+    return sq_sample_at(v, rng.random())
 
 
 def sq_sample_many(v: SqVector, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIGESTS = {
     "01_protocol_exactness.json": "cca78ba1e03a69255d49d99128a8f6345aad221224cebfc1c868548be822ce9e",
     "02_bit_fit.json": "280b3155d25efb47b8797a62315f6b8d7d0f2a1489b5829aa43d4fd3bf11197c",
-    "03_oversampling.json": "0f23369d2545b66d052e630f2e0d2612ff02cbecba27f38362f35c6a5ea93ad1",
+    "03_oversampling.json": "5af0d599c039471d081e614358b5062662c9bd7fe5ff41c3ae2e66f7ce28bd6b",
     "04_sparse_regression.json": "6d301b8eb1b28aba6185cce3c3949e080e32b802c5bf58f8669463d4ffe241cc",
     "06_clustering.json": "07b7c56e0caad5acce89e2681556973dcc0bd82c829c9b16a4b736687453857c",
     "07_pca_recsys.json": "51cdad89d99be39a416f7792cc910585cabc75bed7898587440a1bf961f27497",

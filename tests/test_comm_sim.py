@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqcomm import (
     AllZero,
@@ -16,6 +18,7 @@ from sqcomm import (
     DimensionMismatch,
     EncodingSpec,
     IndexOutOfRange,
+    NoPlayerData,
     NotSetup,
     Session,
     assemble_stacked,
@@ -437,6 +440,129 @@ def test_replay_detects_divergence():
         coord_b_query(make_replay_session(live), 3)
 
 
+def test_failed_player_response_replays():
+    # rows 1 and 2 are zero, so their draws fail at the player; player 1 holds
+    # nothing but its zero row
+    def script(session, seed):
+        rng = np.random.default_rng(seed)
+        out = [coord_a_setup(session)]
+        for i in (1, 2):
+            with pytest.raises(AllZero):
+                coord_a_access(session, ("row_sample", i), rng)
+        out.append(coord_a_access(session, ("row_sample", 0), rng))
+        out.append(coord_a_access(session, "row_norm_sample", rng))
+        out.append(rng.bit_generator.state)
+        return out
+
+    live = open_session_blocks(2, [(0, [[1.0, 2.0], [0.0, 0.0]]), (1, [[0.0, 0.0]])], [])
+    want = script(live, seed=5)
+    # a failed round is metered at the widths of a served one: 10 down, 1 up
+    assert meter_report(live).bits_by_kind["a_row_sample"] == 3 * (10 + 1)
+    clone = make_replay_session(live)
+    assert script(clone, seed=5) == want
+    assert meter_report(clone) == meter_report(live)
+
+
+def test_replay_session_holds_no_player_data():
+    live = _lincomb_session()
+    coord_b_setup(live)
+    clone = make_replay_session(live)
+    for access in ("b_sample", "row_norm_sample", ("row_sample", 0),
+                   ("lincomb_b_dominator", [1.0, 1.0, 1.0])):
+        with pytest.raises(NoPlayerData, match="replay session"):
+            protocol_distribution(clone, access)
+    with pytest.raises(NoPlayerData, match="replay session"):
+        lincomb_b_phi(clone, [1.0, -0.5, 2.0])
+    with pytest.raises(NoPlayerData, match="replay session"):
+        lincomb_a_phi(clone, [1.0, -0.5, 2.0])
+
+
+def _stacked_script(session, rng, steps=60):
+    """Setups, then a fixed mix of every stacked access; a failed access is
+    kept as its exception type."""
+    out = [coord_b_setup(session), coord_a_setup(session)]
+    for t in range(steps):
+        i, j = t % session.a_rows, t % session.n
+        request = ["b_sample", ("b_query", t % session.m), "row_norm_sample",
+                   ("row_sample", i), ("entry_query", i, j), ("row_norm_query", i),
+                   "frobenius_query"][t % 7]
+        try:
+            if request == "b_sample":
+                out.append(coord_b_sample(session, rng))
+            elif request[0] == "b_query":
+                out.append(coord_b_query(session, request[1]))
+            else:
+                out.append(coord_a_access(session, request, rng))
+        except AllZero as err:
+            out.append(type(err))
+    return out
+
+
+def test_coordinator_stream_ignores_player_data():
+    # one layout with public blocks on both sides, two sets of private data;
+    # the second holds a zero row, so some of its row draws fail at the player
+    def session(scale, zero_row):
+        rows = np.arange(1.0, 13.0).reshape(4, 3) * scale
+        if zero_row:
+            rows[1] = 0.0
+        b_blocks = [(0, rows[:2, 0] + 1.0), (None, [3.0]), (1, rows[2:, 1] - 20.0)]
+        a_blocks = [(0, rows[:2]), (None, [[0.0, 3.0, 1.0]]), (1, rows[2:])]
+        return open_session_blocks(2, a_blocks, b_blocks)
+
+    rngs, results = [], []
+    for scale, zero_row in ((1.0, False), (-7.0, True)):
+        rng = np.random.default_rng(31)
+        results.append(_stacked_script(session(scale, zero_row), rng))
+        rngs.append(rng)
+    assert results[0] != results[1] and AllZero in results[1]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    live, live_rng = session(1.0, True), np.random.default_rng(32)
+    want = _stacked_script(live, live_rng)
+    replay_rng = np.random.default_rng(32)
+    assert _stacked_script(make_replay_session(live), replay_rng) == want
+    assert replay_rng.bit_generator.state == live_rng.bit_generator.state
+
+
+_small_values = st.sampled_from([0.0, 0.0, 1.0, -2.0, 0.5, 3.0])
+
+
+@st.composite
+def _small_sessions(draw):
+    """A session of 1-3 players over 1-4 row blocks, each block owned by a
+    player or public on each side; zero entries and zero rows are common."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    owners = st.sampled_from([None] + list(range(k)))
+    a_blocks, b_blocks = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 3))
+        a_blocks.append((draw(owners), draw(st.lists(
+            st.lists(_small_values, min_size=n, max_size=n), min_size=rows, max_size=rows))))
+        b_blocks.append((draw(owners), draw(st.lists(_small_values, min_size=rows,
+                                                     max_size=rows))))
+    return open_session_blocks(k, a_blocks, b_blocks)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(session=_small_sessions(), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 30))
+def test_replay_matches_live(session, seed, steps):
+    live_rng = np.random.default_rng(seed)
+    want = _stacked_script(session, live_rng, steps)
+    # queries answer with the stacked data: routing agrees with the layout
+    A, b = assemble_stacked(session)
+    for t, result in enumerate(want[2:]):
+        if t % 7 == 1:
+            assert result[0] == b[t % session.m]
+        elif t % 7 == 4:
+            assert result[0] == A[t % session.a_rows, t % session.n]
+    replay_rng = np.random.default_rng(seed)
+    got = _stacked_script(make_replay_session(session), replay_rng, steps)
+    assert got == want
+    assert replay_rng.bit_generator.state == live_rng.bit_generator.state
+
+
 def test_meter_report_consistency():
     s = _mixed_session()
     _scripted_run(s, seed=2)
@@ -487,23 +613,23 @@ def test_golden_stacked_transcript():
     coord_a_setup(s)
     rng = np.random.default_rng(101)
     assert [coord_b_sample(s, rng) for _ in range(12)] == [
-        (2, 0), (2, 0), (4, 11), (2, 0), (4, 11), (2, 0),
-        (2, 0), (4, 11), (1, 11), (2, 0), (4, 11), (4, 11),
+        (2, 0), (2, 0), (4, 11), (2, 0), (2, 0), (2, 0),
+        (4, 11), (2, 0), (4, 11), (4, 11), (4, 11), (1, 11),
     ]
     assert [coord_a_access(s, "row_norm_sample", rng) for _ in range(12)] == [
-        (5, 11), (5, 11), (5, 11), (5, 11), (4, 11), (0, 11),
-        (2, 0), (5, 11), (5, 11), (2, 0), (0, 11), (5, 11),
+        (2, 0), (5, 11), (2, 0), (0, 11), (2, 0), (5, 11),
+        (5, 11), (5, 11), (5, 11), (5, 11), (3, 11), (0, 11),
     ]
     assert [coord_a_access(s, ("row_sample", i), rng)
             for i in (0, 2, 3, 4, 5, 0, 2, 3)] == [
-        (2, 13), (1, 0), (0, 13), (0, 13), (2, 13), (2, 13), (1, 0), (1, 13),
+        (0, 13), (1, 0), (1, 13), (2, 13), (2, 13), (2, 13), (1, 0), (1, 13),
     ]
     assert dataclasses.asdict(meter_report(s)) == {
-        "total_bits": 512, "n_messages": 56, "n_rounds": 28,
-        "bits_by_kind": {"a_row_norm_sample": 110, "a_row_sample": 78,
+        "total_bits": 501, "n_messages": 54, "n_rounds": 27,
+        "bits_by_kind": {"a_row_norm_sample": 99, "a_row_sample": 78,
                          "a_setup": 129, "b_sample": 66, "b_setup": 129},
-        "bits_by_phase": {"access": 254, "setup": 258},
-        "messages_by_kind": {"a_row_norm_sample": 20, "a_row_sample": 12,
+        "bits_by_phase": {"access": 243, "setup": 258},
+        "messages_by_kind": {"a_row_norm_sample": 18, "a_row_sample": 12,
                              "a_setup": 6, "b_sample": 12, "b_setup": 6},
     }
 
@@ -516,36 +642,36 @@ def test_golden_lincomb_transcript():
     lam = [0.5, 1.0, -1.0]
     rng = np.random.default_rng(202)
     assert [lincomb_b_access(s, mu, "dominator_sample", rng) for _ in range(6)] == [
-        (0, 10), (2, 10), (0, 10), (0, 10), (0, 10), (0, 10),
+        (0, 10), (1, 10), (0, 10), (2, 10), (2, 10), (1, 10),
     ]
     assert [_rejection(lincomb_b_access(s, mu, "sq_sample_via_rejection", rng))
             for _ in range(6)] == [
-        ((0, 4), 544), ((2, 1), 136), ((0, 7), 952),
-        ((1, 6), 816), ((0, 4), 544), ((0, 1), 136),
+        ((0, 2), 272), ((0, 1), 136), ((0, 3), 408),
+        ((2, 1), 136), ((0, 2), 272), ((0, 1), 136),
     ]
     assert lincomb_b_access(s, mu, ("norm_estimate", 0.5, 0.1), rng) == (
-        5.759235365247837, 14144)
+        5.687856108975769, 14144)
     assert [lincomb_a_access(s, lam, "dominator_row_norm_sample", rng)
             for _ in range(6)] == [
-        (0, 10), (1, 10), (0, 10), (0, 10), (2, 10), (0, 10),
+        (0, 10), (2, 10), (0, 10), (2, 10), (2, 10), (1, 10),
     ]
     assert [lincomb_a_access(s, lam, ("dominator_row_sample", i), rng)
-            for i in (0, 1, 2)] == [(2, 138), (0, 138), (1, 138)]
+            for i in (0, 1, 2)] == [(1, 138), (0, 138), (1, 138)]
     assert [_rejection(lincomb_a_access(s, lam, ("sq_row_sample_via_rejection", i), rng))
             for i in (0, 1, 2, 1)] == [
-        ((1, 10), 2700), ((2, 52), 14040), ((1, 2), 540), ((2, 6), 1620),
+        ((1, 2), 540), ((2, 5), 1350), ((1, 4), 1080), ((1, 2), 540),
     ]
     assert dataclasses.asdict(meter_report(s)) == {
-        "total_bits": 36970, "n_messages": 2056, "n_rounds": 1028,
+        "total_bits": 19812, "n_messages": 1154, "n_rounds": 577,
         "bits_by_kind": {"a_setup": 132, "b_setup": 132,
-                         "lincomb_a_query": 9240, "lincomb_a_row_norm": 9198,
+                         "lincomb_a_query": 1716, "lincomb_a_row_norm": 2016,
                          "lincomb_a_row_norm_sample": 60,
-                         "lincomb_a_row_sample": 876,
-                         "lincomb_b_query": 16002, "lincomb_b_sample": 1330},
-        "bits_by_phase": {"access": 36706, "setup": 264},
+                         "lincomb_a_row_sample": 192,
+                         "lincomb_b_query": 14364, "lincomb_b_sample": 1200},
+        "bits_by_phase": {"access": 19548, "setup": 264},
         "messages_by_kind": {"a_setup": 6, "b_setup": 6,
-                             "lincomb_a_query": 420, "lincomb_a_row_norm": 438,
+                             "lincomb_a_query": 78, "lincomb_a_row_norm": 96,
                              "lincomb_a_row_norm_sample": 12,
-                             "lincomb_a_row_sample": 146,
-                             "lincomb_b_query": 762, "lincomb_b_sample": 266},
+                             "lincomb_a_row_sample": 32,
+                             "lincomb_b_query": 684, "lincomb_b_sample": 240},
     }

@@ -126,6 +126,30 @@ def test_parse_config_field_errors():
         parse_config(dict(over, params={"tolerance": 1.0}))
     with pytest.raises(ConfigError, match="^encoding: opcode_bits"):
         parse_config(dict(base, encoding={"opcode_bits": -50}))
+    # sizes beyond k/m/n/d are checked at parse time, not inside the runner
+    exact = {"experiment": "protocol_exactness", "seed": 1}
+    with pytest.raises(ConfigError, match="^params.max_rows: 1000000000 exceeds cap 4096"):
+        parse_config(dict(exact, params={"max_rows": 10**9}))
+    with pytest.raises(ConfigError, match="^params.max_rows: must be an integer >= 2"):
+        parse_config(dict(exact, params={"max_rows": 1}))
+    with pytest.raises(ConfigError, match="^params.max_len: must be an integer >= 4"):
+        parse_config(dict(over, params={"max_len": 3}))
+    for name, cap in (("dense_regression", 10), ("hamiltonian", 8)):
+        cfg = {"experiment": name, "seed": 1}
+        with pytest.raises(ConfigError, match=f"^params.random_ns: 14 exceeds cap {cap}"):
+            parse_config(dict(cfg, params={"random_ns": [14]}))
+        with pytest.raises(ConfigError, match="^params.random_ns: must be a positive"):
+            parse_config(dict(cfg, params={"random_ns": [3, 0]}))
+        with pytest.raises(ConfigError, match="^params.random_ns: must be a list"):
+            parse_config(dict(cfg, params={"random_ns": 6}))
+        assert parse_config(dict(cfg, params={"random_ns": [cap]})).params["random_ns"] == [cap]
+    fit = {"experiment": "bit_fit", "seed": 1}
+    with pytest.raises(ConfigError, match="^params.t_sweep: .* is not a range"):
+        parse_config(dict(fit, params={"t_sweep": [5, 1, 0]}))
+    with pytest.raises(ConfigError, match="^params.t_sweep: .* is not a range"):
+        parse_config(dict(fit, params={"t_sweep": [0, 10, 1]}))
+    with pytest.raises(ConfigError, match="^params.t_sweep: must be"):
+        parse_config(dict(fit, params={"t_sweep": [5, 10]}))
 
 
 def test_config_round_trip():

@@ -20,6 +20,7 @@ from sqcomm import (
     sq_query,
     sq_row,
     sq_sample,
+    sq_sample_at,
     sq_sample_many,
 )
 
@@ -87,6 +88,20 @@ def test_sample_determinism():
     a = sq_sample_many(v, 100, np.random.default_rng(99))
     b = sq_sample_many(v, 100, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
+
+
+def test_sample_at_maps_uniforms():
+    # weights 1, 0, 4, 9 have cumulative masses 1, 1, 5, 14: r * 14 lands in the
+    # first bucket whose cumulative mass exceeds it, never in zero-mass index 1
+    v = build_sq_vector([1.0, 0.0, 2.0, 3.0])
+    assert [sq_sample_at(v, r) for r in (0.0, 0.05, 0.1, 0.3, 0.4, 0.999)] == [0, 0, 2, 2, 3, 3]
+    # sq_sample maps the generator's next uniform
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    assert ([sq_sample(v, rng) for _ in range(50)]
+            == [sq_sample_at(v, ref.random()) for _ in range(50)])
+    for r in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            sq_sample_at(v, r)
 
 
 def test_matrix_handle_and_zero_rows():
