@@ -38,6 +38,7 @@ from .sq_access import (
 )
 from .linalg_oracle import (
     BadDimension,
+    ConditionUndefined,
     GammaUndefined,
     NotHermitian,
     ProblemParams,

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import comm_sim, reductions
+from . import comm_sim, harness, reductions
 from .comm_sim import (
     coord_a_access,
     coord_a_setup,
@@ -64,13 +64,15 @@ def _cmd_verify(args) -> int:
 # --- fit-bits --------------------------------------------------------------------
 
 def _parse_sweep(text: str):
+    """--t-sweep A:B:S, under the rule and bounds of the bit_fit config's t_sweep."""
+    spec = harness.EXPERIMENTS["bit_fit"].params["t_sweep"]
     try:
-        start, stop, step = (int(x) for x in text.split(":"))
+        sweep = [int(x) for x in text.split(":")]
+        return harness.sweep_values("--t-sweep", sweep, spec.low, spec.high)
+    except harness.ConfigError as err:
+        raise SystemExit(str(err)) from err
     except ValueError as err:
         raise SystemExit(f"--t-sweep wants A:B:S integers, got {text!r}") from err
-    if start < 1 or stop < start or step < 1:
-        raise SystemExit(f"--t-sweep {text!r} is not a valid range")
-    return list(range(start, stop + 1, step))
 
 
 def _reduction_session(name: str, rng):
@@ -154,11 +156,8 @@ def _access_cycle(session):
 
 def _cmd_fit_bits(args) -> int:
     t_values = _parse_sweep(args.t_sweep)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(t_values))
     totals = []
-    k = None
-    for t_accesses, seed in zip(t_values, seeds):
-        rng = np.random.default_rng(seed)
+    for t_accesses, rng in zip(t_values, harness._trial_rngs(args.seed, len(t_values))):
         session = _reduction_session(args.reduction, rng)
         k = session.k
         if session.b_blocks:

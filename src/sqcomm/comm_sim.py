@@ -94,6 +94,10 @@ class EncodingSpec:
     opcode_bits: int = 8
 
     def __post_init__(self):
+        for name in ("scalar_bits", "opcode_bits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
         if self.scalar_bits < 8:
             raise ValueError("scalar_bits must be at least 8")
         if self.opcode_bits < 0:
@@ -196,11 +200,14 @@ class _OwnerView:
 class _OwnerLaw:
     """Stage 1 of an owner-mixture draw: owners chosen with probability
     proportional to `weights`, with the total and cumulative sums computed
-    once, so each pick is one uniform and one bisect."""
+    once, so each pick is one uniform and one bisect.  Raises ValueError when
+    the total overflows."""
 
     def __init__(self, weights):
         self.weights = weights
         self.total = float(weights.sum())
+        if not math.isfinite(self.total):
+            raise ValueError("owner masses overflow: their total is not finite")
         self.cum = np.cumsum(weights).tolist()
 
     def pick(self, rng) -> int:

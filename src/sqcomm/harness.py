@@ -19,8 +19,10 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -61,8 +63,6 @@ from .sq_access import (
 )
 
 SCHEMA_VERSION = 1
-
-SIZE_CAPS = {"k": 64, "m": 4096, "n": 4096, "d": 4096, "trials": 100000}
 
 
 class ConfigError(ValueError):
@@ -161,43 +161,83 @@ class ExperimentConfig:
         }
 
 
+# caps of trials, counts and sweep stops; of player counts; of rows, columns, lengths
+MAX_COUNT, _PLAYERS, _ROWS = 100000, 64, 4096
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_size(path: str, value, low: int, cap: int) -> None:
+@dataclass(frozen=True)
+class Param:
+    """One experiment param: its canonical value and the values it accepts.
+
+    kind "int" is an integer in [low, high] (odd only, with `odd`); "ints" a
+    nonempty list of them; "real" a number in the open interval (low, high);
+    "sweep" a [start, stop, step] range within [low, high] (see sweep_values).
+    """
+
+    value: object
+    low: float
+    high: float
+    kind: str = "int"
+    odd: bool = False
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its runner, canonical seed and trials, and its params."""
+
+    runner: Callable
+    seed: int
+    trials: int
+    params: dict
+
+
+def _check_int(path: str, value, low: int, high: int, odd: bool = False) -> None:
     if not _is_int(value) or value < low:
         raise ConfigError(f"{path}: must be a positive integer" if low == 1
                           else f"{path}: must be an integer >= {low}")
-    if value > cap:
-        raise ConfigError(f"{path}: {value} exceeds cap {cap}")
+    if value > high:
+        raise ConfigError(f"{path}: {value} exceeds cap {high}")
+    if odd and value % 2 == 0:
+        raise ConfigError(f"{path}: {value} is not odd")
 
 
-# (lowest value, cap) of the size params beyond k/m/n/d, by experiment; a list
-# param (a list in the default_config table) is checked entry by entry
-_PARAM_BOUNDS = {
-    "protocol_exactness": {"max_players": (2, SIZE_CAPS["k"]), "max_rows": (2, SIZE_CAPS["m"]),
-                           "max_cols": (1, SIZE_CAPS["n"])},
-    "oversampling": {"max_players": (2, SIZE_CAPS["k"]), "max_len": (4, SIZE_CAPS["m"])},
-    "dense_regression": {"random_ns": (1, reductions.DENSE_MAX_N)},
-    "hamiltonian": {"random_ns": (1, reductions.EVOLUTION_MAX_N)},
-}
-
-
-def _check_sweep(path: str, sweep) -> None:
-    """A [start, stop, step] access-count sweep with 1 <= start <= stop, step >= 1."""
+def sweep_values(path: str, sweep, low: int, high: int) -> list:
+    """The counts of a [start, stop, step] sweep, which needs
+    low <= start <= stop <= high and step >= 1."""
     if not (isinstance(sweep, list) and len(sweep) == 3 and all(map(_is_int, sweep))):
         raise ConfigError(f"{path}: must be [start, stop, step] integers")
     start, stop, step = sweep
-    if start < 1 or stop < start or step < 1:
-        raise ConfigError(f"{path}: {sweep} is not a range with 1 <= start <= stop "
+    if start < low or stop < start or step < 1:
+        raise ConfigError(f"{path}: {sweep} is not a range with {low} <= start <= stop "
                           f"and step >= 1")
+    if stop > high:
+        raise ConfigError(f"{path}: stop {stop} exceeds cap {high}")
+    return list(range(start, stop + 1, step))
+
+
+def _check_param(path: str, spec: Param, value) -> None:
+    if spec.kind == "sweep":
+        sweep_values(path, value, spec.low, spec.high)
+    elif spec.kind == "real":
+        if not ((_is_int(value) or isinstance(value, float)) and spec.low < value < spec.high):
+            raise ConfigError(f"{path}: must be a number in the open interval "
+                              f"({_fmt(spec.low)}, {_fmt(spec.high)})")
+    else:
+        entries = value if spec.kind == "ints" else [value]
+        if not (isinstance(entries, list) and entries):
+            raise ConfigError(f"{path}: must be a list of one or more integers")
+        for entry in entries:
+            _check_int(path, entry, spec.low, spec.high, spec.odd)
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    """Validate a config object; params missing from it take their canonical
-    values from the default_config table, and a param that table does not
-    list for the experiment is rejected."""
+    """Validate a config object against its experiment's EXPERIMENTS entry:
+    each supplied param must be one the entry lists and lie within its
+    bounds; a param left out takes its canonical value."""
     if not isinstance(obj, dict):
         raise ConfigError("config: must be a JSON object")
     if "experiment" not in obj:
@@ -207,52 +247,34 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment: unknown name {name!r}")
     if "seed" not in obj:
         raise ConfigError("seed: required")
-    if not _is_int(obj["seed"]):
-        raise ConfigError("seed: must be an integer")
+    if not _is_int(obj["seed"]) or obj["seed"] < 0:     # numpy seeds are nonnegative
+        raise ConfigError("seed: must be an integer >= 0")
     trials = obj.get("trials", 1)
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError("trials: must be a positive integer")
-    if trials > SIZE_CAPS["trials"]:
-        raise ConfigError(f"trials: {trials} exceeds cap {SIZE_CAPS['trials']}")
+    _check_int("trials", trials, 1, MAX_COUNT)
     raw_params = obj.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("params: must be an object")
-    for key in ("k", "m", "n", "d"):
-        if key in raw_params:
-            _check_size(f"params.{key}", raw_params[key], 1, SIZE_CAPS[key])
-    canonical = _CANONICAL[name]["params"]
-    for key in raw_params:
-        if key not in canonical:
+    specs = EXPERIMENTS[name].params
+    for key, value in raw_params.items():
+        if key not in specs:
             raise ConfigError(f"params.{key}: unknown field")
-    for key, (low, cap) in _PARAM_BOUNDS.get(name, {}).items():
-        if key not in raw_params:
-            continue
-        value = raw_params[key]
-        if isinstance(canonical[key], list):
-            if not isinstance(value, list):
-                raise ConfigError(f"params.{key}: must be a list")
-        else:
-            value = [value]
-        for entry in value:
-            _check_size(f"params.{key}", entry, low, cap)
-    if "t_sweep" in raw_params:
-        _check_sweep("params.t_sweep", raw_params["t_sweep"])
+        _check_param(f"params.{key}", specs[key], value)
     enc_obj = obj.get("encoding", {})
     if not isinstance(enc_obj, dict):
         raise ConfigError("encoding: must be an object")
+    for key in enc_obj:
+        if key not in ("scalar_bits", "opcode_bits"):
+            raise ConfigError(f"encoding.{key}: unknown field")
     try:
-        encoding = EncodingSpec(
-            scalar_bits=enc_obj.get("scalar_bits", 32),
-            opcode_bits=enc_obj.get("opcode_bits", 8),
-        )
-    except ValueError as err:
+        encoding = EncodingSpec(**enc_obj)
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"encoding: {err}") from err
     unknown = set(obj) - {"experiment", "seed", "trials", "params", "encoding"}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
+    canonical = {key: copy.deepcopy(spec.value) for key, spec in specs.items()}
     return ExperimentConfig(experiment=name, seed=obj["seed"], trials=trials,
-                            params={**copy.deepcopy(canonical), **raw_params},
-                            encoding=encoding)
+                            params={**canonical, **raw_params}, encoding=encoding)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -326,8 +348,6 @@ def report_csv_bytes(report: Report) -> bytes:
 
 
 def write_report(report: Report, out_dir) -> None:
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{report.experiment}_report.json"), "wb") as fh:
         fh.write(report_json_bytes(report))
@@ -337,13 +357,21 @@ def write_report(report: Report, out_dir) -> None:
 
 def run(config: ExperimentConfig, out_dir=None) -> Report:
     """Execute one experiment; deterministic given (config, seed)."""
-    fn = EXPERIMENTS[config.experiment]
+    runner = EXPERIMENTS[config.experiment].runner
     start = time.perf_counter()
-    report = fn(config)
+    report = runner(config)
     report.wall_clock_s = time.perf_counter() - start
     if out_dir is not None:
         write_report(report, out_dir)
     return report
+
+
+def _report(config: ExperimentConfig, checks, stats, per_trial, trials=None,
+            **optional) -> Report:
+    """The Report of one run; `trials` defaults to the config's."""
+    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
+                  seed=config.seed, trials=config.trials if trials is None else trials,
+                  checks=checks, stats=stats, per_trial=per_trial, **optional)
 
 
 def _trial_rngs(seed: int, count: int):
@@ -357,8 +385,7 @@ def _fmt(x: float) -> str:
 # --- experiment: protocol exactness (stacked access laws) ---------------------------
 
 def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int,
-                                encoding: EncodingSpec,
-                                allow_public: bool = True) -> Session:
+                                encoding: EncodingSpec) -> Session:
     k = int(rng.integers(2, max_k + 1))
     m = int(rng.integers(2, max_rows + 1))
     n = int(rng.integers(1, max_cols + 1))
@@ -377,7 +404,7 @@ def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int,
         bounds = np.concatenate([[0], points, [total]])
         blocks = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            owner = int(rng.integers(-1 if allow_public else 0, k))
+            owner = int(rng.integers(-1, k))
             data = A[lo:hi] if rows else b[lo:hi]
             blocks.append((None if owner < 0 else owner, data))
         return blocks
@@ -387,9 +414,8 @@ def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int,
 
 def _exactness_deviation(session: Session, rng) -> float:
     A, b = assemble_stacked(session)
-    worst = 0.0
     law = protocol_distribution(session, "b_sample")
-    worst = max(worst, float(np.abs(law - exact_distribution(build_sq_vector(b))).max()))
+    worst = float(np.abs(law - exact_distribution(build_sq_vector(b))).max())
     row_sq = np.abs(A) ** 2
     row_mass = row_sq.sum(axis=1)
     law = protocol_distribution(session, "row_norm_sample")
@@ -423,9 +449,7 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
         detail=(f"max abs deviation {_fmt(worst)} over {config.trials} partitions "
                 f"(tol {_fmt(_EXACTNESS_TOL)})"),
     )]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=config.trials, checks=checks,
-                  stats={"max_deviation": worst}, per_trial=per_trial)
+    return _report(config, checks, {"max_deviation": worst}, per_trial)
 
 
 # --- experiment: bit-cost law -------------------------------------------------------
@@ -492,7 +516,7 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
     p = config.params
     k, m, n = p["k"], p["m"], p["n"]
     t_start, t_stop, t_step = p["t_sweep"]
-    t_values = [t for t in range(t_start, t_stop + 1, t_step)]
+    t_values = list(range(t_start, t_stop + 1, t_step))
     rngs = _trial_rngs(config.seed, len(t_values))
     totals = []
     per_trial = []
@@ -515,11 +539,9 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
             detail=f"c0 = {_fmt(fit['c0'])}, c1 = {_fmt(fit['c1'])} (cap {_COEF_CAP})",
         ),
     ]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=len(t_values), checks=checks,
-                  stats={"t_values": t_values, "totals": totals},
-                  per_trial=per_trial, bits_mean=float(np.mean(totals)),
-                  bits_max=int(max(totals)), fit=fit)
+    return _report(config, checks, {"t_values": t_values, "totals": totals}, per_trial,
+                   trials=len(t_values), bits_mean=float(np.mean(totals)),
+                   bits_max=int(max(totals)), fit=fit)
 
 
 # --- experiment: oversampled linear combinations ------------------------------------
@@ -627,10 +649,8 @@ def run_oversampling(config: ExperimentConfig) -> Report:
                     f"{qualifying} combinations with phi <= {_PHI_CAP}"),
         ),
     ]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=config.trials, checks=checks,
-                  stats={"rounds_ratio": rounds_ratio, "qualifying": qualifying},
-                  per_trial=per_trial)
+    return _report(config, checks, {"rounds_ratio": rounds_ratio, "qualifying": qualifying},
+                   per_trial)
 
 
 # --- experiment: sparse regression / disjointness ------------------------------------
@@ -685,11 +705,8 @@ def run_sparse_regression(config: ExperimentConfig) -> Report:
             detail=f"{correct}/{config.trials} correct (accuracy {accuracy:.4f})",
         ),
     ]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=config.trials, checks=checks,
-                  stats={"worst_closed_form": worst_closed_form},
-                  per_trial=per_trial, accuracy=accuracy,
-                  bits_mean=float(np.mean(bits)), bits_max=int(max(bits)))
+    return _report(config, checks, {"worst_closed_form": worst_closed_form}, per_trial,
+                   accuracy=accuracy, bits_mean=float(np.mean(bits)), bits_max=int(max(bits)))
 
 
 # --- experiment: dense regression -----------------------------------------------------
@@ -703,27 +720,21 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
     params_max_n = p["params_max_n"]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
-    worst_law = 0.0
-    worst_tv = 0.0
+    def pairs():    # every pair up to exhaustive_n, then `trials` random pairs per n
+        for n in range(1, exhaustive_n + 1):
+            signs = reductions.all_sign_vectors(n)
+            yield from (reductions.FunctionPair(n=n, f=f, g=g) for f in signs for g in signs)
+        for n in random_ns:
+            yield from (reductions.gen_function_pair(n, rng) for _ in range(config.trials))
+
+    worst_law = worst_tv = 0.0
     count = 0
-    for n in range(1, exhaustive_n + 1):
-        signs = reductions.all_sign_vectors(n)
-        for f in signs:
-            for g in signs:
-                build = reductions.build_regression_dense(
-                    reductions.FunctionPair(n=n, f=f, g=g))
-                law = reductions.dense_solution_law(build)
-                worst_law = max(worst_law, float(np.abs(law - build.target_law).max()))
-                worst_tv = max(worst_tv, tv_distance(law, build.target_law))
-                count += 1
-    for n in random_ns:
-        for _ in range(config.trials):
-            build = reductions.build_regression_dense(
-                reductions.gen_function_pair(n, rng))
-            law = reductions.dense_solution_law(build)
-            worst_law = max(worst_law, float(np.abs(law - build.target_law).max()))
-            worst_tv = max(worst_tv, tv_distance(law, build.target_law))
-            count += 1
+    for pair in pairs():
+        build = reductions.build_regression_dense(pair)
+        law = reductions.dense_solution_law(build)
+        worst_law = max(worst_law, float(np.abs(law - build.target_law).max()))
+        worst_tv = max(worst_tv, tv_distance(law, build.target_law))
+        count += 1
 
     worst_kf = 0.0
     worst_kappa = 0.0
@@ -747,10 +758,8 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
                     f"max |kappa - 1| = {_fmt(worst_kappa)} for n <= {params_max_n}"),
         ),
     ]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=count, checks=checks,
-                  stats={"tv_max": worst_tv, "pairs_checked": count},
-                  per_trial=[])
+    return _report(config, checks, {"tv_max": worst_tv, "pairs_checked": count}, [],
+                   trials=count)
 
 
 # --- experiment: clustering ------------------------------------------------------------
@@ -797,10 +806,8 @@ def run_clustering(config: ExperimentConfig) -> Report:
             detail=f"{correct}/{config.trials} branches decided correctly",
         ),
     ]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=config.trials, checks=checks,
-                  stats={"worst_distance_error": worst_dist},
-                  per_trial=per_trial, accuracy=accuracy)
+    return _report(config, checks, {"worst_distance_error": worst_dist}, per_trial,
+                   accuracy=accuracy)
 
 
 # --- experiment: PCA and thresholded projection ------------------------------------------
@@ -860,10 +867,8 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
         ),
     ]
     accuracy = (pca_correct + recsys_correct) / (2 * config.trials)
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=config.trials, checks=checks,
-                  stats={"worst_sigma": worst_sigma}, per_trial=per_trial,
-                  accuracy=accuracy)
+    return _report(config, checks, {"worst_sigma": worst_sigma}, per_trial,
+                   accuracy=accuracy)
 
 
 # --- experiment: Hamiltonian evolution ----------------------------------------------------
@@ -921,9 +926,7 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
             detail=f"max abs deviation from sign-correlation law {_fmt(worst_law)}",
         ),
     ]
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=checked, checks=checks,
-                  stats={"instances_checked": checked}, per_trial=[])
+    return _report(config, checks, {"instances_checked": checked}, [], trials=checked)
 
 
 # --- experiment: oracle self-checks ---------------------------------------------------------
@@ -1014,49 +1017,46 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
         detail="ties kept at the level; equal top values flagged; zero modes dropped",
     ))
 
-    return Report(schema_version=SCHEMA_VERSION, experiment=config.experiment,
-                  seed=config.seed, trials=config.trials, checks=checks,
-                  stats={}, per_trial=[])
+    return _report(config, checks, {}, [])
 
 
+# The one declaration of each experiment: runner, canonical seed and trials,
+# and each param's canonical value and bounds (configs/*.json mirror it).
 EXPERIMENTS = {
-    "protocol_exactness": run_protocol_exactness,
-    "bit_fit": run_bit_fit,
-    "oversampling": run_oversampling,
-    "sparse_regression": run_sparse_regression,
-    "dense_regression": run_dense_regression,
-    "clustering": run_clustering,
-    "pca_recsys": run_pca_recsys,
-    "hamiltonian": run_hamiltonian,
-    "oracle_properties": run_oracle_properties,
-}
-
-
-# The canonical parameter set of each experiment: the one source of parameter
-# names and default values (the checked-in config files mirror it).
-_CANONICAL = {
-    "protocol_exactness": {"seed": 101, "trials": 50, "params": {
-        "max_players": 8, "max_rows": 512, "max_cols": 512}},
-    "bit_fit": {"seed": 202, "trials": 1, "params": {
-        "k": 8, "m": 256, "n": 256, "t_sweep": [10, 1000, 15]}},
-    "oversampling": {"seed": 303, "trials": 1000, "params": {
-        "max_players": 6, "max_len": 64, "rounds_draws": 10}},
-    "sparse_regression": {"seed": 404, "trials": 200, "params": {
-        "k": 8, "n": 64, "num_samples": 10, "closed_form_instances": 100}},
-    "dense_regression": {"seed": 505, "trials": 25, "params": {
-        "exhaustive_max_n": 2, "random_ns": [3, 4, 5, 6, 7, 8], "params_max_n": 10}},
-    "clustering": {"seed": 606, "trials": 500, "params": {
-        "ks": [1, 3, 5], "ds": [64, 256]}},
-    "pca_recsys": {"seed": 707, "trials": 200, "params": {
-        "n": 64, "level": 1.2}},
-    "hamiltonian": {"seed": 808, "trials": 100, "params": {
-        "exhaustive_max_n": 4, "random_ns": [6, 8]}},
-    "oracle_properties": {"seed": 909, "trials": 40, "params": {}},
+    "protocol_exactness": Experiment(run_protocol_exactness, 101, 50, {
+        "max_players": Param(8, 2, _PLAYERS), "max_rows": Param(512, 2, _ROWS),
+        "max_cols": Param(512, 1, _ROWS)}),
+    "bit_fit": Experiment(run_bit_fit, 202, 1, {
+        "k": Param(8, 1, _PLAYERS), "m": Param(256, 1, _ROWS), "n": Param(256, 1, _ROWS),
+        "t_sweep": Param([10, 1000, 15], 1, MAX_COUNT, "sweep")}),
+    "oversampling": Experiment(run_oversampling, 303, 1000, {
+        "max_players": Param(6, 2, _PLAYERS), "max_len": Param(64, 4, _ROWS),
+        "rounds_draws": Param(10, 1, MAX_COUNT)}),
+    "sparse_regression": Experiment(run_sparse_regression, 404, 200, {
+        "k": Param(8, 2, _PLAYERS), "n": Param(64, 8, _ROWS),
+        "num_samples": Param(10, 1, MAX_COUNT),
+        "closed_form_instances": Param(100, 1, MAX_COUNT)}),
+    "dense_regression": Experiment(run_dense_regression, 505, 25, {
+        "exhaustive_max_n": Param(2, 1, 3),     # n = 4 would enumerate 2^32 pairs
+        "random_ns": Param([3, 4, 5, 6, 7, 8], 1, reductions.DENSE_MAX_N, "ints"),
+        "params_max_n": Param(10, 1, reductions.DENSE_MAX_N)}),
+    "clustering": Experiment(run_clustering, 606, 500, {
+        "ks": Param([1, 3, 5], 1, _PLAYERS, "ints", odd=True),
+        "ds": Param([64, 256], 1, _ROWS, "ints")}),
+    "pca_recsys": Experiment(run_pca_recsys, 707, 200, {
+        "n": Param(64, 8, _ROWS),
+        # strictly between the two possible top singular values
+        "level": Param(1.2, 1.0, math.sqrt(2), "real")}),
+    "hamiltonian": Experiment(run_hamiltonian, 808, 100, {
+        "exhaustive_max_n": Param(4, 1, 4),     # at most 2^20 sign vectors
+        "random_ns": Param([6, 8], 1, reductions.EVOLUTION_MAX_N, "ints")}),
+    "oracle_properties": Experiment(run_oracle_properties, 909, 40, {}),
 }
 
 
 def default_config(name: str) -> ExperimentConfig:
-    """Canonical config of each experiment, from the _CANONICAL table."""
-    if name not in _CANONICAL:
+    """Canonical config of each experiment, from its EXPERIMENTS entry."""
+    if name not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown name {name!r}")
-    return parse_config({**_CANONICAL[name], "experiment": name})
+    entry = EXPERIMENTS[name]
+    return parse_config({"experiment": name, "seed": entry.seed, "trials": entry.trials})

@@ -26,6 +26,10 @@ class BadDimension(ValueError):
     """Raised when a length is not the expected power of two."""
 
 
+class ConditionUndefined(ValueError):
+    """Raised when A = 0 leaves the condition numbers undefined."""
+
+
 PINV_CUTOFF_REL = 1e-10          # singular values below cutoff * sigma_max are treated as zero
 EXPM_HERMITIAN_TOL = 1e-10
 EXPM_MAX_DIM = 4096
@@ -55,23 +59,28 @@ def svd_factors(A) -> SvdFactors:
     return SvdFactors(U=U[:, keep], s=s[keep], Vh=Vh[keep])
 
 
+def _pinv_factors(A):
+    """The thin SVD factors (U, s, Vh) with s >= PINV_CUTOFF_REL * sigma_max;
+    empty for the zero matrix."""
+    f = svd_factors(A)
+    keep = f.s >= (f.s[0] * PINV_CUTOFF_REL if f.rank else 0.0)
+    return f.U[:, keep], f.s[keep], f.Vh[keep]
+
+
 def pseudoinverse(A) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the relative cutoff PINV_CUTOFF_REL."""
-    f = svd_factors(A)
-    keep = f.s >= f.s[0] * PINV_CUTOFF_REL if f.rank else np.zeros(0, dtype=bool)
-    U, s, Vh = f.U[:, keep], f.s[keep], f.Vh[keep]
+    U, s, Vh = _pinv_factors(A)
     return (Vh.conj().T / s) @ U.conj().T
 
 
 def pinv_solve(A, b) -> np.ndarray:
-    """Minimum-norm least-squares solution x* = pinv(A) b via the SVD route."""
+    """Minimum-norm least-squares solution x* = pinv(A) b via the SVD route;
+    zero for A = 0."""
     arr = np.asarray(A)
     vec = np.asarray(b)
     if arr.shape[0] != vec.shape[0]:
         raise ValueError("row count of A and length of b differ")
-    f = svd_factors(arr)
-    keep = f.s >= f.s[0] * PINV_CUTOFF_REL
-    U, s, Vh = f.U[:, keep], f.s[keep], f.Vh[keep]
+    U, s, Vh = _pinv_factors(arr)
     return Vh.conj().T @ ((U.conj().T @ vec) / s)
 
 
@@ -95,9 +104,9 @@ def params(A, b) -> ProblemParams:
     b_norm = float(np.linalg.norm(vec))
     if b_norm == 0.0:
         raise GammaUndefined("b = 0: residual ratio undefined")
-    f = svd_factors(arr)
-    keep = f.s >= f.s[0] * PINV_CUTOFF_REL
-    s = f.s[keep]
+    _, s, _ = _pinv_factors(arr)
+    if not s.size:
+        raise ConditionUndefined("A = 0: condition numbers undefined")
     sigma_min = float(s[-1])
     fro = float(np.linalg.norm(arr))
     x = pinv_solve(arr, vec)

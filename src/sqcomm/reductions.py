@@ -648,8 +648,10 @@ def hamiltonian_evolved_law(build: HamiltonianBuild) -> np.ndarray:
     return p / p.sum()
 
 
-def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray,
-                                      chunk: int = 2048) -> np.ndarray:
+_IDENTITY_CHUNK = 2048    # sign vectors per batched eigendecomposition
+
+
+def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
     """Identity-check errors for many sign vectors at once.
 
     Builds the shared generator once and runs batched eigendecompositions;
@@ -663,15 +665,15 @@ def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray,
     h = hadamard_matrix(n)
     t = n * math.pi
     out = np.empty(fs.shape[0])
-    for start in range(0, fs.shape[0], chunk):
-        part = fs[start:start + chunk]
+    for start in range(0, fs.shape[0], _IDENTITY_CHUNK):
+        part = fs[start:start + _IDENTITY_CHUNK]
         signs = part[:, :, None] * part[:, None, :]
         mats = signs * base
         w, V = np.linalg.eigh(mats)
         phases = np.exp(1j * w * t)
         evolved = (V * phases[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2))
         diff = evolved - signs * h
-        out[start:start + chunk] = np.linalg.norm(diff, axis=(1, 2))
+        out[start:start + _IDENTITY_CHUNK] = np.linalg.norm(diff, axis=(1, 2))
     return out
 
 

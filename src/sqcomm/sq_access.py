@@ -35,16 +35,21 @@ class Timeout(RuntimeError):
 
 
 def _table(values, ndim: int):
-    """A nonempty float64 (or complex128) copy of `values` with `ndim` axes and
-    its squared magnitudes; raises ValueError on a nan or infinite entry."""
+    """A nonempty float64 (or complex128) copy of `values` with `ndim` axes,
+    its squared magnitudes and their total; raises ValueError on a nan or
+    infinite entry and when the total overflows."""
     arr = np.asarray(values)
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError("expected a nonempty 1-d vector" if ndim == 1
                          else "expected a nonempty 2-d matrix")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite (found nan or inf)")
-    return arr, np.abs(arr) ** 2
+    weights = np.abs(arr) ** 2
+    total = float(weights.sum())   # finite iff every entry is and nothing overflows
+    if not math.isfinite(total):
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite (found nan or inf)")
+        raise ValueError("squared magnitudes overflow: their total is not finite")
+    return arr, weights, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +68,8 @@ class SqVector:
 
 def build_sq_vector(values) -> SqVector:
     """Build an SQ handle in O(n). Raises AllZero for the zero vector and
-    ValueError for a non-finite entry."""
-    arr, weights = _table(values, 1)
-    total = float(weights.sum())
+    ValueError for a non-finite entry or an overflowing squared norm."""
+    arr, weights, total = _table(values, 1)
     if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero vector")
     return SqVector(
@@ -157,11 +161,12 @@ class SqMatrix:
 
 def build_sq_matrix(matrix) -> SqMatrix:
     """Build the table and the row-norm handle in O(mn). Raises AllZero if
-    M = 0 and ValueError for a non-finite entry."""
-    arr, weights = _table(matrix, 2)
-    row_sq = weights.sum(axis=1)
-    if not row_sq.any():
+    M = 0 and ValueError for a non-finite entry or an overflowing squared
+    Frobenius norm."""
+    arr, weights, total = _table(matrix, 2)
+    if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero matrix")
+    row_sq = weights.sum(axis=1)
     return SqMatrix(values=arr, weights=weights, cum=np.cumsum(weights, axis=1),
                     row_norm_vector=build_sq_vector(np.sqrt(row_sq)))
 
@@ -203,11 +208,10 @@ class OversampleAccess:
 
 def build_oversample(target, dominator) -> OversampleAccess:
     """Validate entrywise domination and compute phi = ||dom||^2 / ||target||^2."""
-    tgt, t_w = _table(target, 1)
+    tgt, t_w, total = _table(target, 1)
     dom = build_sq_vector(dominator)
     if tgt.size != dom.n:
         raise ValueError("target and dominator lengths differ")
-    total = float(t_w.sum())
     if total == 0.0:
         raise AllZero("target vector is identically zero")
     # strict mathematical domination, with float slack for equality cases

@@ -84,6 +84,14 @@ def test_index_bits_frozen():
     assert EncodingSpec(opcode_bits=0).opcode_bits == 0
 
 
+def test_encoding_widths_must_be_integers():
+    for bad in ("32", None, 2.5, True, np.int64(8)):
+        with pytest.raises(TypeError, match="scalar_bits must be an integer"):
+            EncodingSpec(scalar_bits=bad)
+        with pytest.raises(TypeError, match="opcode_bits must be an integer"):
+            EncodingSpec(opcode_bits=bad)
+
+
 def test_setup_costs_frozen():
     s = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [3.0, 4.0])])
     # k * (opcode + scalar + index_bits(m)) = 2 * (8 + 32 + 2)
@@ -244,6 +252,19 @@ def test_session_validation():
         open_session_blocks(2, [], [(0, [1.0, np.nan]), (1, [2.0, 3.0])])
     with pytest.raises(ValueError, match="finite"):
         open_session_blocks(2, [(None, [[1.0, np.inf]])], [])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_session_rejects_overflowing_masses():
+    # one block whose squared magnitudes overflow
+    with pytest.raises(ValueError, match="overflow"):
+        open_session_blocks(2, [], [(0, [1e200, 1.0]), (1, [1.0])])
+    with pytest.raises(ValueError, match="overflow"):
+        open_session_blocks(2, [(0, [[1e200, 1.0]]), (1, [[1.0, 1.0]])], [])
+    # finite per player, but the owner masses overflow once the coordinator adds them
+    s = open_session_blocks(2, [], [(0, [1.3e154]), (1, [1.3e154])])
+    with pytest.raises(ValueError, match="overflow"):
+        coord_b_setup(s)
 
 
 def test_lincomb_phi_frozen():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqcomm import (
     ConfigError,
@@ -102,9 +104,9 @@ def test_parse_config_field_errors():
     with pytest.raises(ConfigError, match="exceeds cap"):
         parse_config(dict(base, trials=1000001))
     with pytest.raises(ConfigError, match="^params.k: 65 exceeds cap 64"):
-        parse_config(dict(base, params={"k": 65}))
+        parse_config(dict(base, experiment="bit_fit", params={"k": 65}))
     with pytest.raises(ConfigError, match="^params.m: must be a positive"):
-        parse_config(dict(base, params={"m": -3}))
+        parse_config(dict(base, experiment="bit_fit", params={"m": -3}))
     with pytest.raises(ConfigError, match="^encoding:"):
         parse_config(dict(base, encoding={"scalar_bits": 4}))
     with pytest.raises(ConfigError, match="^extra: unknown field"):
@@ -117,7 +119,7 @@ def test_parse_config_field_errors():
     with pytest.raises(ConfigError, match="^trials: must be a positive"):
         parse_config(dict(base, trials=True))
     with pytest.raises(ConfigError, match="^params.k: must be a positive"):
-        parse_config(dict(base, params={"k": True}))
+        parse_config(dict(base, experiment="bit_fit", params={"k": True}))
     # a misspelled or retired param name is rejected, not ignored
     over = {"experiment": "oversampling", "seed": 1}
     with pytest.raises(ConfigError, match="^params.max_player: unknown field"):
@@ -150,6 +152,90 @@ def test_parse_config_field_errors():
         parse_config(dict(fit, params={"t_sweep": [0, 10, 1]}))
     with pytest.raises(ConfigError, match="^params.t_sweep: must be"):
         parse_config(dict(fit, params={"t_sweep": [5, 10]}))
+
+
+# configs that parsed before every param was bounded, then crashed, hung or
+# reported failed checks inside the runner
+@pytest.mark.parametrize("experiment, name, value", [
+    ("oversampling", "rounds_draws", 0),
+    ("oversampling", "rounds_draws", -1),
+    ("clustering", "ds", [0]),
+    ("clustering", "ks", [2]),
+    ("clustering", "ks", 3),
+    ("clustering", "ks", []),
+    ("dense_regression", "exhaustive_max_n", 4),
+    ("dense_regression", "params_max_n", 11),
+    ("hamiltonian", "exhaustive_max_n", 5),
+    ("pca_recsys", "level", 2.0),
+    ("pca_recsys", "level", "x"),
+    ("pca_recsys", "n", 4),
+    ("sparse_regression", "k", 1),
+    ("sparse_regression", "n", 4),
+    ("sparse_regression", "num_samples", 0),
+    ("bit_fit", "t_sweep", [1, 10**9, 1]),
+])
+def test_parse_config_rejects_out_of_bounds_params(experiment, name, value):
+    with pytest.raises(ConfigError, match=f"^params.{name}: "):
+        parse_config({"experiment": experiment, "seed": 1, "params": {name: value}})
+
+
+def test_parse_config_rejects_negative_seed():
+    # numpy's SeedSequence would raise a bare ValueError inside the runner
+    with pytest.raises(ConfigError, match="^seed: must be an integer >= 0"):
+        parse_config({"experiment": "oracle_properties", "seed": -1})
+    assert parse_config({"experiment": "oracle_properties", "seed": 0}).seed == 0
+
+
+@pytest.mark.parametrize("encoding, message", [
+    ({"scalar_bits": "32"}, "^encoding: scalar_bits must be an integer"),
+    ({"opcode_bits": None}, "^encoding: opcode_bits must be an integer"),
+    ({"opcode_bits": 2.5}, "^encoding: opcode_bits must be an integer"),
+    ({"scalar_bits": True}, "^encoding: scalar_bits must be an integer"),
+    ({"opcode_bit": 8}, "^encoding.opcode_bit: unknown field"),
+])
+def test_parse_config_rejects_bad_encoding(encoding, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"experiment": "bit_fit", "seed": 1, "encoding": encoding})
+
+
+def _within_bounds(spec, value) -> bool:
+    """The accepted values of one param, restated from its Param entry."""
+    def is_int(v):
+        return type(v) is int
+    if spec.kind == "sweep":
+        return (isinstance(value, list) and len(value) == 3 and all(map(is_int, value))
+                and 1 <= value[0] <= value[1] <= spec.high and value[2] >= 1)
+    if spec.kind == "real":
+        return type(value) in (int, float) and spec.low < value < spec.high
+    entries = value if spec.kind == "ints" else [value]
+    return (isinstance(entries, list) and len(entries) > 0
+            and all(is_int(v) and spec.low <= v <= spec.high and (v % 2 or not spec.odd)
+                    for v in entries))
+
+
+_FIELDS = ([(name, "params", key) for name, entry in EXPERIMENTS.items() for key in entry.params]
+           + [("bit_fit", "encoding", key) for key in ("scalar_bits", "opcode_bits")])
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 70) | st.integers()
+            | st.floats() | st.text(max_size=3))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON)
+def test_any_json_value_is_accepted_within_bounds_or_rejected(field, value):
+    experiment, section, key = field
+    try:
+        cfg = parse_config({"experiment": experiment, "seed": 1, section: {key: value}})
+    except ConfigError as err:
+        assert str(err).startswith(f"{section}")
+        return
+    if section == "encoding":
+        assert type(value) is int and value >= (8 if key == "scalar_bits" else 0)
+        assert getattr(cfg.encoding, key) == value
+    else:
+        assert _within_bounds(EXPERIMENTS[experiment].params[key], value)
+        assert cfg.params[key] == value
 
 
 def test_config_round_trip():
@@ -245,3 +331,13 @@ def test_cli_fit_bits(capsys):
         cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "10:100"])
     with pytest.raises(SystemExit):
         cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "50:10:5"])
+
+
+def test_cli_fit_bits_sweep_rule_matches_config():
+    # --t-sweep goes through the t_sweep rule of the bit_fit config, cap included
+    with pytest.raises(SystemExit, match="exceeds cap"):
+        cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "1:1000000000:1"])
+    with pytest.raises(SystemExit, match="is not a range"):
+        cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "0:10:1"])
+    with pytest.raises(SystemExit, match="wants A:B:S integers"):
+        cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "1:x:1"])

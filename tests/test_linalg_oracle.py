@@ -9,6 +9,7 @@ import scipy.linalg
 
 from sqcomm import (
     BadDimension,
+    ConditionUndefined,
     GammaUndefined,
     NotHermitian,
     dsp_distribution,
@@ -177,3 +178,15 @@ def test_dsp_distribution_validation():
         dsp_distribution([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(BadDimension):
         dsp_distribution([1.0, 1.0], [1.0, 1.0, -1.0, 1.0])
+
+
+def test_zero_matrix_has_a_zero_solution_and_no_condition_numbers():
+    A = np.zeros((3, 2))
+    assert pseudoinverse(A).shape == (2, 3) and not pseudoinverse(A).any()
+    x = pinv_solve(A, np.ones(3))
+    assert x.shape == (2,) and not x.any()
+    with pytest.raises(ConditionUndefined):
+        params(A, np.ones(3))
+    # nonzero input keeps the truncated-SVD route: rank-one A, b off its span
+    x = pinv_solve(np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), np.ones(3))
+    np.testing.assert_array_equal(x, [0.5, 0.0])

@@ -240,3 +240,23 @@ def test_estimate_norm():
         estimate_norm(ov, 0.0, 1e-3, np.random.default_rng(33))
     with pytest.raises(ValueError):
         estimate_norm(ov, 0.1, 2.0, np.random.default_rng(34))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_squared_magnitudes_are_rejected():
+    # every entry is finite, but |v_i|^2 or their total is not
+    with pytest.raises(ValueError, match="overflow"):
+        build_sq_vector([1e200, 1.0, 1e-3])
+    with pytest.raises(ValueError, match="overflow"):
+        build_sq_vector([1.5e154, 1.5e154])
+    with pytest.raises(ValueError, match="overflow"):
+        build_sq_matrix([[1e200, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="overflow"):
+        build_sq_matrix([[1.0, 1.0], [1.5e154, 1.5e154]])
+    with pytest.raises(ValueError, match="overflow"):
+        build_oversample([1.0, 1.0], [1e200, 1.0])
+    with pytest.raises(ValueError, match="overflow"):
+        build_oversample([1e200, 1.0], [1e200, 1.0])
+    # squares near the top of the float range that still sum to a finite total
+    v = build_sq_vector([1e154, 1e153])
+    assert math.isfinite(v.norm) and exact_distribution(v).sum() == pytest.approx(1.0)
