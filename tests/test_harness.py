@@ -1,6 +1,8 @@
 """Statistics helpers, config parsing, report determinism, and the CLI."""
 
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from sqcomm import (
     run,
     tv_distance,
 )
+from sqcomm import harness
 from sqcomm.cli import main as cli_main
 from sqcomm.harness import EXPERIMENTS, fit_bit_costs
 
@@ -341,3 +344,39 @@ def test_cli_fit_bits_sweep_rule_matches_config():
         cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "0:10:1"])
     with pytest.raises(SystemExit, match="wants A:B:S integers"):
         cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "1:x:1"])
+
+
+# sha256 of the stdout of `sqcomm fit-bits --reduction <name> --t-sweep 10:100:30 --seed 3`
+_FIT_BITS_STDOUT = {
+    "clustering": "6ed56924f2882ba881f49fe231b7b8b3501797e5534612f77ee54d0f82fc11b0",
+    "dense": "c0e01a4a4f7037169748d31775910110c4689fdc675fbd1c5d8ade46e953a1d9",
+    "generic": "76d3166c572e507f23a313c9bd1b7323704c23d4b084ef6f6640640b964b358a",
+    "hamiltonian": "c0e01a4a4f7037169748d31775910110c4689fdc675fbd1c5d8ade46e953a1d9",
+    "pca": "e4878e015c967d3102a946b3844971d28bd9e975d414f9f647cb19318c926cf6",
+    "sparse": "5ae94ccbc43de86ea4cb48c418cca450c5c542be2ee48abc5dd6e050e5f9d5a5",
+}
+
+
+@pytest.mark.parametrize("reduction", sorted(_FIT_BITS_STDOUT))
+def test_cli_fit_bits_output_pinned(reduction, capsys):
+    assert cli_main(["fit-bits", "--reduction", reduction,
+                     "--t-sweep", "10:100:30", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _FIT_BITS_STDOUT[reduction]
+
+
+def test_bit_fit_accesses_go_through_harness_globals(monkeypatch):
+    # perfbench's tracer counts accesses by rebinding these names in
+    # sqcomm.harness; bit_fit must look them up there at call time
+    calls = Counter()
+    for name in ("coord_b_setup", "coord_a_setup", "coord_b_sample", "coord_b_query",
+                 "coord_a_access"):
+        def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    run(parse_config({"experiment": "bit_fit", "seed": 1,
+                      "params": {"k": 2, "m": 8, "n": 4, "t_sweep": [5, 10, 5]}}))
+    # T = 5 and T = 10 over the five-access mix
+    assert calls == {"coord_b_setup": 2, "coord_a_setup": 2, "coord_b_sample": 3,
+                     "coord_b_query": 3, "coord_a_access": 9}
