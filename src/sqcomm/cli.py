@@ -13,17 +13,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import comm_sim, harness, reductions
-from .comm_sim import (
-    coord_a_access,
-    coord_a_setup,
-    coord_b_query,
-    coord_b_sample,
-    coord_b_setup,
-)
-from .harness import fit_bit_costs, fit_verdict, load_config, run, sweep_session
+from . import comm_sim, reductions
+from .harness import (EXPERIMENTS, ConfigError, bit_sweep, fit_verdict, load_config,
+                      parse_config, run, sweep_session, sweep_values)
 from .verify import SUITES, run_suite, suite_passed
 
 
@@ -63,21 +55,17 @@ def _cmd_verify(args) -> int:
 
 # --- fit-bits --------------------------------------------------------------------
 
-def _parse_sweep(text: str):
-    """--t-sweep A:B:S, under the rule and bounds of the bit_fit config's t_sweep."""
-    spec = harness.EXPERIMENTS["bit_fit"].params["t_sweep"]
+def _parse_sweep(text: str) -> list:
     try:
-        sweep = [int(x) for x in text.split(":")]
-        return harness.sweep_values("--t-sweep", sweep, spec.low, spec.high)
-    except harness.ConfigError as err:
-        raise SystemExit(str(err)) from err
+        return [int(x) for x in text.split(":")]
     except ValueError as err:
         raise SystemExit(f"--t-sweep wants A:B:S integers, got {text!r}") from err
 
 
-def _reduction_session(name: str, rng):
+def _reduction_session(name: str, params: dict, rng):
     if name == "generic":
-        return sweep_session(8, 256, 256, rng, comm_sim.EncodingSpec())
+        return sweep_session(params["k"], params["m"], params["n"], rng,
+                             comm_sim.EncodingSpec())
     if name == "sparse":
         inst = reductions.gen_disjointness(8, 64, True, rng)
         return reductions.build_regression_sparse(inst).session
@@ -96,81 +84,23 @@ def _reduction_session(name: str, rng):
     raise SystemExit(f"unknown reduction {name!r}")
 
 
-def _player_rows(session):
-    rows = []
-    for bl in session.a_blocks:
-        if bl.owner != comm_sim.PUBLIC:
-            mass = np.abs(bl.data).sum(axis=1)
-            rows.extend(int(bl.offset + i) for i in np.flatnonzero(mass > 0))
-    return rows
-
-
-def _player_b_indices(session):
-    idx = []
-    for bl in session.b_blocks:
-        if bl.owner != comm_sim.PUBLIC:
-            idx.extend(range(bl.offset, bl.offset + bl.data.size))
-    return idx
-
-
-def _access_cycle(session):
-    """Five accesses per cycle, each with a layout-constant bit cost."""
-    rows = _player_rows(session)
-    if session.b_blocks:
-        b_idx = _player_b_indices(session)
-        has_public_b = any(bl.owner == comm_sim.PUBLIC for bl in session.b_blocks)
-
-        def step(i, rng):
-            r = rows[i % len(rows)]
-            j = b_idx[i % len(b_idx)]
-            which = i % 5
-            if which == 0:
-                coord_b_query(session, j)
-            elif which == 1:
-                coord_a_access(session, ("entry_query", r, i % session.n), rng)
-            elif which == 2:
-                coord_a_access(session, ("row_norm_query", r), rng)
-            elif which == 3:
-                coord_a_access(session, ("row_sample", r), rng)
-            elif has_public_b:
-                coord_b_query(session, b_idx[(i + 1) % len(b_idx)])
-            else:
-                coord_b_sample(session, rng)
-        return step
-
-    def step(i, rng):
-        r = rows[i % len(rows)]
-        which = i % 5
-        if which == 0:
-            coord_a_access(session, ("entry_query", r, i % session.n), rng)
-        elif which == 1:
-            coord_a_access(session, ("row_norm_query", r), rng)
-        elif which == 2:
-            coord_a_access(session, ("row_sample", r), rng)
-        elif which == 3:
-            coord_a_access(session, "frobenius_query", rng)
-        else:
-            coord_a_access(session, "row_norm_sample", rng)
-    return step
+def _access_mix(session) -> tuple:
+    """Five accesses with a layout-constant bit cost, picked from the layout."""
+    if not session.b_blocks:
+        return ("entry_query", "row_norm_query", "row_sample", "frobenius_query",
+                "row_norm_sample")
+    public_b = any(bl.owner == comm_sim.PUBLIC for bl in session.b_blocks)
+    return ("b_query", "entry_query", "row_norm_query", "row_sample",
+            "b_query_next" if public_b else "b_sample")
 
 
 def _cmd_fit_bits(args) -> int:
-    t_values = _parse_sweep(args.t_sweep)
-    totals = []
-    for t_accesses, rng in zip(t_values, harness._trial_rngs(args.seed, len(t_values))):
-        session = _reduction_session(args.reduction, rng)
-        k = session.k
-        if session.b_blocks:
-            coord_b_setup(session)
-        if session.a_blocks:
-            coord_a_setup(session)
-        step = _access_cycle(session)
-        for i in range(t_accesses):
-            step(i, rng)
-        totals.append(session.meter.total_bits)
-        m_eff = session.m if session.m else session.a_rows
-        n_eff = session.n if session.n else 1
-    fit = fit_bit_costs(k, t_values, totals, comm_sim.EncodingSpec(), m_eff, n_eff)
+    config = parse_config({"experiment": "bit_fit", "seed": args.seed,
+                           "params": {"t_sweep": _parse_sweep(args.t_sweep)}})
+    t_values = sweep_values(config.params["t_sweep"])
+    totals, fit, k = bit_sweep(
+        lambda rng: _reduction_session(args.reduction, config.params, rng),
+        _access_mix, t_values, config.seed, config.encoding)
 
     print("t_accesses,total_bits")
     for t_accesses, total in zip(t_values, totals):
@@ -206,13 +136,17 @@ def main(argv=None) -> int:
     p_fit.add_argument("--reduction", required=True,
                        choices=["generic", "sparse", "dense", "clustering",
                                 "pca", "hamiltonian"])
-    p_fit.add_argument("--t-sweep", default="10:1000:15", metavar="A:B:S",
-                       help="access counts start:stop:step (default 10:1000:15)")
+    sweep = EXPERIMENTS["bit_fit"].params["t_sweep"].value
+    p_fit.add_argument("--t-sweep", default=":".join(map(str, sweep)), metavar="A:B:S",
+                       help="access counts start:stop:step (default %(default)s)")
     p_fit.add_argument("--seed", type=int, default=1)
     p_fit.set_defaults(fn=_cmd_fit_bits)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as err:
+        raise SystemExit(str(err)) from err
 
 
 if __name__ == "__main__":

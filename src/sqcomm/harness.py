@@ -175,7 +175,8 @@ class Param:
 
     kind "int" is an integer in [low, high] (odd only, with `odd`); "ints" a
     nonempty list of them; "real" a number in the open interval (low, high);
-    "sweep" a [start, stop, step] range within [low, high] (see sweep_values).
+    "sweep" a [start, stop, step] range with low <= start <= stop <= high and
+    step >= 1.
     """
 
     value: object
@@ -205,23 +206,22 @@ def _check_int(path: str, value, low: int, high: int, odd: bool = False) -> None
         raise ConfigError(f"{path}: {value} is not odd")
 
 
-def sweep_values(path: str, sweep, low: int, high: int) -> list:
-    """The counts of a [start, stop, step] sweep, which needs
-    low <= start <= stop <= high and step >= 1."""
-    if not (isinstance(sweep, list) and len(sweep) == 3 and all(map(_is_int, sweep))):
-        raise ConfigError(f"{path}: must be [start, stop, step] integers")
+def sweep_values(sweep) -> list:
+    """The counts of a checked [start, stop, step] sweep."""
     start, stop, step = sweep
-    if start < low or stop < start or step < 1:
-        raise ConfigError(f"{path}: {sweep} is not a range with {low} <= start <= stop "
-                          f"and step >= 1")
-    if stop > high:
-        raise ConfigError(f"{path}: stop {stop} exceeds cap {high}")
     return list(range(start, stop + 1, step))
 
 
 def _check_param(path: str, spec: Param, value) -> None:
     if spec.kind == "sweep":
-        sweep_values(path, value, spec.low, spec.high)
+        if not (isinstance(value, list) and len(value) == 3 and all(map(_is_int, value))):
+            raise ConfigError(f"{path}: must be [start, stop, step] integers")
+        start, stop, step = value
+        if start < spec.low or stop < start or step < 1:
+            raise ConfigError(f"{path}: {value} is not a range with {spec.low} <= start "
+                              f"<= stop and step >= 1")
+        if stop > spec.high:
+            raise ConfigError(f"{path}: stop {stop} exceeds cap {spec.high}")
     elif spec.kind == "real":
         if not ((_is_int(value) or isinstance(value, float)) and spec.low < value < spec.high):
             raise ConfigError(f"{path}: must be a number in the open interval "
@@ -454,7 +454,6 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
 
 # --- experiment: bit-cost law -------------------------------------------------------
 
-_SWEEP_KINDS = 5    # cycle length of the access mix below
 _R2_FLOOR = 0.999   # pass rule of the bit-cost fit
 _COEF_CAP = 4.0
 
@@ -472,23 +471,48 @@ def sweep_session(k: int, m: int, n: int, rng, encoding: EncodingSpec) -> Sessio
     return open_session_blocks(k, a_blocks, b_blocks, encoding)
 
 
-def _run_access_mix(session: Session, t_accesses: int, rng) -> int:
-    m, n = session.a_rows, session.n
-    coord_b_setup(session)
-    coord_a_setup(session)
-    for step in range(t_accesses):
-        kind = step % _SWEEP_KINDS
-        if kind == 0:
-            coord_b_sample(session, rng)
-        elif kind == 1:
-            coord_b_query(session, step % m)
-        elif kind == 2:
-            coord_a_access(session, "row_norm_sample", rng)
-        elif kind == 3:
-            coord_a_access(session, ("row_sample", step % m), rng)
-        else:
-            coord_a_access(session, ("entry_query", step % m, step % n), rng)
-    return session.meter.total_bits
+# The accesses whose bit cost is a constant of the session's layout.  Step i
+# reads the player-owned row r[i % len(r)] and b index b[i % len(b)].  The
+# lambdas look coord_* up in this module at call time, so a tracer that
+# rebinds those names sees every access.
+_ACCESSES = {
+    "b_sample": lambda s, rng, i, r, b: coord_b_sample(s, rng),
+    "b_query": lambda s, rng, i, r, b: coord_b_query(s, b[i % len(b)]),
+    "b_query_next": lambda s, rng, i, r, b: coord_b_query(s, b[(i + 1) % len(b)]),
+    "row_norm_sample": lambda s, rng, i, r, b: coord_a_access(s, "row_norm_sample", rng),
+    "row_norm_query": lambda s, rng, i, r, b: coord_a_access(
+        s, ("row_norm_query", r[i % len(r)]), rng),
+    "row_sample": lambda s, rng, i, r, b: coord_a_access(
+        s, ("row_sample", r[i % len(r)]), rng),
+    "entry_query": lambda s, rng, i, r, b: coord_a_access(
+        s, ("entry_query", r[i % len(r)], i % s.n), rng),
+    "frobenius_query": lambda s, rng, i, r, b: coord_a_access(s, "frobenius_query", rng),
+}
+
+
+def bit_sweep(make_session, mix, t_values, seed: int, encoding: EncodingSpec):
+    """For each T, the bits of T accesses on a fresh session `make_session(rng)`
+    after its setups, step i making access mix[i % len(mix)]; then the fit.
+    `mix` is a tuple of _ACCESSES names or a function of the session that
+    returns one.  Returns (totals, fit, k)."""
+    totals = []
+    for t_accesses, rng in zip(t_values, _trial_rngs(seed, len(t_values))):
+        session = make_session(rng)
+        if session.b_blocks:
+            coord_b_setup(session)
+        if session.a_blocks:
+            coord_a_setup(session)
+        steps = [_ACCESSES[name] for name in (mix(session) if callable(mix) else mix)]
+        rows = [int(bl.offset + i) for bl in session.a_blocks if bl.owner != comm_sim.PUBLIC
+                for i in np.flatnonzero(np.abs(bl.data).sum(axis=1) > 0)]
+        b_idx = [bl.offset + j for bl in session.b_blocks if bl.owner != comm_sim.PUBLIC
+                 for j in range(len(bl.data))]
+        for i in range(t_accesses):
+            steps[i % len(steps)](session, rng, i, rows, b_idx)
+        totals.append(session.meter.total_bits)
+    fit = fit_bit_costs(session.k, t_values, totals, encoding,
+                        session.m or session.a_rows, session.n or 1)
+    return totals, fit, session.k
 
 
 def fit_bit_costs(k: int, t_values, totals, encoding: EncodingSpec, m: int, n: int) -> dict:
@@ -514,18 +538,13 @@ def fit_verdict(fit: dict):
 
 def run_bit_fit(config: ExperimentConfig) -> Report:
     p = config.params
-    k, m, n = p["k"], p["m"], p["n"]
-    t_start, t_stop, t_step = p["t_sweep"]
-    t_values = list(range(t_start, t_stop + 1, t_step))
-    rngs = _trial_rngs(config.seed, len(t_values))
-    totals = []
-    per_trial = []
-    for t_accesses, rng in zip(t_values, rngs):
-        session = sweep_session(k, m, n, rng, config.encoding)
-        total = _run_access_mix(session, t_accesses, rng)
-        totals.append(total)
-        per_trial.append({"t": t_accesses, "total_bits": total})
-    fit = fit_bit_costs(k, t_values, totals, config.encoding, m, n)
+    t_start, t_stop, _ = p["t_sweep"]
+    t_values = sweep_values(p["t_sweep"])
+    totals, fit, _ = bit_sweep(
+        lambda rng: sweep_session(p["k"], p["m"], p["n"], rng, config.encoding),
+        ("b_sample", "b_query", "row_norm_sample", "row_sample", "entry_query"),
+        t_values, config.seed, config.encoding)
+    per_trial = [{"t": t, "total_bits": total} for t, total in zip(t_values, totals)]
     linear, bounded = fit_verdict(fit)
     checks = [
         CheckResult(
