@@ -166,9 +166,12 @@ def build_sq_matrix(matrix) -> SqMatrix:
     arr, weights, total = _table(matrix, 2)
     if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero matrix")
-    row_sq = weights.sum(axis=1)
+    row_norms = np.sqrt(weights.sum(axis=1))
+    row_sq = row_norms**2         # build_sq_vector(row_norms)'s arithmetic, in one pass
+    row_norm_vector = SqVector(values=row_norms, norm=math.sqrt(float(row_sq.sum())),
+                               weights=row_sq, cum=np.cumsum(row_sq))
     return SqMatrix(values=arr, weights=weights, cum=np.cumsum(weights, axis=1),
-                    row_norm_vector=build_sq_vector(np.sqrt(row_sq)))
+                    row_norm_vector=row_norm_vector)
 
 
 def sq_row(m: SqMatrix, i: int) -> SqVector:

@@ -128,6 +128,12 @@ def test_matrix_handle_and_zero_rows():
         A[rng.random(m) < 0.2] = 0.0
         A[0, 0] = 1.0
         handle = build_sq_matrix(A)
+        # the row-norm handle is the vector handle of the row norms, bit for bit
+        norms = handle.row_norm_vector
+        want = build_sq_vector(np.sqrt((np.abs(A) ** 2).sum(axis=1)))
+        for name in ("values", "weights", "cum"):
+            np.testing.assert_array_equal(getattr(norms, name), getattr(want, name))
+        assert norms.norm == want.norm
         for i in range(m):
             if not A[i].any():
                 with pytest.raises(AllZero):
