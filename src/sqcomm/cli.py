@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import comm_sim, reductions
 from .harness import (EXPERIMENTS, ConfigError, bit_sweep, fit_verdict, load_config,
@@ -38,7 +37,7 @@ def _print_report(report) -> None:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = parse_config(dict(config.to_dict(), seed=args.seed))
     report = run(config, out_dir=args.out)
     _print_report(report)
     return 0 if report.all_passed else 1

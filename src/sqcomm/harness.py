@@ -188,12 +188,14 @@ class Param:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: its runner, canonical seed and trials, and its params."""
+    """One experiment: its runner, canonical seed and trials, its params, and
+    an optional check across params that raises ConfigError."""
 
     runner: Callable
     seed: int
     trials: int
     params: dict
+    check: Callable | None = None
 
 
 def _check_int(path: str, value, low: int, high: int, odd: bool = False) -> None:
@@ -254,7 +256,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     raw_params = obj.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("params: must be an object")
-    specs = EXPERIMENTS[name].params
+    entry = EXPERIMENTS[name]
+    specs = entry.params
     for key, value in raw_params.items():
         if key not in specs:
             raise ConfigError(f"params.{key}: unknown field")
@@ -272,9 +275,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     unknown = set(obj) - {"experiment", "seed", "trials", "params", "encoding"}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-    canonical = {key: copy.deepcopy(spec.value) for key, spec in specs.items()}
+    params = {key: copy.deepcopy(spec.value) for key, spec in specs.items()}
+    params.update(raw_params)
+    if entry.check is not None:
+        entry.check(params)
     return ExperimentConfig(experiment=name, seed=obj["seed"], trials=trials,
-                            params={**canonical, **raw_params}, encoding=encoding)
+                            params=params, encoding=encoding)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -534,6 +540,11 @@ def fit_verdict(fit: dict):
     """The bit-fit pass rule: (R^2 above the floor, c0 and c1 both in [0, cap])."""
     return (bool(fit["r_squared"] > _R2_FLOOR),
             bool(0 <= fit["c0"] <= _COEF_CAP and 0 <= fit["c1"] <= _COEF_CAP))
+
+
+def _players_split_rows(p: dict) -> None:
+    if p["k"] > p["m"]:     # sweep_session gives each player at least one row
+        raise ConfigError(f"params.k: {p['k']} players exceed m = {p['m']} rows")
 
 
 def run_bit_fit(config: ExperimentConfig) -> Report:
@@ -1047,7 +1058,7 @@ EXPERIMENTS = {
         "max_cols": Param(512, 1, _ROWS)}),
     "bit_fit": Experiment(run_bit_fit, 202, 1, {
         "k": Param(8, 1, _PLAYERS), "m": Param(256, 1, _ROWS), "n": Param(256, 1, _ROWS),
-        "t_sweep": Param([10, 1000, 15], 1, MAX_COUNT, "sweep")}),
+        "t_sweep": Param([10, 1000, 15], 1, MAX_COUNT, "sweep")}, _players_split_rows),
     "oversampling": Experiment(run_oversampling, 303, 1000, {
         "max_players": Param(6, 2, _PLAYERS), "max_len": Param(64, 4, _ROWS),
         "rounds_draws": Param(10, 1, MAX_COUNT)}),

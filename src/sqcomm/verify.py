@@ -7,9 +7,7 @@ acceptance tests assert on.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .harness import default_config, run
+from .harness import default_config, parse_config, run
 
 SUITES = {
     "protocols": ["protocol_exactness", "bit_fit", "oversampling"],
@@ -27,7 +25,7 @@ def run_suite(name: str, seed: int | None = None, out_dir=None) -> list:
     for experiment in SUITES[name]:
         config = default_config(experiment)
         if seed is not None:
-            config = replace(config, seed=seed)
+            config = parse_config(dict(config.to_dict(), seed=seed))
         reports.append(run(config, out_dir))
     return reports
 

@@ -22,6 +22,7 @@ from sqcomm import (
     report_csv_bytes,
     report_json_bytes,
     run,
+    run_suite,
     tv_distance,
 )
 from sqcomm import harness
@@ -176,10 +177,13 @@ def test_parse_config_field_errors():
     ("sparse_regression", "n", 4),
     ("sparse_regression", "num_samples", 0),
     ("bit_fit", "t_sweep", [1, 10**9, 1]),
+    # a dict sets several params; each is within bounds, together they are not
+    ("bit_fit", "k", {"k": 64, "m": 1}),
 ])
 def test_parse_config_rejects_out_of_bounds_params(experiment, name, value):
+    params = value if isinstance(value, dict) else {name: value}
     with pytest.raises(ConfigError, match=f"^params.{name}: "):
-        parse_config({"experiment": experiment, "seed": 1, "params": {name: value}})
+        parse_config({"experiment": experiment, "seed": 1, "params": params})
 
 
 def test_parse_config_rejects_negative_seed():
@@ -187,6 +191,9 @@ def test_parse_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="^seed: must be an integer >= 0"):
         parse_config({"experiment": "oracle_properties", "seed": -1})
     assert parse_config({"experiment": "oracle_properties", "seed": 0}).seed == 0
+    # a suite's seed override is checked the same way
+    with pytest.raises(ConfigError, match="^seed: must be an integer >= 0"):
+        run_suite("oracle", seed=-1)
 
 
 @pytest.mark.parametrize("encoding, message", [
@@ -318,6 +325,17 @@ def test_cli_run_seed_override(tmp_path):
     ]) == 0
     report = json.loads((tmp_path / "oracle_properties_report.json").read_text())
     assert report["seed"] == 5
+
+
+def test_cli_config_errors_exit_with_one_line(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "oracle_properties", "seed": -3}))
+    for argv in (["run", "--config", str(bad)],
+                 ["run", "--config", str(CONFIG_DIR / "09_oracle.json"), "--seed", "-1"],
+                 ["fit-bits", "--reduction", "generic", "--t-sweep", "10:20:5",
+                  "--seed", "-1"]):
+        with pytest.raises(SystemExit, match="^seed: must be an integer >= 0$"):
+            cli_main(argv)
 
 
 def test_cli_verify_suite(capsys):
