@@ -14,12 +14,15 @@ Two access families share a session:
   sampling stage, reproducing the l2 law of the stacked vector/matrix exactly;
 * linear-combination access - every player holds a same-shape share, the
   coordinator serves queries by fanning out to all k players and serves samples
-  through a dominating vector (oversampled access + rejection).
+  through a dominating vector (oversampled access + rejection).  Vector and
+  matrix requests run one combination path, `_Combination`: a vector share is
+  stored as one column, so the vector side is its one-column case.
 
 Every sampling access of both families is one owner-mixture draw,
 `_owner_draw`: the coordinator picks an owner by squared norm and that owner
 makes one local l2 draw; `_mixture_law` gives its exact law.  Every rejection
-draw runs through the one rejection loop in `sq_access`.
+draw runs through the one rejection loop in `sq_access`.  Each request records
+the indices it carries, so a replay checks them as well as kind and widths.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
 the Generator passed to each operation.  The coordinator draws the owner pick
@@ -33,6 +36,7 @@ every coordinator decision bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from bisect import bisect_right
@@ -229,6 +233,7 @@ class _Side:
         self.noun = "vector" if name == "b" else "matrix"
         self.blocks = blocks
         self.rows = rows
+        self.cols = blocks[0].data.shape[1] if blocks else None
         self.views = {o: _OwnerView([bl for bl in blocks if bl.owner == o])
                       for o in list(range(k)) + [PUBLIC]}
         # owner-local index -> global index; layout only, so a replay clone
@@ -278,13 +283,13 @@ class Session:
 
         self.b_blocks, self.m = _stack_blocks(self.k, b_blocks, 1)
         self.a_blocks, self.a_rows = _stack_blocks(self.k, a_blocks, 2)
-        self.n = self.a_blocks[0].data.shape[1] if self.a_blocks else None
         if self.a_blocks and self.b_blocks and self.a_rows != self.m:
             raise DimensionMismatch(
                 f"stacked row counts disagree: A has {self.a_rows}, b has {self.m}"
             )
         self._b = _Side("b", self.k, self.b_blocks, self.m)
         self._a = _Side("a", self.k, self.a_blocks, self.a_rows)
+        self.n = self._a.cols
 
     # coordinator knowledge, filled by the one-time setups
     b_norms = property(lambda self: self._b.norms)
@@ -297,8 +302,12 @@ class Session:
     # --- transcript plumbing -------------------------------------------------
 
     def _exchange(self, owner: int, kind: str, phase: str, req_bits: int,
-                  resp_bits: int, respond):
+                  resp_bits: int, respond, args=()):
         """One round: coordinator request to a player, player response back.
+
+        `args` are the indices the request carries (a global index, a row, a
+        column), recorded on the request entry at no extra bits; a replay
+        checks them along with kind, receiver and both widths.
 
         A player whose local step fails (say, a draw from its zero row) answers
         with that failure at the same widths: the round is recorded with the
@@ -310,8 +319,8 @@ class Session:
         if replaying:
             req = self._pop(Message)
             resp = self._pop(Message)
-            want = (kind, name, req_bits, resp_bits)
-            seen = (req.kind, req.receiver, req.bits, resp.bits)
+            want = (kind, name, args, req_bits, resp_bits)
+            seen = (req.kind, req.receiver, req.payload, req.bits, resp.bits)
             if resp.kind != kind or seen != want:
                 raise RuntimeError(f"transcript mismatch: expected {want}, saw {seen}")
             payload = resp.payload
@@ -321,7 +330,7 @@ class Session:
             except (ValueError, IndexError) as err:
                 payload = err
         self._round += 1
-        self.meter.add(Message(self._round, "C", name, kind, req_bits, phase))
+        self.meter.add(Message(self._round, "C", name, kind, req_bits, phase, args))
         self.meter.add(Message(self._round, name, "C", kind, resp_bits, phase, payload))
         if isinstance(payload, Exception):
             raise type(payload)(*payload.args) if replaying else payload
@@ -455,7 +464,7 @@ class _Coin:
 
 
 def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
-                resp_bits: int, owner_law=None, owner=None, row=None):
+                resp_bits: int, owner_law=None, owner=None, row=None, args=()):
     """The coordinator's one sampling move; returns (owner, local index, bits).
 
     Stage 1 picks an owner from `owner_law` (an `_OwnerLaw` with one squared
@@ -477,7 +486,7 @@ def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
     if owner == PUBLIC:
         return owner, sq_sample(view.sample_law(row), coin), 0
     local, bits = session._exchange(owner, kind, "access", req_bits, resp_bits,
-                                    lambda: sq_sample(view.sample_law(row), coin))
+                                    lambda: sq_sample(view.sample_law(row), coin), args)
     return owner, local, bits
 
 
@@ -509,7 +518,8 @@ def _owner_query(session: Session, side: _Side, kind: str, g: int, read, column=
     if owner == PUBLIC:
         return read(view.data[local]), 0
     return session._exchange(owner, kind, "access", req_bits, enc.scalar_bits,
-                             lambda: read(view.data[local]))
+                             lambda: read(view.data[local]),
+                             (g,) if column is None else (g, column))
 
 
 def _mixture_law(size: int, weights, views, empty: str, row=None, stacked=False) -> np.ndarray:
@@ -577,7 +587,7 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
         owner, local = side.locate(i)
         _, j, bits = _owner_draw(session, side, "a_row_sample", rng,
                                  enc.opcode_bits + enc.index_bits(session.a_rows),
-                                 enc.index_bits(session.n), owner=owner, row=local)
+                                 enc.index_bits(session.n), owner=owner, row=local, args=(i,))
         return j, bits
 
     if kind == "entry_query":
@@ -686,48 +696,91 @@ def lincomb_a_phi(session: Session, lambdas) -> float:
     return _phi(session, session._a, lambdas)
 
 
-def _combination_access(session: Session, side: _Side, coeffs):
-    """Checks shared by the combination accesses; returns (coefficients, rows per share)."""
-    side.require_setup()
-    c = _coefficients(session, coeffs)
-    if side.share_rows is None:
-        raise DimensionMismatch(side.share_mismatch)
-    return c, side.share_rows
+class _Combination:
+    """One request against sum_t c_t S^(t) over one side's k same-shape
+    shares, each a (rows, cols) block; a vector is the one-column case and
+    reads entry (j, 0).  The dominator has entries sqrt(k sum_t |c_t S^(t)_ij|^2).
+    The constructor runs the checks every request shares, before anything is
+    metered.  Only a matrix is asked for row norms or a draw within a row."""
 
+    def __init__(self, session: Session, side: _Side, coeffs, query_kind: str,
+                 sample_kind: str):
+        side.require_setup()
+        self.coeffs = _coefficients(session, coeffs)
+        if side.share_rows is None:
+            raise DimensionMismatch(side.share_mismatch)
+        self.session, self.side = session, side
+        self.rows, self.cols = side.share_rows, side.cols
+        self.query_kind, self.sample_kind = query_kind, sample_kind
+        self.row_req = session.encoding.opcode_bits + session.encoding.index_bits(self.rows)
 
-def _share_weights(side: _Side, coeffs) -> np.ndarray:
-    # coordinator-known: |c_i|^2 * (norm received at setup)^2
-    return np.abs(coeffs) ** 2 * side.norms**2
+    def weights(self) -> np.ndarray:
+        """Owner weights of the dominator's row-norm law, known to the
+        coordinator at no cost: |c_t|^2 * (setup norm of share t)^2."""
+        return np.abs(self.coeffs) ** 2 * self.side.norms**2
 
+    def dominator_norm(self) -> float:
+        return math.sqrt(self.session.k * float(self.weights().sum()))
 
-def _dominator_norm(session: Session, side: _Side, coeffs) -> float:
-    return math.sqrt(session.k * float(_share_weights(side, coeffs).sum()))
+    def check_row(self, i) -> None:
+        if not 0 <= i < self.rows:
+            raise IndexOutOfRange(f"row {i} outside [0, {self.rows})")
 
+    def _fan_out(self, kind: str, req_bits: int, read, args):
+        """Ask all k players for one scalar of their share; returns (values, bits)."""
+        values, bits = [], 0
+        for t in range(self.session.k):
+            value, cost = self.session._exchange(
+                t, kind, "access", req_bits, self.session.encoding.scalar_bits,
+                lambda v=self.side.views[t]: read(v.data), args,
+            )
+            values.append(value)
+            bits += cost
+        return values, bits
 
-def _fan_out(session: Session, side: _Side, kind: str, req_bits: int, read):
-    """Ask all k players for one scalar of their share (zero coefficients
-    included); returns (values, bits)."""
-    values, bits = [], 0
-    for i in range(session.k):
-        value, cost = session._exchange(
-            i, kind, "access", req_bits, session.encoding.scalar_bits,
-            lambda v=side.views[i]: read(v.data),
-        )
-        values.append(value)
-        bits += cost
-    return values, bits
+    def entry(self, i, j):
+        """Fan out entry (i, j) to all k players, zero coefficients included;
+        returns (combined entry, squared dominator entry, bits)."""
+        self.check_row(i)
+        if not 0 <= j < self.cols:
+            raise IndexOutOfRange(f"column {j} outside [0, {self.cols})")
+        values, bits = self._fan_out(
+            self.query_kind, self.row_req + self.session.encoding.index_bits(self.cols),
+            lambda d: d[i, j].item(), (i, j))
+        terms = list(zip(self.coeffs, values))
+        return (sum(c * v for c, v in terms),
+                self.session.k * sum(abs(c * v) ** 2 for c, v in terms), bits)
 
+    def row_norms(self, i):
+        """Fan out the norms of row i of every share; returns (norms, bits)."""
+        self.check_row(i)
+        return self._fan_out("lincomb_a_row_norm", self.row_req,
+                             lambda d: float(np.linalg.norm(d[i])), (i,))
 
-def _combine(k: int, coeffs, values):
-    """Combined entry sum_i c_i v_i and squared dominator entry k sum_i |c_i v_i|^2."""
-    return (sum(c * v for c, v in zip(coeffs, values)),
-            k * sum(abs(c * v) ** 2 for c, v in zip(coeffs, values)))
+    def draw(self, rng, law: _OwnerLaw | None = None, row=None):
+        """One dominator draw; returns (index, bits).  Without `row`, a row
+        under the row-norm law `law`; with it, a column of that row, the owner
+        weighted by |c_t|^2 times the fanned-out norm of its share's row."""
+        enc = self.session.encoding
+        if row is None:
+            kind, req_bits, resp_bits, bits, args = (
+                self.sample_kind, enc.opcode_bits, enc.index_bits(self.rows), 0, ())
+        else:
+            norms, bits = self.row_norms(row)
+            law = _OwnerLaw(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
+            kind, req_bits, resp_bits, args = (
+                "lincomb_a_row_sample", self.row_req, enc.index_bits(self.cols), (row,))
+        _, j, cost = _owner_draw(self.session, self.side, kind, rng, req_bits, resp_bits,
+                                 owner_law=law, row=row, args=args)
+        return j, bits + cost
 
-
-def _accept_ratio(k: int, coeffs, values):
-    """|combined|^2 / dominator^2 at a fanned-out entry; None where the dominator is zero."""
-    combined, dom_sq = _combine(k, coeffs, values)
-    return abs(combined) ** 2 / dom_sq if dom_sq > 0 else None
+    def rejection_round(self, rng, law: _OwnerLaw | None = None, row=None):
+        """A dominator draw as in `draw`, then its entry fanned out; returns
+        (index, |combined|^2 / dominator^2 or None where the dominator is
+        zero, bits)."""
+        j, bits = self.draw(rng, law, row)
+        combined, dom_sq, cost = self.entry(j, 0) if row is None else self.entry(row, j)
+        return j, (abs(combined) ** 2 / dom_sq if dom_sq > 0 else None), bits + cost
 
 
 def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | None = None):
@@ -739,47 +792,27 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
     go through the dominating vector with entries sqrt(k sum_i |mu_i b_j^(i)|^2).
     """
     kind, args = _split(request)
-    side = session._b
-    mu_arr, size = _combination_access(session, side, mu)
-    enc = session.encoding
-
-    def fan_query(j):
-        if not 0 <= j < size:
-            raise IndexOutOfRange(f"index {j} outside [0, {size})")
-        return _fan_out(session, side, "lincomb_b_query",
-                        enc.opcode_bits + enc.index_bits(size), lambda d: d[j, 0].item())
-
-    def dominator_sample():
-        _, j, bits = _owner_draw(session, side, "lincomb_b_sample", rng, enc.opcode_bits,
-                                 enc.index_bits(size), owner_law=dominator)
-        return j, bits
-
-    def one_round():
-        j, bits = dominator_sample()
-        values, cost = fan_query(j)
-        return j, _accept_ratio(session.k, mu_arr, values), bits + cost
-
-    def phi():
-        return session._annotate("phi_b", lambda: lincomb_b_phi(session, mu_arr))
+    comb = _Combination(session, session._b, mu, "lincomb_b_query", "lincomb_b_sample")
 
     if kind in ("query", "dominator_query"):
         (j,) = args
-        values, bits = fan_query(j)
-        combined, dom_sq = _combine(session.k, mu_arr, values)
+        combined, dom_sq, bits = comb.entry(j, 0)
         return (combined if kind == "query" else math.sqrt(dom_sq)), bits
 
     if kind == "dominator_norm":
-        return _dominator_norm(session, side, mu_arr), 0
+        return comb.dominator_norm(), 0
 
-    # every kind below samples the dominator: one owner law per request
-    dominator = _OwnerLaw(_share_weights(side, mu_arr))
+    # every kind below samples the dominator: one row-norm law per request
+    law = _OwnerLaw(comb.weights())
+    phi = functools.partial(session._annotate, "phi_b",
+                            lambda: lincomb_b_phi(session, comb.coeffs))
 
     if kind == "dominator_sample":
-        return dominator_sample()
+        return comb.draw(rng, law)
 
     if kind == "sq_sample_via_rejection":
         delta = args[0] if args else DEFAULT_REJECTION_DELTA
-        return _rejection_loop(one_round, phi, delta, rng)
+        return _rejection_loop(lambda: comb.rejection_round(rng, law), phi, delta, rng)
 
     if kind == "norm_estimate":
         eps, delta = args
@@ -787,11 +820,11 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
         bits = 0
         total_ratio = 0.0
         for _ in range(n_draws):
-            _, ratio, cost = one_round()
+            _, ratio, cost = comb.rejection_round(rng, law)
             bits += cost
             if ratio is not None:
                 total_ratio += ratio
-        return _norm_from_ratios(_dominator_norm(session, side, mu_arr), total_ratio / n_draws), bits
+        return _norm_from_ratios(comb.dominator_norm(), total_ratio / n_draws), bits
 
     raise ValueError(f"unknown combination access kind: {kind!r}")
 
@@ -805,75 +838,37 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     ("sq_row_sample_via_rejection", i[, delta]).
     """
     kind, args = _split(request)
-    side = session._a
-    lam, rows = _combination_access(session, side, lambdas)
-    cols = session.n
-    enc = session.encoding
-    row_req = enc.opcode_bits + enc.index_bits(rows)
-
-    def check_row(i):
-        if not 0 <= i < rows:
-            raise IndexOutOfRange(f"row {i} outside [0, {rows})")
-
-    def fan_entry(i, j):
-        if not 0 <= j < cols:
-            raise IndexOutOfRange(f"column {j} outside [0, {cols})")
-        return _fan_out(session, side, "lincomb_a_query", row_req + enc.index_bits(cols),
-                        lambda d: d[i, j].item())
-
-    def fan_row_norms(i):
-        return _fan_out(session, side, "lincomb_a_row_norm", row_req,
-                        lambda d: float(np.linalg.norm(d[i])))
-
-    def row_sample(i):
-        # dominator row i: owners weighted by |lambda_t|^2 ||A^(t)_i||^2
-        norms, bits = fan_row_norms(i)
-        owner_law = _OwnerLaw(np.abs(lam) ** 2 * np.asarray(norms) ** 2)
-        _, j, cost = _owner_draw(session, side, "lincomb_a_row_sample", rng, row_req,
-                                 enc.index_bits(cols), owner_law=owner_law, row=i)
-        return j, bits + cost
+    comb = _Combination(session, session._a, lambdas, "lincomb_a_query",
+                        "lincomb_a_row_norm_sample")
 
     if kind in ("query", "dominator_query"):
         i, j = args
-        check_row(i)
-        values, bits = fan_entry(i, j)
-        combined, dom_sq = _combine(session.k, lam, values)
+        combined, dom_sq, bits = comb.entry(i, j)
         return (combined if kind == "query" else math.sqrt(dom_sq)), bits
 
     if kind == "dominator_fro_norm":
-        return _dominator_norm(session, side, lam), 0
+        return comb.dominator_norm(), 0
+
+    if kind == "dominator_row_norm_sample":
+        return comb.draw(rng, _OwnerLaw(comb.weights()))
 
     if kind == "dominator_row_norm_query":
         (i,) = args
-        check_row(i)
-        norms, bits = fan_row_norms(i)
-        return math.sqrt(session.k * sum(abs(l_) ** 2 * r**2 for l_, r in zip(lam, norms))), bits
-
-    if kind == "dominator_row_norm_sample":
-        _, i, bits = _owner_draw(session, side, "lincomb_a_row_norm_sample", rng,
-                                 enc.opcode_bits, enc.index_bits(rows),
-                                 owner_law=_OwnerLaw(_share_weights(side, lam)))
-        return i, bits
+        norms, bits = comb.row_norms(i)
+        return math.sqrt(session.k * sum(abs(c) ** 2 * r**2
+                                         for c, r in zip(comb.coeffs, norms))), bits
 
     if kind == "dominator_row_sample":
         (i,) = args
-        check_row(i)
-        return row_sample(i)
+        return comb.draw(rng, row=i)
 
     if kind == "sq_row_sample_via_rejection":
         i = args[0]
-        check_row(i)
+        comb.check_row(i)
         delta = args[1] if len(args) > 1 else DEFAULT_REJECTION_DELTA
-
-        def one_round():
-            j, bits = row_sample(i)
-            values, cost = fan_entry(i, j)
-            return j, _accept_ratio(session.k, lam, values), bits + cost
-
-        def phi():
-            return session._annotate("phi_row", lambda: _phi(session, side, lam, row=i))
-
-        return _rejection_loop(one_round, phi, delta, rng)
+        phi = functools.partial(session._annotate, "phi_row",
+                                lambda: _phi(session, session._a, comb.coeffs, row=i))
+        return _rejection_loop(lambda: comb.rejection_round(rng, row=i), phi, delta, rng)
 
     raise ValueError(f"unknown combination access kind: {kind!r}")
 

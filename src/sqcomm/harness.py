@@ -542,9 +542,23 @@ def fit_verdict(fit: dict):
             bool(0 <= fit["c0"] <= _COEF_CAP and 0 <= fit["c1"] <= _COEF_CAP))
 
 
-def _players_split_rows(p: dict) -> None:
+# bit_fit's access mix.  Every mix of `sqcomm fit-bits` has as many accesses,
+# so one t_sweep rule serves both: the bits grow by a constant per whole cycle
+# of the mix, not per access.
+_BIT_FIT_MIX = ("b_sample", "b_query", "row_norm_sample", "row_sample", "entry_query")
+
+
+def _check_bit_fit(p: dict) -> None:
     if p["k"] > p["m"]:     # sweep_session gives each player at least one row
         raise ConfigError(f"params.k: {p['k']} players exceed m = {p['m']} rows")
+    sweep = p["t_sweep"]
+    start, _, step = sweep
+    if len(sweep_values(sweep)) < 3:    # a line through two points fits exactly
+        raise ConfigError(f"params.t_sweep: {sweep} gives fewer than three counts")
+    cycle = len(_BIT_FIT_MIX)
+    if start % cycle or step % cycle:
+        raise ConfigError(f"params.t_sweep: {sweep} has a start or step that is not "
+                          f"a multiple of the {cycle}-access cycle")
 
 
 def run_bit_fit(config: ExperimentConfig) -> Report:
@@ -553,8 +567,7 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
     t_values = sweep_values(p["t_sweep"])
     totals, fit, _ = bit_sweep(
         lambda rng: sweep_session(p["k"], p["m"], p["n"], rng, config.encoding),
-        ("b_sample", "b_query", "row_norm_sample", "row_sample", "entry_query"),
-        t_values, config.seed, config.encoding)
+        _BIT_FIT_MIX, t_values, config.seed, config.encoding)
     per_trial = [{"t": t, "total_bits": total} for t, total in zip(t_values, totals)]
     linear, bounded = fit_verdict(fit)
     checks = [
@@ -1058,7 +1071,7 @@ EXPERIMENTS = {
         "max_cols": Param(512, 1, _ROWS)}),
     "bit_fit": Experiment(run_bit_fit, 202, 1, {
         "k": Param(8, 1, _PLAYERS), "m": Param(256, 1, _ROWS), "n": Param(256, 1, _ROWS),
-        "t_sweep": Param([10, 1000, 15], 1, MAX_COUNT, "sweep")}, _players_split_rows),
+        "t_sweep": Param([10, 1000, 15], 1, MAX_COUNT, "sweep")}, _check_bit_fit),
     "oversampling": Experiment(run_oversampling, 303, 1000, {
         "max_players": Param(6, 2, _PLAYERS), "max_len": Param(64, 4, _ROWS),
         "rounds_draws": Param(10, 1, MAX_COUNT)}),

@@ -461,6 +461,25 @@ def test_replay_detects_divergence():
         coord_b_query(make_replay_session(live), 3)
 
 
+def test_replay_binds_request_arguments():
+    # same kind, receiver and widths as the recorded round, another index
+    live = open_session_blocks(2, [], [(0, [1.0, 2.0, 3.0]), (1, [4.0, 5.0])])
+    coord_b_query(live, 0)
+    with pytest.raises(RuntimeError, match="transcript mismatch"):
+        coord_b_query(make_replay_session(live), 2)
+
+    live = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [3.0, 4.0])])
+    coord_b_setup(live)
+    lincomb_b_access(live, [1.0, 1.0], ("query", 0))
+    clone = make_replay_session(live)
+    coord_b_setup(clone)
+    with pytest.raises(RuntimeError, match="transcript mismatch"):
+        lincomb_b_access(clone, [1.0, 1.0], ("query", 1))
+    # the arguments ride on the request entries at no extra bits
+    assert [m.payload for m in live.meter.messages[-4::2]] == [(0, 0), (0, 0)]
+    assert meter_report(live).bits_by_kind["lincomb_b_query"] == 2 * (8 + 1 + 32)
+
+
 def test_failed_player_response_replays():
     # rows 1 and 2 are zero, so their draws fail at the player; player 1 holds
     # nothing but its zero row
@@ -496,6 +515,38 @@ def test_replay_session_holds_no_player_data():
         lincomb_b_phi(clone, [1.0, -0.5, 2.0])
     with pytest.raises(NoPlayerData, match="replay session"):
         lincomb_a_phi(clone, [1.0, -0.5, 2.0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vector_combination_is_the_one_column_matrix_combination(seed):
+    # b-side requests and their a-side twins on the same shares stored as
+    # (m, 1) blocks: index_bits(1) == 0, so results, bits and draws agree
+    gen = np.random.default_rng(seed)
+    k, m = int(gen.integers(1, 5)), int(gen.integers(1, 6))
+    shares = [gen.choice([0.0, 0.0, 1.0, -2.0, 0.5], size=m) for _ in range(k)]
+    coeffs = gen.choice([0.0, 1.0, -0.5, 2.0], size=k)
+    vec = open_session_blocks(k, [], [(i, v) for i, v in enumerate(shares)])
+    mat = open_session_blocks(k, [(i, v[:, None]) for i, v in enumerate(shares)], [])
+    assert coord_b_setup(vec) == coord_a_setup(mat)
+    pairs = [(("query", j), ("query", j, 0)) for j in range(m)]
+    pairs += [(("dominator_query", j), ("dominator_query", j, 0)) for j in range(m)]
+    pairs += [("dominator_norm", "dominator_fro_norm")] + [
+        ("dominator_sample", "dominator_row_norm_sample")] * 4
+    vec_rng, mat_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for b_request, a_request in pairs:
+        got = []
+        for access, session, request, rng in (
+                (lincomb_b_access, vec, b_request, vec_rng),
+                (lincomb_a_access, mat, a_request, mat_rng)):
+            try:
+                got.append(access(session, coeffs, request, rng))
+            except AllZero as err:
+                got.append(type(err))
+        assert got[0] == got[1]
+        vec_report, mat_report = meter_report(vec), meter_report(mat)
+        assert vec_report.total_bits == mat_report.total_bits
+        assert vec_report.n_messages == mat_report.n_messages
+        assert vec_rng.bit_generator.state == mat_rng.bit_generator.state
 
 
 def _stacked_script(session, rng, steps=60):

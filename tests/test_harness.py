@@ -25,7 +25,7 @@ from sqcomm import (
     run_suite,
     tv_distance,
 )
-from sqcomm import harness
+from sqcomm import cli, harness, open_session_blocks
 from sqcomm.cli import main as cli_main
 from sqcomm.harness import EXPERIMENTS, fit_bit_costs
 
@@ -354,6 +354,34 @@ def test_cli_fit_bits(capsys):
         cli_main(["fit-bits", "--reduction", "generic", "--t-sweep", "50:10:5"])
 
 
+@pytest.mark.parametrize("sweep, message", [
+    # R^2 = 1 through one or two counts, whatever the bits
+    ([1, 1, 1], "fewer than three counts"),
+    ([10, 20, 10], "fewer than three counts"),
+    # a partial cycle of the mix: FAILs the fit on working code at k = m = n = 1
+    ([1, 3, 1], "5-access cycle"),
+    ([10, 100, 12], "5-access cycle"),
+])
+def test_bit_fit_sweep_covers_whole_cycles(sweep, message):
+    params = {"k": 1, "m": 1, "n": 1, "t_sweep": sweep}
+    with pytest.raises(ConfigError, match=f"^params.t_sweep: .*{message}"):
+        parse_config({"experiment": "bit_fit", "seed": 1, "params": params})
+    with pytest.raises(SystemExit, match=message):
+        cli_main(["fit-bits", "--reduction", "generic", "--t-sweep",
+                  ":".join(map(str, sweep))])
+    for canonical in (EXPERIMENTS["bit_fit"].params["t_sweep"].value, [10, 100, 30]):
+        parse_config({"experiment": "bit_fit", "seed": 1, "params": {"t_sweep": canonical}})
+
+
+def test_fit_bits_mixes_share_the_bit_fit_cycle():
+    # one t_sweep rule serves `fit-bits` only while each of its mixes is as long
+    b = np.ones(2)
+    for b_blocks in ([], [(0, b), (1, b)], [(0, b), (None, b)]):
+        session = open_session_blocks(2, [(0, np.ones((2, 2))), (1, np.ones((2, 2)))],
+                                      b_blocks)
+        assert len(cli._access_mix(session)) == len(harness._BIT_FIT_MIX)
+
+
 def test_cli_fit_bits_sweep_rule_matches_config():
     # --t-sweep goes through the t_sweep rule of the bit_fit config, cap included
     with pytest.raises(SystemExit, match="exceeds cap"):
@@ -394,7 +422,7 @@ def test_bit_fit_accesses_go_through_harness_globals(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     run(parse_config({"experiment": "bit_fit", "seed": 1,
-                      "params": {"k": 2, "m": 8, "n": 4, "t_sweep": [5, 10, 5]}}))
-    # T = 5 and T = 10 over the five-access mix
-    assert calls == {"coord_b_setup": 2, "coord_a_setup": 2, "coord_b_sample": 3,
-                     "coord_b_query": 3, "coord_a_access": 9}
+                      "params": {"k": 2, "m": 8, "n": 4, "t_sweep": [5, 15, 5]}}))
+    # T = 5, 10 and 15: six cycles of the five-access mix
+    assert calls == {"coord_b_setup": 3, "coord_a_setup": 3, "coord_b_sample": 6,
+                     "coord_b_query": 6, "coord_a_access": 18}
