@@ -6,8 +6,12 @@ Each test prints a single "criterion N (...): PASS/FAIL" line (visible with
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import sqcomm
 from sqcomm import load_config, report_csv_bytes, report_json_bytes, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -25,6 +29,16 @@ GOLDEN_DIGESTS = {
     "07_pca_recsys.json": "51cdad89d99be39a416f7792cc910585cabc75bed7898587440a1bf961f27497",
     "09_oracle.json": "9d0fc5352f6b84d63af533baea2261770f6c3df01c1e5cc377476bd32d0ca41d",
 }
+
+# the same digests for those two, computed with every BLAS library pinned to
+# one thread
+ONE_THREAD_DIGESTS = {
+    "05_dense_regression.json": "7d696369790169a2e49bb90484a00786beb11ae9d05cfb458055c04cf6892b69",
+    "08_hamiltonian.json": "a3870d47098f7c96e6e38a78a6292ff42eed61bd8bdaa0b9125a0094f4e6de3c",
+}
+_ONE_THREAD_ENV = {name: "1" for name in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS")}
 
 
 def _check_digest(config_name, report):
@@ -111,3 +125,22 @@ def test_criterion_9_determinism():
     print(f"criterion 9 (byte-identical reruns): {'PASS' if ok else 'FAIL'} — "
           f"2 configs, JSON and CSV compared")
     assert ok
+
+
+def test_one_thread_digests_of_dense_and_hamiltonian():
+    # the thread count is fixed when BLAS loads, so the pinned runs go to one
+    # child process whose environment alone carries the pins
+    script = (
+        "import hashlib, sys\n"
+        "from sqcomm import load_config, report_csv_bytes, report_json_bytes, run\n"
+        "for path in sys.argv[1:]:\n"
+        "    report = run(load_config(path))\n"
+        "    data = report_json_bytes(report) + report_csv_bytes(report)\n"
+        "    print(hashlib.sha256(data).hexdigest())\n"
+    )
+    env = dict(os.environ, **_ONE_THREAD_ENV,
+               PYTHONPATH=str(Path(sqcomm.__file__).resolve().parent.parent))
+    paths = [str(CONFIG_DIR / name) for name in ONE_THREAD_DIGESTS]
+    out = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert dict(zip(ONE_THREAD_DIGESTS, out.split())) == ONE_THREAD_DIGESTS
