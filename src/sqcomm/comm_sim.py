@@ -40,7 +40,7 @@ import functools
 import json
 import math
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +127,8 @@ class Message:
 
 @dataclass(frozen=True)
 class Annotation:
-    """Zero-bit transcript entry recording a simulation-side scalar (e.g. phi)."""
+    """Zero-bit transcript entry recording a simulation-side scalar (e.g.
+    phi), or the Cancellation raised in its place."""
 
     kind: str
     value: object
@@ -337,23 +338,29 @@ class Session:
         return payload, req_bits + resp_bits
 
     def _annotate(self, kind: str, compute):
-        """Record (or replay) a simulation-side scalar as a zero-bit entry."""
-        if self._replay_queue is not None:
+        """Record (or replay) a simulation-side scalar as a zero-bit entry; a
+        Cancellation is recorded in its place and raised, live and replayed."""
+        replaying = self._replay_queue is not None
+        if replaying:
             entry = self._pop(Annotation)
             if entry.kind != kind:
                 raise RuntimeError(f"transcript mismatch: expected {kind}, saw {entry.kind}")
-            return entry.value
-        value = compute()
-        self.meter.add(Annotation(kind, value))
-        return value
+        else:
+            try:
+                entry = Annotation(kind, compute())
+            except Cancellation as err:
+                entry = Annotation(kind, err)
+        self.meter.add(entry)
+        if isinstance(entry.value, Exception):
+            raise type(entry.value)(*entry.value.args) if replaying else entry.value
+        return entry.value
 
     def _pop(self, cls):
         if not self._replay_queue:
             raise RuntimeError("replay transcript exhausted")
-        entry = self._replay_queue.popleft()
-        if not isinstance(entry, cls):
+        if not isinstance(self._replay_queue[0], cls):
             raise RuntimeError("replay transcript out of order")
-        return entry
+        return self._replay_queue.popleft()
 
     @property
     def replaying(self) -> bool:
@@ -887,20 +894,19 @@ class MeterReport:
 
 def meter_report(session: Session) -> MeterReport:
     """Aggregate the transcript: totals overall, by message kind, and by phase."""
-    by_kind: dict = {}
-    by_phase: dict = {}
-    count_kind: dict = {}
-    rounds = 0
+    if session.replaying and session._replay_queue:
+        raise RuntimeError(f"replay left {len(session._replay_queue)} transcript "
+                           f"entries unconsumed")
+    by_kind, by_phase, count_kind = Counter(), Counter(), Counter()
     messages = session.meter.messages
     for msg in messages:
-        by_kind[msg.kind] = by_kind.get(msg.kind, 0) + msg.bits
-        by_phase[msg.phase] = by_phase.get(msg.phase, 0) + msg.bits
-        count_kind[msg.kind] = count_kind.get(msg.kind, 0) + 1
-        rounds = max(rounds, msg.round)
+        by_kind[msg.kind] += msg.bits
+        by_phase[msg.phase] += msg.bits
+        count_kind[msg.kind] += 1
     return MeterReport(
         total_bits=session.meter.total_bits,
         n_messages=len(messages),
-        n_rounds=rounds,
+        n_rounds=max((msg.round for msg in messages), default=0),
         bits_by_kind=dict(sorted(by_kind.items())),
         bits_by_phase=dict(sorted(by_phase.items())),
         messages_by_kind=dict(sorted(count_kind.items())),

@@ -924,18 +924,11 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
     exhaustive_max_n, random_ns = p["exhaustive_max_n"], p["random_ns"]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
-    worst_identity = 0.0
-    checked = 0
-    for n in range(1, exhaustive_max_n + 1):
-        errors = reductions.hamiltonian_identity_errors_batch(
-            n, reductions.all_sign_vectors(n))
-        worst_identity = max(worst_identity, float(errors.max()))
-        checked += errors.size
-    for n in random_ns:
-        fs = rng.choice((-1.0, 1.0), size=(config.trials, 2**n))
-        errors = reductions.hamiltonian_identity_errors_batch(n, fs)
-        worst_identity = max(worst_identity, float(errors.max()))
-        checked += errors.size
+    sweeps = [(n, reductions.all_sign_vectors(n)) for n in range(1, exhaustive_max_n + 1)]
+    sweeps += [(n, rng.choice((-1.0, 1.0), size=(config.trials, 2**n))) for n in random_ns]
+    errors = [reductions.hamiltonian_identity_errors_batch(n, fs) for n, fs in sweeps]
+    worst_identity = max(float(e.max()) for e in errors)
+    checked = sum(e.size for e in errors)
 
     worst_op_norm = 0.0
     worst_fro = 0.0

@@ -52,10 +52,7 @@ class SvdFactors:
 def svd_factors(A) -> SvdFactors:
     arr = np.asarray(A)
     U, s, Vh = np.linalg.svd(arr, full_matrices=False)
-    if s.size and s[0] > 0:
-        keep = s > s[0] * 1e-14
-    else:
-        keep = s > 0
+    keep = s > (s[0] * 1e-14 if s.size else 0.0)
     return SvdFactors(U=U[:, keep], s=s[keep], Vh=Vh[keep])
 
 
@@ -73,15 +70,18 @@ def pseudoinverse(A) -> np.ndarray:
     return (Vh.conj().T / s) @ U.conj().T
 
 
+def _solve(arr: np.ndarray, vec: np.ndarray, U, s, Vh) -> np.ndarray:
+    """x* = pinv(A) b from the pinv factors (U, s, Vh) of A."""
+    if arr.shape[0] != vec.shape[0]:
+        raise ValueError("row count of A and length of b differ")
+    return Vh.conj().T @ ((U.conj().T @ vec) / s)
+
+
 def pinv_solve(A, b) -> np.ndarray:
     """Minimum-norm least-squares solution x* = pinv(A) b via the SVD route;
     zero for A = 0."""
     arr = np.asarray(A)
-    vec = np.asarray(b)
-    if arr.shape[0] != vec.shape[0]:
-        raise ValueError("row count of A and length of b differ")
-    U, s, Vh = _pinv_factors(arr)
-    return Vh.conj().T @ ((U.conj().T @ vec) / s)
+    return _solve(arr, np.asarray(b), *_pinv_factors(arr))
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,12 @@ def params(A, b) -> ProblemParams:
     b_norm = float(np.linalg.norm(vec))
     if b_norm == 0.0:
         raise GammaUndefined("b = 0: residual ratio undefined")
-    _, s, _ = _pinv_factors(arr)
+    U, s, Vh = _pinv_factors(arr)
     if not s.size:
         raise ConditionUndefined("A = 0: condition numbers undefined")
     sigma_min = float(s[-1])
     fro = float(np.linalg.norm(arr))
-    x = pinv_solve(arr, vec)
-    gamma = float(np.linalg.norm(arr @ x) / b_norm)
+    gamma = float(np.linalg.norm(arr @ _solve(arr, vec, U, s, Vh)) / b_norm)
     sparsity = int(np.max(np.count_nonzero(arr, axis=1)))
     return ProblemParams(
         kappa_F=fro / sigma_min,
@@ -153,26 +152,29 @@ def top_singular(A) -> TopSingular:
 
 
 def _check_hermitian(arr: np.ndarray) -> None:
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError("expected a square matrix")
-    if arr.shape[0] > EXPM_MAX_DIM:
-        raise ValueError(f"dimension {arr.shape[0]} exceeds {EXPM_MAX_DIM}")
-    if np.linalg.norm(arr - arr.conj().T) > EXPM_HERMITIAN_TOL:
+    if arr.shape[-1] > EXPM_MAX_DIM:
+        raise ValueError(f"dimension {arr.shape[-1]} exceeds {EXPM_MAX_DIM}")
+    skew = np.linalg.norm(arr - np.swapaxes(arr.conj(), -1, -2), axis=(-2, -1))
+    if np.any(skew > EXPM_HERMITIAN_TOL):
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
 
 def expm_hermitian(A, t: float) -> np.ndarray:
-    """Unitary e^{i A t} for Hermitian A, by eigendecomposition."""
+    """Unitary e^{i A t} for Hermitian A (or each of a stack), by eigendecomposition."""
     arr = np.asarray(A)
     _check_hermitian(arr)
     w, V = np.linalg.eigh(arr)
     phases = np.exp(1j * w * t)
-    return (V * phases) @ V.conj().T
+    return (V * phases[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def expm_apply(A, t: float, v) -> np.ndarray:
     """Apply e^{i A t} to a vector. Preserves the l2 norm exactly up to rounding."""
     arr = np.asarray(A)
+    if arr.ndim != 2:
+        raise ValueError("expected a square matrix")
     _check_hermitian(arr)
     vec = np.asarray(v)
     if vec.shape[0] != arr.shape[0]:

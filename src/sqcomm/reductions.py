@@ -648,14 +648,14 @@ def hamiltonian_evolved_law(build: HamiltonianBuild) -> np.ndarray:
     return p / p.sum()
 
 
-_IDENTITY_CHUNK = 2048    # sign vectors per batched eigendecomposition
+_IDENTITY_BUDGET = 2048 * 16 * 16    # matrix entries per stack: 2048 vectors at n = 4, 8 at n = 8
 
 
 def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
     """Identity-check errors for many sign vectors at once.
 
-    Builds the shared generator once and runs batched eigendecompositions;
-    used for exhaustive small-n sweeps where per-instance calls would crawl.
+    Builds the shared generator once and evolves stacks of the signed ones
+    through `expm_hermitian`; per-instance calls would crawl on exhaustive sweeps.
     """
     fs = np.asarray(fs, dtype=np.float64)
     size = 2**n
@@ -664,16 +664,13 @@ def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
     base = _mixing_generator(n)
     h = hadamard_matrix(n)
     t = n * math.pi
+    chunk = max(1, _IDENTITY_BUDGET // size**2)
     out = np.empty(fs.shape[0])
-    for start in range(0, fs.shape[0], _IDENTITY_CHUNK):
-        part = fs[start:start + _IDENTITY_CHUNK]
+    for start in range(0, fs.shape[0], chunk):
+        part = fs[start:start + chunk]
         signs = part[:, :, None] * part[:, None, :]
-        mats = signs * base
-        w, V = np.linalg.eigh(mats)
-        phases = np.exp(1j * w * t)
-        evolved = (V * phases[:, None, :]) @ np.conj(np.swapaxes(V, 1, 2))
-        diff = evolved - signs * h
-        out[start:start + _IDENTITY_CHUNK] = np.linalg.norm(diff, axis=(1, 2))
+        diff = expm_hermitian(signs * base, t) - signs * h
+        out[start:start + chunk] = np.linalg.norm(diff, axis=(1, 2))
     return out
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sqcomm import (
     AllZero,
+    Annotation,
     AlreadySetup,
     Cancellation,
     DimensionMismatch,
@@ -386,8 +387,24 @@ def test_lincomb_matrix_access():
     assert j in (0, 1)
     rs, bits = lincomb_a_access(s, lam, ("sq_row_sample_via_rejection", 1), rng)
     assert rs.index in (0, 1) and rs.rounds >= 1 and bits > 0
+    entries = len(s.meter.entries)
     with pytest.raises(DimensionMismatch):
         lincomb_a_access(s, [1.0], ("query", 0, 0))
+    with pytest.raises(IndexOutOfRange, match="column 2"):
+        lincomb_a_access(s, lam, ("query", 0, 2))
+    assert len(s.meter.entries) == entries
+
+    # shares of different shapes: no combination, nothing metered
+    for a_blocks, b_blocks, request in (
+            ([(0, [[1.0, 0.0]]), (1, [[0.0, 1.0], [1.0, 1.0]])], [], ("query", 0, 0)),
+            ([], [(0, [1.0]), (1, [0.0, 1.0])], ("query", 0))):
+        t = open_session_blocks(2, a_blocks, b_blocks)
+        (coord_a_setup if a_blocks else coord_b_setup)(t)
+        entries = len(t.meter.entries)
+        access = lincomb_a_access if a_blocks else lincomb_b_access
+        with pytest.raises(DimensionMismatch, match="shares differ"):
+            access(t, lam, request)
+        assert len(t.meter.entries) == entries
 
 
 def _scripted_run(session, seed):
@@ -454,11 +471,72 @@ def test_replay_detects_divergence():
     with pytest.raises(RuntimeError, match="exhausted"):
         coord_b_query(clone2, 1)
 
+    # a replay that stops early leaves entries, and its report says how many
+    clone3 = make_replay_session(live)
+    coord_b_setup(clone3)
+    with pytest.raises(RuntimeError, match="2 transcript entries unconsumed"):
+        meter_report(clone3)
+    coord_b_query(clone3, 0)
+    assert meter_report(clone3) == meter_report(live)
+
     # same kind and bits, but index 3 belongs to another player
     live = open_session_blocks(3, [], [(0, [1.0]), (1, [1.0, 5.0]), (2, [7.0, 9.0])])
     coord_b_query(live, 0)
     with pytest.raises(RuntimeError, match="transcript mismatch"):
         coord_b_query(make_replay_session(live), 3)
+
+
+def test_replay_raises_recorded_cancellation():
+    # a phi that cancels live is recorded as a zero-bit annotation holding the
+    # Cancellation, and the replay raises it at the same point
+    def script(session):
+        rng = np.random.default_rng(1)
+        out = [coord_b_setup(session)]
+        for mu in ([1.0, -1.0], [1.0, 1.0]):
+            try:
+                rs, bits = lincomb_b_access(session, mu, "sq_sample_via_rejection", rng)
+                out.append((rs.index, rs.rounds, bits))
+            except Cancellation as err:
+                out.append(type(err))
+        return out
+
+    live = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [1.0, 2.0])])
+    want = script(live)
+    assert want[1:] == [Cancellation, (1, 1, 91)]
+    assert [(e.kind, type(e.value)) for e in live.meter.entries
+            if isinstance(e, Annotation)] == [("phi_b", Cancellation), ("phi_b", float)]
+    clone = make_replay_session(live)
+    assert script(clone) == want
+    assert meter_report(clone) == meter_report(live)
+
+    # an entry of the wrong type is checked before it is consumed: a request
+    # that meets the annotation fails and leaves it for the right one
+    clone = make_replay_session(live)
+    coord_b_setup(clone)
+    with pytest.raises(RuntimeError, match="out of order"):
+        lincomb_b_access(clone, [1.0, -1.0], ("query", 0))
+    with pytest.raises(Cancellation):
+        lincomb_b_access(clone, [1.0, -1.0], "sq_sample_via_rejection",
+                         np.random.default_rng(1))
+
+
+def test_replay_rerecords_annotations():
+    # a replay's transcript keeps the annotations it reads, so it replays too
+    def script(session):
+        rng = np.random.default_rng(7)
+        coord_b_setup(session)
+        return [lincomb_b_access(session, [1.0, 1.0], "sq_sample_via_rejection", rng)
+                for _ in range(3)]
+
+    live = open_session_blocks(2, [], [(0, [1.0, 2.0, 0.5]), (1, [3.0, -1.0, 2.0])])
+    want = script(live)
+    clone = make_replay_session(live)
+    assert script(clone) == want
+    assert len(live.meter.entries) == 55
+    assert clone.meter.entries == live.meter.entries
+    again = make_replay_session(clone)
+    assert script(again) == want
+    assert meter_report(again) == meter_report(live)
 
 
 def test_replay_binds_request_arguments():
@@ -549,17 +627,25 @@ def test_vector_combination_is_the_one_column_matrix_combination(seed):
         assert vec_rng.bit_generator.state == mat_rng.bit_generator.state
 
 
-def _stacked_script(session, rng, steps=60):
-    """Setups, then a fixed mix of every stacked access; a failed access is
-    kept as its exception type."""
-    out = [coord_b_setup(session), coord_a_setup(session)]
+def _stacked_requests(session, steps):
+    """A fixed mix of every stacked access, `steps` long."""
+    out = []
     for t in range(steps):
         i, j = t % session.a_rows, t % session.n
-        request = ["b_sample", ("b_query", t % session.m), "row_norm_sample",
-                   ("row_sample", i), ("entry_query", i, j), ("row_norm_query", i),
-                   "frobenius_query"][t % 7]
+        out.append([("b_sample",), ("b_query", t % session.m), ("row_norm_sample",),
+                    ("row_sample", i), ("entry_query", i, j), ("row_norm_query", i),
+                    ("frobenius_query",)][t % 7])
+    return out
+
+
+def _serve_all(session, rng, requests):
+    """Serve each stacked request in turn; returns the results (a failed access
+    kept as its exception type) and the transcript entries each one added."""
+    out, added = [], []
+    for request in requests:
+        before = len(session.meter.entries)
         try:
-            if request == "b_sample":
+            if request[0] == "b_sample":
                 out.append(coord_b_sample(session, rng))
             elif request[0] == "b_query":
                 out.append(coord_b_query(session, request[1]))
@@ -567,7 +653,14 @@ def _stacked_script(session, rng, steps=60):
                 out.append(coord_a_access(session, request, rng))
         except AllZero as err:
             out.append(type(err))
-    return out
+        added.append(len(session.meter.entries) - before)
+    return out, added
+
+
+def _stacked_script(session, rng, steps=60):
+    """Setups, then `_stacked_requests`."""
+    out = [coord_b_setup(session), coord_a_setup(session)]
+    return out + _serve_all(session, rng, _stacked_requests(session, steps))[0]
 
 
 def test_coordinator_stream_ignores_player_data():
@@ -616,23 +709,72 @@ def _small_sessions(draw):
     return open_session_blocks(k, a_blocks, b_blocks)
 
 
+def _perturbed(session, requests, added, mutation, at):
+    """`requests` with one metered op changed by `mutation`: another index,
+    another row, another kind, the op dropped, or an extra copy of it.  Only
+    ops whose random draws do not depend on the change are picked, so the
+    rest of the stream is served as live; None when no op qualifies."""
+    queries = ("b_query", "entry_query", "row_norm_query")
+
+    def replacement(request):
+        kind, args = request[0], request[1:]
+        if mutation == "drop" and kind in queries:
+            return []
+        if mutation == "extra" and kind in queries:
+            return [request, request]
+        if mutation == "kind" and kind in queries:
+            i = args[0] % session.a_rows
+            return [("entry_query", i, 0) if kind == "row_norm_query" else ("row_norm_query", i)]
+        if mutation == "index" and kind in queries:
+            size = (session.m, session.n, session.a_rows)[queries.index(kind)]
+            new = (kind,) + args[:-1] + ((args[-1] + 1) % size,)
+        elif mutation == "row" and kind in ("entry_query", "row_norm_query", "row_sample"):
+            new = (kind, (args[0] + 1) % session.a_rows) + args[1:]
+        else:
+            return None
+        return [new] if new != request else None
+
+    spots = [(t, ops) for t, (request, n_added) in enumerate(zip(requests, added))
+             if n_added and (ops := replacement(request)) is not None]
+    if not spots:
+        return None
+    t, ops = spots[at % len(spots)]
+    return requests[:t] + ops + requests[t + 1:]
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(session=_small_sessions(), seed=st.integers(0, 2**32 - 1),
-       steps=st.integers(1, 30))
-def test_replay_matches_live(session, seed, steps):
+       steps=st.integers(1, 30), at=st.integers(0, 29))
+def test_replay_matches_live(session, seed, steps, at):
+    requests = _stacked_requests(session, steps)
     live_rng = np.random.default_rng(seed)
-    want = _stacked_script(session, live_rng, steps)
+    setups = [coord_b_setup(session), coord_a_setup(session)]
+    want, added = _serve_all(session, live_rng, requests)
     # queries answer with the stacked data: routing agrees with the layout
     A, b = assemble_stacked(session)
-    for t, result in enumerate(want[2:]):
+    for t, result in enumerate(want):
         if t % 7 == 1:
             assert result[0] == b[t % session.m]
         elif t % 7 == 4:
             assert result[0] == A[t % session.a_rows, t % session.n]
     replay_rng = np.random.default_rng(seed)
-    got = _stacked_script(make_replay_session(session), replay_rng, steps)
-    assert got == want
+    clone = make_replay_session(session)
+    assert [coord_b_setup(clone), coord_a_setup(clone)] == setups
+    assert _serve_all(clone, replay_rng, requests)[0] == want
     assert replay_rng.bit_generator.state == live_rng.bit_generator.state
+    assert meter_report(clone) == meter_report(session)
+
+    # any single perturbed metered op raises, at the op or at the report
+    for mutation in ("index", "row", "kind", "drop", "extra"):
+        perturbed = _perturbed(session, requests, added, mutation, at)
+        if perturbed is None:
+            continue
+        clone = make_replay_session(session)
+        with pytest.raises(RuntimeError, match="transcript"):
+            coord_b_setup(clone)
+            coord_a_setup(clone)
+            _serve_all(clone, np.random.default_rng(seed), perturbed)
+            meter_report(clone)
 
 
 def test_meter_report_consistency():

@@ -88,6 +88,21 @@ def test_params_partial_residual():
     assert p.gamma == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
+def test_params_factors_once(monkeypatch):
+    # one SVD serves the condition numbers and the solve behind gamma
+    rng = np.random.default_rng(8)
+    A, b = rng.normal(size=(6, 4)), rng.normal(size=6)
+    want = params(A, b)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    assert params(A, b) == want
+    assert len(calls) == 1
+    assert want.gamma == float(np.linalg.norm(A @ pinv_solve(A, b)) / np.linalg.norm(b))
+    with pytest.raises(ValueError, match="row count"):
+        params(A, np.ones(5))
+
+
 def test_threshold_svd_keeps_ties():
     A = np.diag([2.0, 1.2, 1.2, 0.5])
     np.testing.assert_allclose(threshold_svd(A, 1.2),
@@ -117,6 +132,13 @@ def test_expm_matches_scipy():
         np.testing.assert_allclose(U @ U.conj().T, np.eye(8), atol=1e-12)
         v = rng.normal(size=8)
         np.testing.assert_allclose(expm_apply(H, t, v), U @ v, atol=1e-10)
+    # a stack evolves matrix by matrix, each exactly as on its own
+    stack = np.stack([H, -H, H.real, np.eye(8)])
+    U = expm_hermitian(stack, 0.3)
+    assert U.shape == stack.shape
+    for one, mat in zip(U, stack):
+        np.testing.assert_array_equal(one, expm_hermitian(mat, 0.3))
+        np.testing.assert_allclose(one, scipy.linalg.expm(0.3j * mat), atol=1e-10)
 
 
 def test_expm_single_qubit_identity():
@@ -133,6 +155,14 @@ def test_expm_rejects_bad_input():
         expm_hermitian(np.ones((2, 3)), 1.0)
     with pytest.raises(ValueError):
         expm_apply(np.eye(2), 1.0, np.ones(3))
+    # every matrix of a stack is held to the tolerance; expm_apply takes one
+    skewed = np.stack([np.eye(2), np.array([[0.0, 1.0], [1e-9, 0.0]])])
+    with pytest.raises(NotHermitian):
+        expm_hermitian(skewed, 1.0)
+    with pytest.raises(ValueError, match="square"):
+        expm_hermitian(np.ones((3, 2, 3)), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        expm_apply(np.stack([np.eye(2), np.eye(2)]), 1.0, np.ones(2))
 
 
 def test_hadamard_apply_involution_and_dense():

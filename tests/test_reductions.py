@@ -36,6 +36,7 @@ from sqcomm import (
     pinv_solve,
     top_singular,
 )
+from sqcomm import reductions
 from sqcomm.reductions import (
     _band_targets,
     all_sign_vectors,
@@ -417,6 +418,25 @@ def test_hamiltonian_batch_agrees_with_single():
         assert err == pytest.approx(single, abs=1e-10)
     with pytest.raises(BadDimension):
         hamiltonian_identity_errors_batch(2, np.ones((3, 3)))
+
+
+def test_hamiltonian_batch_stacks_follow_the_matrix_size(monkeypatch):
+    # a fixed budget of matrix entries per evolved stack: 2048 sign vectors at
+    # n = 4, 8 at n = 8; the errors do not depend on how the batch is cut
+    stacks = []
+    evolve = reductions.expm_hermitian
+    monkeypatch.setattr(reductions, "expm_hermitian",
+                        lambda mats, t: stacks.append(len(mats)) or evolve(mats, t))
+    rng = np.random.default_rng(17)
+    for n, count, want in ((4, 2049, [2048, 1]), (8, 20, [8, 8, 4])):
+        stacks.clear()
+        fs = rng.choice((-1.0, 1.0), size=(count, 2**n))
+        errors = hamiltonian_identity_errors_batch(n, fs)
+        assert stacks == want
+        assert errors.max() < 1e-9
+        picks = [0, count - 1]
+        np.testing.assert_array_equal(
+            errors[picks], [hamiltonian_identity_errors_batch(n, fs[[i]])[0] for i in picks])
 
 
 def test_hamiltonian_caps():
