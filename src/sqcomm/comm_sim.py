@@ -14,9 +14,10 @@ Two access families share a session:
   sampling stage, reproducing the l2 law of the stacked vector/matrix exactly;
 * linear-combination access - every player holds a same-shape share, the
   coordinator serves queries by fanning out to all k players and serves samples
-  through a dominating vector (oversampled access + rejection).  Vector and
-  matrix requests run one combination path, `_Combination`: a vector share is
-  stored as one column, so the vector side is its one-column case.
+  through a dominating vector (oversampled access + rejection).  One record,
+  `_Combination`, serves vector and matrix requests, the exact phi and the
+  exact dominator laws: a vector share is stored as one column, so the vector
+  side is its one-column case.
 
 Every sampling access of both families is one owner-mixture draw,
 `_owner_draw`: the coordinator picks an owner by squared norm and that owner
@@ -47,12 +48,12 @@ import numpy as np
 
 from .sq_access import (
     AllZero,
-    IndexOutOfRange,
     SqVector,
     build_sq_matrix,
     exact_distribution,
     sq_row,
     sq_sample,
+    _check_index,
     _norm_estimate_draws,
     _norm_from_ratios,
     _rejection_loop,
@@ -258,8 +259,7 @@ class _Side:
         self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
 
     def locate(self, g: int):
-        if not 0 <= g < self.rows:
-            raise IndexOutOfRange(f"index {g} outside the stacked range")
+        _check_index(g, self.rows)
         t = bisect_right(self.starts, g) - 1
         owner, local = self.route[t]
         return owner, local + (g - self.starts[t])
@@ -318,12 +318,12 @@ class Session:
         name = "PUB" if owner == PUBLIC else f"P{owner + 1}"
         replaying = self._replay_queue is not None
         if replaying:
-            req = self._pop(Message)
-            resp = self._pop(Message)
+            req, resp = self._peek(Message, 2)
             want = (kind, name, args, req_bits, resp_bits)
             seen = (req.kind, req.receiver, req.payload, req.bits, resp.bits)
             if resp.kind != kind or seen != want:
                 raise RuntimeError(f"transcript mismatch: expected {want}, saw {seen}")
+            self._consume(2)
             payload = resp.payload
         else:
             try:
@@ -342,9 +342,10 @@ class Session:
         Cancellation is recorded in its place and raised, live and replayed."""
         replaying = self._replay_queue is not None
         if replaying:
-            entry = self._pop(Annotation)
+            (entry,) = self._peek(Annotation, 1)
             if entry.kind != kind:
                 raise RuntimeError(f"transcript mismatch: expected {kind}, saw {entry.kind}")
+            self._consume(1)
         else:
             try:
                 entry = Annotation(kind, compute())
@@ -355,12 +356,21 @@ class Session:
             raise type(entry.value)(*entry.value.args) if replaying else entry.value
         return entry.value
 
-    def _pop(self, cls):
-        if not self._replay_queue:
-            raise RuntimeError("replay transcript exhausted")
-        if not isinstance(self._replay_queue[0], cls):
-            raise RuntimeError("replay transcript out of order")
-        return self._replay_queue.popleft()
+    def _peek(self, cls, count: int) -> list:
+        """The next `count` replay entries, each checked to be a `cls`, left in
+        the queue: a caller consumes them only once they match its request, so
+        a mismatched request leaves the replay where it was."""
+        queue = self._replay_queue
+        for t in range(count):
+            if t >= len(queue):
+                raise RuntimeError("replay transcript exhausted")
+            if not isinstance(queue[t], cls):
+                raise RuntimeError("replay transcript out of order")
+        return [queue[t] for t in range(count)]
+
+    def _consume(self, count: int) -> None:
+        for _ in range(count):
+            self._replay_queue.popleft()
 
     @property
     def replaying(self) -> bool:
@@ -518,8 +528,7 @@ def _owner_query(session: Session, side: _Side, kind: str, g: int, read, column=
     enc = session.encoding
     req_bits = enc.opcode_bits + enc.index_bits(side.rows)
     if column is not None:
-        if not 0 <= column < session.n:
-            raise IndexOutOfRange(f"column {column} outside [0, {session.n})")
+        _check_index(column, session.n, "column")
         req_bits += enc.index_bits(session.n)
     view = side.views[owner]
     if owner == PUBLIC:
@@ -636,90 +645,69 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
     if kind in ("lincomb_b_dominator", "lincomb_A_row_norm"):
         side = session._b if kind == "lincomb_b_dominator" else session._a
         (coeffs,) = args
-        views = _combination_views(session, side, coeffs)
-        return _mixture_law(views[0][1].size, [abs(c) ** 2 * v.norm**2 for c, v in views],
-                            [v for _, v in views], "all combination shares are zero")
+        return _Combination(session, side, coeffs).law()
 
     if kind == "lincomb_A_row":
         lambdas, i = args
-        views = _combination_views(session, session._a, lambdas)
-        weights = [abs(c) ** 2 * float(np.linalg.norm(v.data[i]) ** 2) for c, v in views]
-        return _mixture_law(session.n, weights, [v for _, v in views],
-                            f"dominator row {i} is identically zero", row=i)
+        return _Combination(session, session._a, lambdas).law(i)
 
     raise ValueError(f"unknown access kind: {kind!r}")
 
 
 # --- linear-combination access -------------------------------------------------
 
-def _coefficients(session: Session, coeffs) -> np.ndarray:
-    c = np.asarray(coeffs)
-    if c.shape != (session.k,):
-        raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
-    return c
-
-
-def _combination_views(session: Session, side: _Side, coeffs):
-    """(coefficient, player view) pairs over all k same-shape shares."""
-    _require_player_data(session, "the exact phi of a combination")
-    c = _coefficients(session, coeffs)
-    views = []
-    for i in range(session.k):
-        view = side.views[i]
-        if view.data is None:
-            raise DimensionMismatch(f"player {i} holds no {side.noun} share")
-        if views and view.data.shape != views[0][1].data.shape:
-            raise DimensionMismatch(side.share_mismatch)
-        views.append((complex(c[i]) if np.iscomplexobj(c) else float(c[i]), view))
-    return views
-
-
-def _phi(session: Session, side: _Side, coeffs, row=None) -> float:
-    """Exact oversampling ratio k sum_i |c_i|^2 ||share_i||^2 / ||combined||^2
-    of a combination, or of its row `row` (simulation-side)."""
-    views = _combination_views(session, side, coeffs)
-    if row is None:
-        shares = [v.data for _, v in views]
-        share_sq = [v.norm**2 for _, v in views]
-        what = "combination"
-    else:
-        shares = [v.data[row] for _, v in views]
-        share_sq = [float(np.linalg.norm(s) ** 2) for s in shares]
-        what = f"combined row {row}"
-    combined = sum(c * s for (c, _), s in zip(views, shares))
-    c_norm2 = float(np.linalg.norm(combined) ** 2)
-    if c_norm2 <= CANCELLATION_TOL**2:
-        raise Cancellation(f"{what} cancels below tolerance")
-    return session.k * sum(abs(c) ** 2 * q for (c, _), q in zip(views, share_sq)) / c_norm2
-
-
-def lincomb_b_phi(session: Session, mu) -> float:
-    """Exact oversampling ratio phi for the combined vector (simulation-side)."""
-    return _phi(session, session._b, mu)
-
-
-def lincomb_a_phi(session: Session, lambdas) -> float:
-    """Exact oversampling ratio phi for the combined matrix (simulation-side)."""
-    return _phi(session, session._a, lambdas)
-
-
 class _Combination:
-    """One request against sum_t c_t S^(t) over one side's k same-shape
+    """The linear combination sum_t c_t S^(t) of one side's k same-shape
     shares, each a (rows, cols) block; a vector is the one-column case and
     reads entry (j, 0).  The dominator has entries sqrt(k sum_t |c_t S^(t)_ij|^2).
-    The constructor runs the checks every request shares, before anything is
-    metered.  Only a matrix is asked for row norms or a draw within a row."""
+    The constructor checks the coefficients and the shares once, before
+    anything is metered; the record then serves the metered requests and,
+    simulation-side, the exact phi and the exact dominator laws.  Only a
+    matrix is asked for row norms or a draw within a row."""
 
-    def __init__(self, session: Session, side: _Side, coeffs, query_kind: str,
-                 sample_kind: str):
-        side.require_setup()
-        self.coeffs = _coefficients(session, coeffs)
+    def __init__(self, session: Session, side: _Side, coeffs):
+        c = np.asarray(coeffs)
+        if c.shape != (session.k,):
+            raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
+        self.coeffs = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         if side.share_rows is None:
             raise DimensionMismatch(side.share_mismatch)
         self.session, self.side = session, side
         self.rows, self.cols = side.share_rows, side.cols
-        self.query_kind, self.sample_kind = query_kind, sample_kind
         self.row_req = session.encoding.opcode_bits + session.encoding.index_bits(self.rows)
+
+    def _terms(self, row=None):
+        """Simulation-side: the coefficients as Python scalars, the k player
+        views, their shares (or the shares' row `row`) and those squared norms."""
+        _require_player_data(self.session, "the exact phi or law of a combination")
+        if row is not None:
+            self.check_row(row)
+        views = [self.side.views[t] for t in range(self.session.k)]
+        shares = [v.data if row is None else v.data[row] for v in views]
+        sq = ([v.norm**2 for v in views] if row is None
+              else [float(np.linalg.norm(s) ** 2) for s in shares])
+        return self.coeffs.tolist(), views, shares, sq
+
+    def phi(self, row=None) -> float:
+        """Exact oversampling ratio k sum_t |c_t|^2 ||S^(t)||^2 / ||combined||^2,
+        or that of row `row` alone."""
+        coeffs, _, shares, sq = self._terms(row)
+        c_norm2 = float(np.linalg.norm(sum(c * s for c, s in zip(coeffs, shares))) ** 2)
+        if c_norm2 <= CANCELLATION_TOL**2:
+            what = "combination" if row is None else f"combined row {row}"
+            raise Cancellation(f"{what} cancels below tolerance")
+        return self.session.k * sum(abs(c) ** 2 * q for c, q in zip(coeffs, sq)) / c_norm2
+
+    def law(self, row=None) -> np.ndarray:
+        """Exact law of a dominator draw: the row-norm law, or with `row` the
+        law of a column within that row."""
+        coeffs, views, _, sq = self._terms(row)
+        size, empty = ((self.rows, "all combination shares are zero") if row is None
+                       else (self.cols, f"dominator row {row} is identically zero"))
+        return _mixture_law(size, [abs(c) ** 2 * q for c, q in zip(coeffs, sq)], views,
+                            empty, row=row)
 
     def weights(self) -> np.ndarray:
         """Owner weights of the dominator's row-norm law, known to the
@@ -730,8 +718,7 @@ class _Combination:
         return math.sqrt(self.session.k * float(self.weights().sum()))
 
     def check_row(self, i) -> None:
-        if not 0 <= i < self.rows:
-            raise IndexOutOfRange(f"row {i} outside [0, {self.rows})")
+        _check_index(i, self.rows, "row")
 
     def _fan_out(self, kind: str, req_bits: int, read, args):
         """Ask all k players for one scalar of their share; returns (values, bits)."""
@@ -749,11 +736,10 @@ class _Combination:
         """Fan out entry (i, j) to all k players, zero coefficients included;
         returns (combined entry, squared dominator entry, bits)."""
         self.check_row(i)
-        if not 0 <= j < self.cols:
-            raise IndexOutOfRange(f"column {j} outside [0, {self.cols})")
-        values, bits = self._fan_out(
-            self.query_kind, self.row_req + self.session.encoding.index_bits(self.cols),
-            lambda d: d[i, j].item(), (i, j))
+        _check_index(j, self.cols, "column")
+        values, bits = self._fan_out(f"lincomb_{self.side.name}_query",
+                                     self.row_req + self.session.encoding.index_bits(self.cols),
+                                     lambda d: d[i, j].item(), (i, j))
         terms = list(zip(self.coeffs, values))
         return (sum(c * v for c, v in terms),
                 self.session.k * sum(abs(c * v) ** 2 for c, v in terms), bits)
@@ -770,8 +756,8 @@ class _Combination:
         weighted by |c_t|^2 times the fanned-out norm of its share's row."""
         enc = self.session.encoding
         if row is None:
-            kind, req_bits, resp_bits, bits, args = (
-                self.sample_kind, enc.opcode_bits, enc.index_bits(self.rows), 0, ())
+            kind = "lincomb_b_sample" if self.side.name == "b" else "lincomb_a_row_norm_sample"
+            req_bits, resp_bits, bits, args = enc.opcode_bits, enc.index_bits(self.rows), 0, ()
         else:
             norms, bits = self.row_norms(row)
             law = _OwnerLaw(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
@@ -790,6 +776,16 @@ class _Combination:
         return j, (abs(combined) ** 2 / dom_sq if dom_sq > 0 else None), bits + cost
 
 
+def lincomb_b_phi(session: Session, mu) -> float:
+    """Exact oversampling ratio phi for the combined vector (simulation-side)."""
+    return _Combination(session, session._b, mu).phi()
+
+
+def lincomb_a_phi(session: Session, lambdas) -> float:
+    """Exact oversampling ratio phi for the combined matrix (simulation-side)."""
+    return _Combination(session, session._a, lambdas).phi()
+
+
 def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | None = None):
     """Serve one access against b = sum_i mu_i b^(i); returns (result, bits).
 
@@ -799,7 +795,8 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
     go through the dominating vector with entries sqrt(k sum_i |mu_i b_j^(i)|^2).
     """
     kind, args = _split(request)
-    comb = _Combination(session, session._b, mu, "lincomb_b_query", "lincomb_b_sample")
+    session._b.require_setup()
+    comb = _Combination(session, session._b, mu)
 
     if kind in ("query", "dominator_query"):
         (j,) = args
@@ -845,8 +842,8 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     ("sq_row_sample_via_rejection", i[, delta]).
     """
     kind, args = _split(request)
-    comb = _Combination(session, session._a, lambdas, "lincomb_a_query",
-                        "lincomb_a_row_norm_sample")
+    session._a.require_setup()
+    comb = _Combination(session, session._a, lambdas)
 
     if kind in ("query", "dominator_query"):
         i, j = args
@@ -873,8 +870,7 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
         i = args[0]
         comb.check_row(i)
         delta = args[1] if len(args) > 1 else DEFAULT_REJECTION_DELTA
-        phi = functools.partial(session._annotate, "phi_row",
-                                lambda: _phi(session, session._a, comb.coeffs, row=i))
+        phi = functools.partial(session._annotate, "phi_row", lambda: comb.phi(row=i))
         return _rejection_loop(lambda: comb.rejection_round(rng, row=i), phi, delta, rng)
 
     raise ValueError(f"unknown combination access kind: {kind!r}")

@@ -27,11 +27,20 @@ class AllZero(ValueError):
 
 
 class IndexOutOfRange(IndexError):
-    """Raised for an entry query outside [0, n)."""
+    """Raised for an index that is not an integer in [0, n)."""
 
 
 class Timeout(RuntimeError):
     """Raised when rejection sampling exhausts its round budget."""
+
+
+def _check_index(i, n: int, what: str = "index") -> None:
+    """The one index rule of every handle and request: `i` must be an integer
+    (a numpy integer too, never a bool) in [0, n), or IndexOutOfRange."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer")
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"{what} {i} outside [0, {n})")
 
 
 def _table(values, ndim: int):
@@ -82,8 +91,7 @@ def build_sq_vector(values) -> SqVector:
 
 def sq_query(v: SqVector, i: int):
     """Entry query. 0-based; no negative indexing."""
-    if not 0 <= i < v.n:
-        raise IndexOutOfRange(f"index {i} outside [0, {v.n})")
+    _check_index(i, v.n)
     return v.values[i].item()
 
 
@@ -177,8 +185,7 @@ def build_sq_matrix(matrix) -> SqMatrix:
 def sq_row(m: SqMatrix, i: int) -> SqVector:
     """Handle for row i, a view into the table. Raises AllZero for a zero row,
     IndexOutOfRange off the end."""
-    if not 0 <= i < m.m:
-        raise IndexOutOfRange(f"row {i} outside [0, {m.m})")
+    _check_index(i, m.m, "row")
     norm = float(m.row_norm_vector.values[i])
     if norm == 0.0:
         raise AllZero(f"row {i} is identically zero")
@@ -200,8 +207,7 @@ class OversampleAccess:
     phi: float
 
     def query(self, i: int):
-        if not 0 <= i < self.target.size:
-            raise IndexOutOfRange(f"index {i} outside [0, {self.target.size})")
+        _check_index(i, self.target.size)
         return self.target[i].item()
 
     @property

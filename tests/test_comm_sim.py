@@ -22,6 +22,7 @@ from sqcomm import (
     NoPlayerData,
     NotSetup,
     Session,
+    Timeout,
     assemble_stacked,
     coord_a_access,
     coord_a_setup,
@@ -558,6 +559,104 @@ def test_replay_binds_request_arguments():
     assert meter_report(live).bits_by_kind["lincomb_b_query"] == 2 * (8 + 1 + 32)
 
 
+def test_replay_mismatch_consumes_nothing():
+    # a request is compared with the recorded entries before they are
+    # consumed, so after a mismatch the right request still replays
+    live = open_session_blocks(2, [], [(0, [1.0, 2.0, 3.0]), (1, [4.0, 5.0])])
+    want = [coord_b_query(live, 0), coord_b_query(live, 1)]
+    clone = make_replay_session(live)
+    with pytest.raises(RuntimeError, match="transcript mismatch"):
+        coord_b_query(clone, 1)
+    assert not clone.meter.entries
+    assert coord_b_query(clone, 0) == want[0] == (1.0, 43)
+    assert coord_b_query(clone, 1) == want[1]
+    assert meter_report(clone) == meter_report(live)
+
+    # an annotation of another kind is left in place too
+    def script(session, side):
+        rng = np.random.default_rng(3)
+        coord_b_setup(session)
+        coord_a_setup(session)
+        if side == "a":
+            return lincomb_a_access(session, [1.0, 1.0, 1.0],
+                                    ("sq_row_sample_via_rejection", 0), rng)
+        return lincomb_b_access(session, [1.0, 1.0, 1.0], "sq_sample_via_rejection", rng)
+
+    live = _lincomb_session()
+    want = script(live, "b")
+    clone = make_replay_session(live)
+    with pytest.raises(RuntimeError, match="transcript mismatch"):
+        script(clone, "a")
+    assert lincomb_b_access(clone, [1.0, 1.0, 1.0], "sq_sample_via_rejection",
+                            np.random.default_rng(3)) == want
+    assert meter_report(clone) == meter_report(live)
+
+
+def test_combination_coefficients_must_be_finite():
+    # one check in the combination record covers every metered request, the
+    # exact phi and the exact laws; nothing is metered
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    rng = np.random.default_rng(0)
+    bits, entries = s.meter.total_bits, len(s.meter.entries)
+    for bad in ([np.nan, 1.0, 1.0], [1.0, np.inf, 0.0], [complex(0.0, np.nan), 1.0, 1.0]):
+        for request in (("query", 0), ("dominator_query", 0), "dominator_norm",
+                        "dominator_sample", "sq_sample_via_rejection",
+                        ("norm_estimate", 0.5, 0.1)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                lincomb_b_access(s, bad, request, rng)
+        for request in (("query", 0, 0), ("dominator_query", 0, 0), "dominator_fro_norm",
+                        ("dominator_row_norm_query", 0), "dominator_row_norm_sample",
+                        ("dominator_row_sample", 0), ("sq_row_sample_via_rejection", 0)):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                lincomb_a_access(s, bad, request, rng)
+        for compute in (lambda: lincomb_b_phi(s, bad), lambda: lincomb_a_phi(s, bad),
+                        lambda: protocol_distribution(s, ("lincomb_b_dominator", bad)),
+                        lambda: protocol_distribution(s, ("lincomb_A_row_norm", bad)),
+                        lambda: protocol_distribution(s, ("lincomb_A_row", bad, 0))):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                compute()
+    assert (s.meter.total_bits, len(s.meter.entries)) == (bits, entries)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_one_index_rule_for_every_request():
+    # a non-integer index is refused before anything is metered; numpy
+    # integers are served as Python ints are
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    rng = np.random.default_rng(0)
+    bits, entries = s.meter.total_bits, len(s.meter.entries)
+    mu = [1.0, -0.5, 2.0]
+    requests = [
+        lambda: coord_b_query(s, 1.0),
+        lambda: coord_b_query(s, True),
+        lambda: coord_a_access(s, ("entry_query", 0, 1.0)),
+        lambda: coord_a_access(s, ("entry_query", 0.0, 1)),
+        lambda: coord_a_access(s, ("row_sample", 0.0), rng),
+        lambda: coord_a_access(s, ("row_norm_query", 0.5)),
+        lambda: lincomb_b_access(s, mu, ("query", 1.0)),
+        lambda: lincomb_a_access(s, mu, ("query", 0, 1.0)),
+        lambda: lincomb_a_access(s, mu, ("dominator_row_norm_query", 1.0)),
+        lambda: lincomb_a_access(s, mu, ("dominator_row_sample", 1.0), rng),
+        lambda: lincomb_a_access(s, mu, ("sq_row_sample_via_rejection", 1.0), rng),
+        lambda: protocol_distribution(s, ("row_sample", 1.0)),
+        lambda: protocol_distribution(s, ("lincomb_A_row", mu, 1.0)),
+        lambda: protocol_distribution(s, ("lincomb_A_row", mu, 5)),
+    ]
+    for request in requests:
+        with pytest.raises(IndexOutOfRange):
+            request()
+    assert (s.meter.total_bits, len(s.meter.entries)) == (bits, entries)
+    assert coord_b_query(s, np.int64(1)) == coord_b_query(s, 1)
+    assert (lincomb_a_access(s, mu, ("query", np.int32(0), np.int64(2)))
+            == lincomb_a_access(s, mu, ("query", 0, 2)))
+    np.testing.assert_array_equal(protocol_distribution(s, ("lincomb_A_row", mu, np.int64(1))),
+                                  protocol_distribution(s, ("lincomb_A_row", mu, 1)))
+
+
 def test_failed_player_response_replays():
     # rows 1 and 2 are zero, so their draws fail at the player; player 1 holds
     # nothing but its zero row
@@ -775,6 +874,99 @@ def test_replay_matches_live(session, seed, steps, at):
             coord_a_setup(clone)
             _serve_all(clone, np.random.default_rng(seed), perturbed)
             meter_report(clone)
+
+
+_coefficient_values = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@st.composite
+def _combination_runs(draw):
+    """k = 1-4 players, each holding a same-shape vector share and matrix
+    share (zero rows and zero coefficients common), the coefficients of both
+    combinations, and a sequence of every kind of combination request."""
+    k, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.one_of(st.just([0.0] * cols), st.lists(_small_values, min_size=cols, max_size=cols))
+    a_shares = [draw(st.lists(row, min_size=rows, max_size=rows)) for _ in range(k)]
+    b_shares = [draw(st.lists(_small_values, min_size=rows, max_size=rows)) for _ in range(k)]
+    coefficients = st.lists(_coefficient_values, min_size=k, max_size=k)
+    mu, lam = draw(coefficients), draw(coefficients)
+    i, j = st.integers(0, rows - 1), st.integers(0, cols - 1)
+    # deltas near 1 keep the round caps and draw counts small at any phi
+    delta = st.sampled_from([0.99, 0.999])
+    request = st.one_of(
+        st.tuples(st.just("b"), st.one_of(
+            st.tuples(st.sampled_from(["query", "dominator_query"]), i),
+            st.sampled_from(["dominator_sample", "dominator_norm"]),
+            st.tuples(st.just("sq_sample_via_rejection"), delta),
+            st.tuples(st.just("norm_estimate"), st.just(1.0), delta))),
+        st.tuples(st.just("a"), st.one_of(
+            st.tuples(st.sampled_from(["query", "dominator_query"]), i, j),
+            st.sampled_from(["dominator_fro_norm", "dominator_row_norm_sample"]),
+            st.tuples(st.sampled_from(["dominator_row_norm_query", "dominator_row_sample"]), i),
+            st.tuples(st.just("sq_row_sample_via_rejection"), i, delta))))
+    session = open_session_blocks(k, list(enumerate(a_shares)), list(enumerate(b_shares)))
+    return session, mu, lam, draw(st.lists(request, min_size=1, max_size=12))
+
+
+def _serve_combinations(session, mu, lam, requests, rng):
+    """Setups, then each combination request; a failed one kept as its type."""
+    out = [coord_b_setup(session), coord_a_setup(session)]
+    for side, request in requests:
+        access, coeffs = (lincomb_b_access, mu) if side == "b" else (lincomb_a_access, lam)
+        try:
+            out.append(access(session, coeffs, request, rng))
+        except (AllZero, Cancellation, Timeout) as err:
+            out.append(type(err))
+    return out
+
+
+def _law_or_error(compute):
+    try:
+        return compute()
+    except (AllZero, Cancellation) as err:
+        return type(err)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(run=_combination_runs(), seed=st.integers(0, 2**32 - 1))
+def test_combination_replay_and_laws(run, seed):
+    session, mu, lam, requests = run
+    live_rng = np.random.default_rng(seed)
+    want = _serve_combinations(session, mu, lam, requests, live_rng)
+    replay_rng = np.random.default_rng(seed)
+    clone = make_replay_session(session)
+    assert _serve_combinations(clone, mu, lam, requests, replay_rng) == want
+    assert replay_rng.bit_generator.state == live_rng.bit_generator.state
+    assert meter_report(clone) == meter_report(session)
+
+    # the exact laws and phis against numpy on the assembled shares
+    k, rows = session.k, session.m // session.k
+    A, b = assemble_stacked(session)
+    shares = {"b": b.reshape(k, rows, 1), "a": A.reshape(k, rows, -1)}
+    coeffs = {"b": np.asarray(mu), "a": np.asarray(lam)}
+    dom_sq = {s: k * (np.abs(coeffs[s][:, None, None] * shares[s]) ** 2).sum(axis=0)
+              for s in "ab"}
+    combined = {s: (coeffs[s][:, None, None] * shares[s]).sum(axis=0) for s in "ab"}
+
+    def normalized(w):
+        return w / w.sum() if w.sum() > 0 else AllZero
+
+    expected = [(("lincomb_b_dominator", mu), normalized(dom_sq["b"].sum(axis=1))),
+                (("lincomb_A_row_norm", lam), normalized(dom_sq["a"].sum(axis=1)))]
+    expected += [(("lincomb_A_row", lam, i), normalized(dom_sq["a"][i])) for i in range(rows)]
+    for access, law in expected:
+        got = _law_or_error(lambda: protocol_distribution(session, access))
+        if law is AllZero:
+            assert got is AllZero
+        else:
+            np.testing.assert_allclose(got, law, rtol=0, atol=1e-12)
+    for s, phi in (("b", lincomb_b_phi), ("a", lincomb_a_phi)):
+        c_sq = float((np.abs(combined[s]) ** 2).sum())
+        got = _law_or_error(lambda: phi(session, coeffs[s]))
+        if c_sq <= 1e-18:
+            assert got is Cancellation
+        else:
+            assert got == pytest.approx(float(dom_sq[s].sum()) / c_sq, rel=1e-12)
 
 
 def test_meter_report_consistency():

@@ -164,6 +164,20 @@ def test_two_stage_matrix_sampling_law():
     np.testing.assert_allclose(law, np.abs(A) ** 2 / 30.0, atol=0.02)
 
 
+def test_one_index_rule_for_every_handle():
+    # an index is an integer in [0, n): a float or a bool is refused with
+    # IndexOutOfRange, not numpy's bare IndexError; numpy integers serve
+    v = build_sq_vector([1.0, 2.0])
+    m = build_sq_matrix([[1.0, 0.0], [0.0, 2.0]])
+    ov = build_oversample([1.0, 1.0], [1.0, 2.0])
+    for handle_op in (lambda i: sq_query(v, i), lambda i: sq_row(m, i).norm, ov.query):
+        for bad in (1.0, 0.5, True, np.float64(0.0), "0", None):
+            with pytest.raises(IndexOutOfRange, match="not an integer"):
+                handle_op(bad)
+        assert handle_op(np.int64(1)) == handle_op(1)
+    assert sq_query(v, np.int32(0)) == 1.0
+
+
 def test_oversample_build_and_phi():
     ov = build_oversample([1.0, 1.0], [1.0, 2.0])
     assert ov.phi == pytest.approx(2.5, abs=1e-12)
