@@ -22,8 +22,11 @@ Two access families share a session:
 Every sampling access of both families is one owner-mixture draw,
 `_owner_draw`: the coordinator picks an owner by squared norm and that owner
 makes one local l2 draw; `_mixture_law` gives its exact law.  Every rejection
-draw runs through the one rejection loop in `sq_access`.  Each request records
-the indices it carries, so a replay checks them as well as kind and widths.
+draw runs through the one rejection loop in `sq_access`, and every norm
+estimate through its one norm estimator.  Each dispatcher checks a request's
+kind and argument count against its own table (`_split`) before anything is
+metered or drawn.  Each request records the indices it carries, so a replay
+checks them as well as kind and widths.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
 the Generator passed to each operation.  The coordinator draws the owner pick
@@ -54,8 +57,7 @@ from .sq_access import (
     sq_row,
     sq_sample,
     _check_index,
-    _norm_estimate_draws,
-    _norm_from_ratios,
+    _norm_estimate,
     _rejection_loop,
 )
 
@@ -295,10 +297,6 @@ class Session:
     # coordinator knowledge, filled by the one-time setups
     b_norms = property(lambda self: self._b.norms)
     b_sizes = property(lambda self: self._b.counts)
-    b_setup_done = property(lambda self: self._b.norms is not None)
-    a_fro_norms = property(lambda self: self._a.norms)
-    a_row_counts = property(lambda self: self._a.counts)
-    a_setup_done = property(lambda self: self._a.norms is not None)
 
     # --- transcript plumbing -------------------------------------------------
 
@@ -416,8 +414,10 @@ def assemble_stacked(session: Session):
     """Simulation-side view of the stacked (A, b); None for an absent side.
 
     Not a protocol operation: used by oracles, validators, and the output
-    stand-ins, never by coordinator logic.
+    stand-ins, never by coordinator logic.  A replay session raises
+    NoPlayerData.
     """
+    _require_player_data(session, "assemble_stacked")
     A = np.vstack([bl.data for bl in session.a_blocks]) if session.a_blocks else None
     b = np.concatenate([bl.data[:, 0] for bl in session.b_blocks]) if session.b_blocks else None
     return A, b
@@ -430,11 +430,23 @@ def _require_player_data(session: Session, what: str) -> None:
                            f"does not hold")
 
 
-def _split(request):
-    """A request as (kind, args); a bare string is a kind without arguments."""
+def _split(request, kinds: dict, what: str):
+    """A request as (kind, args), checked against `kinds` (kind -> fewest and
+    most arguments) before anything is metered or drawn; a bare string is a
+    kind without arguments."""
     if isinstance(request, str):
         request = (request,)
-    return request[0], request[1:]
+    if not isinstance(request, (tuple, list)) or not request:
+        raise ValueError(f"a {what} request is a kind string or a (kind, *args) "
+                         f"tuple, got {request!r}")
+    kind, args = request[0], tuple(request[1:])
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    lo, hi = kinds[kind]
+    if not lo <= len(args) <= hi:
+        count = lo if lo == hi else f"{lo} to {hi}"
+        raise ValueError(f"{what} kind {kind!r} takes {count} arguments, got {len(args)}")
+    return kind, args
 
 
 # --- protocol primitives ------------------------------------------------------
@@ -450,19 +462,27 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     if not side.blocks:
         raise DimensionMismatch(f"session holds no {side.noun} blocks")
     enc = session.encoding
-    resp_bits = enc.scalar_bits + enc.index_bits(side.rows)
-    norms, counts = [], []
-    for i in range(session.k):
-        payload, _ = session._exchange(
-            i, kind, "setup", enc.opcode_bits, resp_bits,
-            lambda v=side.views[i]: (v.norm, v.size),
-        )
-        norms.append(float(payload[0]))
-        counts.append(int(payload[1]))
-    side.norms, side.counts = np.asarray(norms), counts
+    values, bits = _fan_out(session, side, kind, "setup", enc.opcode_bits,
+                            enc.scalar_bits + enc.index_bits(side.rows),
+                            lambda v: (v.norm, v.size))
+    side.norms = np.asarray([float(norm) for norm, _ in values])
+    side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
     side.owner_law = _OwnerLaw(np.append(side.norms**2, side.views[PUBLIC].norm**2))
-    return session.k * (enc.opcode_bits + resp_bits)
+    return bits
+
+
+def _fan_out(session: Session, side: _Side, kind: str, phase: str, req_bits: int,
+             resp_bits: int, read, args=()):
+    """Ask each of the k players for `read(view)` of its view on `side`, empty
+    holdings included; returns (values, bits)."""
+    values, bits = [], 0
+    for t in range(session.k):
+        value, cost = session._exchange(t, kind, phase, req_bits, resp_bits,
+                                        lambda v=side.views[t]: read(v), args)
+        values.append(value)
+        bits += cost
+    return values, bits
 
 
 class _Coin:
@@ -580,13 +600,18 @@ def coord_b_query(session: Session, j: int):
     return _owner_query(session, session._b, "b_query", j, lambda row: row[0].item())
 
 
+# request kind -> (fewest, most) arguments, one table per dispatcher
+_MATRIX_KINDS = {"frobenius_query": (0, 0), "row_norm_sample": (0, 0), "row_sample": (1, 1),
+                 "entry_query": (2, 2), "row_norm_query": (1, 1)}
+
+
 def coord_a_access(session: Session, request, rng: np.random.Generator | None = None):
     """Serve one matrix access; returns (result, bits).
 
     Request kinds: "row_norm_sample", ("row_sample", i), ("entry_query", i, j),
     "frobenius_query", ("row_norm_query", i).
     """
-    kind, args = _split(request)
+    kind, args = _split(request, _MATRIX_KINDS, "matrix access")
     side = session._a
     enc = session.encoding
 
@@ -599,27 +624,26 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
         return _stacked_sample(session, side, "a_row_norm_sample", rng)
 
     if kind == "row_sample":
-        (i,) = args
-        owner, local = side.locate(i)
+        owner, local = side.locate(args[0])
         _, j, bits = _owner_draw(session, side, "a_row_sample", rng,
                                  enc.opcode_bits + enc.index_bits(session.a_rows),
-                                 enc.index_bits(session.n), owner=owner, row=local, args=(i,))
+                                 enc.index_bits(session.n), owner=owner, row=local, args=args)
         return j, bits
 
     if kind == "entry_query":
-        i, j = args
-        return _owner_query(session, side, "a_entry_query", i, lambda row: row[j].item(),
-                            column=j)
+        return _owner_query(session, side, "a_entry_query", args[0],
+                            lambda row: row[args[1]].item(), column=args[1])
 
-    if kind == "row_norm_query":
-        (i,) = args
-        return _owner_query(session, side, "a_row_norm_query", i,
-                            lambda row: float(np.linalg.norm(row)))
-
-    raise ValueError(f"unknown matrix access kind: {kind!r}")
+    return _owner_query(session, side, "a_row_norm_query", args[0],
+                        lambda row: float(np.linalg.norm(row)))
 
 
 # --- exact law enumeration ----------------------------------------------------
+
+_LAW_KINDS = {"b_sample": (0, 0), "row_norm_sample": (0, 0), "row_sample": (1, 1),
+              "lincomb_b_dominator": (1, 1), "lincomb_A_row_norm": (1, 1),
+              "lincomb_A_row": (2, 2)}
+
 
 def protocol_distribution(session: Session, access) -> np.ndarray:
     """Exact induced law of a sampling access, by branch enumeration.
@@ -629,7 +653,7 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
     is a verification aid and reads block data directly.
     """
     _require_player_data(session, "protocol_distribution")
-    kind, args = _split(access)
+    kind, args = _split(access, _LAW_KINDS, "access")
 
     if kind in ("b_sample", "row_norm_sample"):
         side = session._b if kind == "b_sample" else session._a
@@ -638,20 +662,12 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
                             f"stacked {side.noun} is identically zero", stacked=True)
 
     if kind == "row_sample":
-        (i,) = args
-        owner, local = session._a.locate(i)
+        owner, local = session._a.locate(args[0])
         return exact_distribution(session._a.views[owner].sample_law(local))
 
-    if kind in ("lincomb_b_dominator", "lincomb_A_row_norm"):
-        side = session._b if kind == "lincomb_b_dominator" else session._a
-        (coeffs,) = args
-        return _Combination(session, side, coeffs).law()
-
-    if kind == "lincomb_A_row":
-        lambdas, i = args
-        return _Combination(session, session._a, lambdas).law(i)
-
-    raise ValueError(f"unknown access kind: {kind!r}")
+    # a combination's dominator law: the row-norm law, or that of a row's columns
+    side = session._b if kind == "lincomb_b_dominator" else session._a
+    return _Combination(session, side, args[0]).law(*args[1:])
 
 
 # --- linear-combination access -------------------------------------------------
@@ -720,26 +736,15 @@ class _Combination:
     def check_row(self, i) -> None:
         _check_index(i, self.rows, "row")
 
-    def _fan_out(self, kind: str, req_bits: int, read, args):
-        """Ask all k players for one scalar of their share; returns (values, bits)."""
-        values, bits = [], 0
-        for t in range(self.session.k):
-            value, cost = self.session._exchange(
-                t, kind, "access", req_bits, self.session.encoding.scalar_bits,
-                lambda v=self.side.views[t]: read(v.data), args,
-            )
-            values.append(value)
-            bits += cost
-        return values, bits
-
-    def entry(self, i, j):
+    def entry(self, i, j=0):
         """Fan out entry (i, j) to all k players, zero coefficients included;
         returns (combined entry, squared dominator entry, bits)."""
         self.check_row(i)
         _check_index(j, self.cols, "column")
-        values, bits = self._fan_out(f"lincomb_{self.side.name}_query",
-                                     self.row_req + self.session.encoding.index_bits(self.cols),
-                                     lambda d: d[i, j].item(), (i, j))
+        enc = self.session.encoding
+        values, bits = _fan_out(self.session, self.side, f"lincomb_{self.side.name}_query",
+                                "access", self.row_req + enc.index_bits(self.cols),
+                                enc.scalar_bits, lambda v: v.data[i, j].item(), (i, j))
         terms = list(zip(self.coeffs, values))
         return (sum(c * v for c, v in terms),
                 self.session.k * sum(abs(c * v) ** 2 for c, v in terms), bits)
@@ -747,8 +752,9 @@ class _Combination:
     def row_norms(self, i):
         """Fan out the norms of row i of every share; returns (norms, bits)."""
         self.check_row(i)
-        return self._fan_out("lincomb_a_row_norm", self.row_req,
-                             lambda d: float(np.linalg.norm(d[i])), (i,))
+        return _fan_out(self.session, self.side, "lincomb_a_row_norm", "access", self.row_req,
+                        self.session.encoding.scalar_bits,
+                        lambda v: float(np.linalg.norm(v.data[i])), (i,))
 
     def draw(self, rng, law: _OwnerLaw | None = None, row=None):
         """One dominator draw; returns (index, bits).  Without `row`, a row
@@ -786,6 +792,60 @@ def lincomb_a_phi(session: Session, lambdas) -> float:
     return _Combination(session, session._a, lambdas).phi()
 
 
+# request kind -> (fewest, most) arguments on each side; a vector request
+# names an entry by j alone
+_COMBINATION_KINDS = {
+    "b": {"query": (1, 1), "dominator_query": (1, 1), "dominator_norm": (0, 0),
+          "dominator_sample": (0, 0), "sq_sample_via_rejection": (0, 1),
+          "norm_estimate": (2, 2)},
+    "a": {"query": (2, 2), "dominator_query": (2, 2), "dominator_fro_norm": (0, 0),
+          "dominator_row_norm_query": (1, 1), "dominator_row_norm_sample": (0, 0),
+          "dominator_row_sample": (1, 1), "sq_row_sample_via_rejection": (1, 2)},
+}
+
+
+def _combination_access(session: Session, side: _Side, coeffs, request, rng):
+    """Serve one access against the combination of `side`'s shares; returns
+    (result, bits).  The vector side's kinds are the matrix side's on one
+    column: "dominator_norm" is "dominator_fro_norm", "dominator_sample" is
+    "dominator_row_norm_sample"."""
+    kind, args = _split(request, _COMBINATION_KINDS[side.name], "combination access")
+    side.require_setup()
+    comb = _Combination(session, side, coeffs)
+
+    if kind in ("query", "dominator_query"):
+        combined, dom_sq, bits = comb.entry(*args)
+        return (combined if kind == "query" else math.sqrt(dom_sq)), bits
+
+    if kind in ("dominator_norm", "dominator_fro_norm"):
+        return comb.dominator_norm(), 0
+
+    if kind == "dominator_row_norm_query":
+        norms, bits = comb.row_norms(*args)
+        return math.sqrt(session.k * sum(abs(c) ** 2 * r**2
+                                         for c, r in zip(comb.coeffs, norms))), bits
+
+    if kind == "dominator_row_sample":
+        return comb.draw(rng, row=args[0])
+
+    if kind == "sq_row_sample_via_rejection":
+        # a column of row i: the law is fanned out per round
+        row, args, law = args[0], args[1:], None
+        comb.check_row(row)
+    else:
+        # every other kind draws dominator rows: one row-norm law per request
+        row, law = None, _OwnerLaw(comb.weights())
+        if kind in ("dominator_sample", "dominator_row_norm_sample"):
+            return comb.draw(rng, law)
+
+    one_round = functools.partial(comb.rejection_round, rng, law, row)
+    phi = functools.partial(session._annotate, "phi_b" if row is None else "phi_row",
+                            functools.partial(comb.phi, row))
+    if kind == "norm_estimate":
+        return _norm_estimate(one_round, comb.dominator_norm(), phi, *args)
+    return _rejection_loop(one_round, phi, args[0] if args else DEFAULT_REJECTION_DELTA, rng)
+
+
 def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | None = None):
     """Serve one access against b = sum_i mu_i b^(i); returns (result, bits).
 
@@ -794,43 +854,7 @@ def lincomb_b_access(session: Session, mu, request, rng: np.random.Generator | N
     ("norm_estimate", eps, delta).  Queries fan out to all k players; samples
     go through the dominating vector with entries sqrt(k sum_i |mu_i b_j^(i)|^2).
     """
-    kind, args = _split(request)
-    session._b.require_setup()
-    comb = _Combination(session, session._b, mu)
-
-    if kind in ("query", "dominator_query"):
-        (j,) = args
-        combined, dom_sq, bits = comb.entry(j, 0)
-        return (combined if kind == "query" else math.sqrt(dom_sq)), bits
-
-    if kind == "dominator_norm":
-        return comb.dominator_norm(), 0
-
-    # every kind below samples the dominator: one row-norm law per request
-    law = _OwnerLaw(comb.weights())
-    phi = functools.partial(session._annotate, "phi_b",
-                            lambda: lincomb_b_phi(session, comb.coeffs))
-
-    if kind == "dominator_sample":
-        return comb.draw(rng, law)
-
-    if kind == "sq_sample_via_rejection":
-        delta = args[0] if args else DEFAULT_REJECTION_DELTA
-        return _rejection_loop(lambda: comb.rejection_round(rng, law), phi, delta, rng)
-
-    if kind == "norm_estimate":
-        eps, delta = args
-        n_draws = _norm_estimate_draws(eps, delta, phi)
-        bits = 0
-        total_ratio = 0.0
-        for _ in range(n_draws):
-            _, ratio, cost = comb.rejection_round(rng, law)
-            bits += cost
-            if ratio is not None:
-                total_ratio += ratio
-        return _norm_from_ratios(comb.dominator_norm(), total_ratio / n_draws), bits
-
-    raise ValueError(f"unknown combination access kind: {kind!r}")
+    return _combination_access(session, session._b, mu, request, rng)
 
 
 def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generator | None = None):
@@ -841,39 +865,7 @@ def lincomb_a_access(session: Session, lambdas, request, rng: np.random.Generato
     "dominator_row_norm_sample", ("dominator_row_sample", i),
     ("sq_row_sample_via_rejection", i[, delta]).
     """
-    kind, args = _split(request)
-    session._a.require_setup()
-    comb = _Combination(session, session._a, lambdas)
-
-    if kind in ("query", "dominator_query"):
-        i, j = args
-        combined, dom_sq, bits = comb.entry(i, j)
-        return (combined if kind == "query" else math.sqrt(dom_sq)), bits
-
-    if kind == "dominator_fro_norm":
-        return comb.dominator_norm(), 0
-
-    if kind == "dominator_row_norm_sample":
-        return comb.draw(rng, _OwnerLaw(comb.weights()))
-
-    if kind == "dominator_row_norm_query":
-        (i,) = args
-        norms, bits = comb.row_norms(i)
-        return math.sqrt(session.k * sum(abs(c) ** 2 * r**2
-                                         for c, r in zip(comb.coeffs, norms))), bits
-
-    if kind == "dominator_row_sample":
-        (i,) = args
-        return comb.draw(rng, row=i)
-
-    if kind == "sq_row_sample_via_rejection":
-        i = args[0]
-        comb.check_row(i)
-        delta = args[1] if len(args) > 1 else DEFAULT_REJECTION_DELTA
-        phi = functools.partial(session._annotate, "phi_row", lambda: comb.phi(row=i))
-        return _rejection_loop(lambda: comb.rejection_round(rng, row=i), phi, delta, rng)
-
-    raise ValueError(f"unknown combination access kind: {kind!r}")
+    return _combination_access(session, session._a, lambdas, request, rng)
 
 
 # --- reporting -----------------------------------------------------------------

@@ -5,7 +5,8 @@ l2 norm, and draw an index i with probability |v_i|^2 / ||v||^2.  A matrix handl
 is one 2-D table (entries, squared magnitudes, per-row cumulative sums) plus an
 SQ handle on the vector of row norms; a row handle is a view into that table.
 An oversampled handle relaxes sampling to a dominating vector and recovers the
-true law by rejection; the one rejection loop here also serves comm_sim's
+true law by rejection, or the target's norm from the mean acceptance ratio; the
+one rejection loop and the one norm estimator here also serve comm_sim's
 linear-combination access.
 
 Complex entries are supported throughout; real input stays real.  All handles
@@ -244,14 +245,6 @@ class RejectionSample:
     index: int
     rounds: int
 
-    @property
-    def dominator_samples(self) -> int:
-        return self.rounds
-
-    @property
-    def target_queries(self) -> int:
-        return self.rounds
-
 
 def _check_delta(delta: float) -> None:
     if not 0 < delta < 1:
@@ -279,6 +272,41 @@ def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
     raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g}, delta={delta:g})")
 
 
+def _norm_estimate(one_round, dom_norm: float, get_phi, eps: float, delta: float):
+    """The one norm estimator behind every oversampled access: ||target||
+    within relative eps, failure probability <= delta.
+
+    one_round and get_phi are as in `_rejection_loop`; get_phi() is called
+    once eps and delta are known to be valid.  Returns (dom_norm times the
+    square root of the mean ratio over ceil(4 phi eps^-2 ln(1/delta)) rounds,
+    bits).  The ratios lie in [0, 1] with mean 1/phi, so a Bernstein bound
+    gives that failure probability.
+    """
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    _check_delta(delta)
+    n_draws = max(1, int(math.ceil(4.0 * get_phi() * math.log(1.0 / delta) / eps**2)))
+    total, bits = 0.0, 0
+    for _ in range(n_draws):
+        _, ratio, cost = one_round()
+        bits += cost
+        if ratio is not None:
+            total += ratio
+    return float(dom_norm * math.sqrt(total / n_draws)), bits
+
+
+def _dominator_round(ov: OversampleAccess, rng: np.random.Generator):
+    """one_round for `ov`: a draw j from the dominator and |target_j|^2 /
+    |dom_j|^2, at no bits."""
+    t_w = np.abs(ov.target) ** 2
+
+    def one_round():
+        j = sq_sample(ov.dominator, rng)
+        return j, t_w[j] / ov.dominator.weights[j], 0
+
+    return one_round
+
+
 def rejection_sample(ov: OversampleAccess, delta: float, rng: np.random.Generator) -> RejectionSample:
     """Sample an index under the target's l2 law via the dominator.
 
@@ -286,39 +314,11 @@ def rejection_sample(ov: OversampleAccess, delta: float, rng: np.random.Generato
     conditioned on acceptance the index follows the target law. Raises Timeout
     after the round cap (probability <= delta).
     """
-    t_w = np.abs(ov.target) ** 2
-
-    def one_round():
-        j = sq_sample(ov.dominator, rng)
-        return j, t_w[j] / ov.dominator.weights[j], 0
-
-    return _rejection_loop(one_round, lambda: ov.phi, delta, rng)[0]
-
-
-def _norm_estimate_draws(eps: float, delta: float, get_phi) -> int:
-    """ceil(4 phi eps^-2 ln(1/delta)) dominator draws for a norm estimate
-    within relative eps, failure probability <= delta.  The ratios lie in
-    [0, 1] with mean 1/phi, so a Bernstein bound gives that failure
-    probability.  get_phi() is called once eps and delta are known to be valid."""
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    _check_delta(delta)
-    return max(1, int(math.ceil(4.0 * get_phi() * math.log(1.0 / delta) / eps**2)))
-
-
-def _norm_from_ratios(dom_norm: float, mean_ratio: float) -> float:
-    """||target|| = ||dom|| * sqrt(E|target_j|^2/|dom_j|^2), j under the dominator law."""
-    return float(dom_norm * math.sqrt(max(mean_ratio, 0.0)))
+    return _rejection_loop(_dominator_round(ov, rng), lambda: ov.phi, delta, rng)[0]
 
 
 def estimate_norm(ov: OversampleAccess, eps: float, delta: float, rng: np.random.Generator) -> float:
-    """Estimate ||target|| within relative eps, failure probability <= delta.
-
-    Returns dominator norm times the square root of the empirical mean of
-    |target_j|^2/|dom_j|^2 over ceil(4 phi eps^-2 ln(1/delta)) dominator draws.
-    """
-    n_draws = _norm_estimate_draws(eps, delta, lambda: ov.phi)
-    js = sq_sample_many(ov.dominator, n_draws, rng)
-    t_w = np.abs(ov.target) ** 2
-    ratios = t_w[js] / ov.dominator.weights[js]
-    return _norm_from_ratios(ov.dominator.norm, ratios.mean())
+    """Estimate ||target|| within relative eps, failure probability <= delta,
+    from ceil(4 phi eps^-2 ln(1/delta)) dominator draws."""
+    return _norm_estimate(_dominator_round(ov, rng), ov.dominator.norm, lambda: ov.phi,
+                          eps, delta)[0]

@@ -429,10 +429,10 @@ def test_replay_reproduces_transcript():
     total = live.meter.total_bits
 
     clone = make_replay_session(live)
-    A, b = assemble_stacked(clone)
-    np.testing.assert_allclose(b, [0.0, 0.0, 3.0, 0.0, 0.0, 0.0])  # public survives
-    assert np.all(A[[0, 1, 3, 4, 5]] == 0.0) and np.all(A[2] == [0.0, 3.0, 0.0])
-
+    with pytest.raises(NoPlayerData, match="replay session"):
+        assemble_stacked(clone)
+    # the public blocks survive: the query of public b entry 2 and the
+    # Frobenius norm (public A row 2 included) come out as they did live
     got = _scripted_run(clone, seed=40)
     assert got == want
     assert clone.meter.total_bits == total
@@ -655,6 +655,78 @@ def test_one_index_rule_for_every_request():
             == lincomb_a_access(s, mu, ("query", 0, 2)))
     np.testing.assert_array_equal(protocol_distribution(s, ("lincomb_A_row", mu, np.int64(1))),
                                   protocol_distribution(s, ("lincomb_A_row", mu, 1)))
+
+
+_MU = [1.0, -0.5, 2.0]
+
+# the four request dispatchers, and for each kind its arguments at their most
+# and the fewest it takes
+_DISPATCHERS = {
+    "coord_a_access": lambda s, request, rng: coord_a_access(s, request, rng),
+    "protocol_distribution": lambda s, request, rng: protocol_distribution(s, request),
+    "lincomb_b_access": lambda s, request, rng: lincomb_b_access(s, _MU, request, rng),
+    "lincomb_a_access": lambda s, request, rng: lincomb_a_access(s, _MU, request, rng),
+}
+_REQUEST_KINDS = [
+    ("coord_a_access", "frobenius_query", (), 0),
+    ("coord_a_access", "row_norm_sample", (), 0),
+    ("coord_a_access", "row_sample", (0,), 1),
+    ("coord_a_access", "entry_query", (0, 1), 2),
+    ("coord_a_access", "row_norm_query", (0,), 1),
+    ("protocol_distribution", "b_sample", (), 0),
+    ("protocol_distribution", "row_norm_sample", (), 0),
+    ("protocol_distribution", "row_sample", (0,), 1),
+    ("protocol_distribution", "lincomb_b_dominator", (_MU,), 1),
+    ("protocol_distribution", "lincomb_A_row_norm", (_MU,), 1),
+    ("protocol_distribution", "lincomb_A_row", (_MU, 0), 2),
+    ("lincomb_b_access", "query", (0,), 1),
+    ("lincomb_b_access", "dominator_query", (0,), 1),
+    ("lincomb_b_access", "dominator_norm", (), 0),
+    ("lincomb_b_access", "dominator_sample", (), 0),
+    ("lincomb_b_access", "sq_sample_via_rejection", (0.5,), 0),
+    ("lincomb_b_access", "norm_estimate", (0.5, 0.1), 2),
+    ("lincomb_a_access", "query", (0, 1), 2),
+    ("lincomb_a_access", "dominator_query", (0, 1), 2),
+    ("lincomb_a_access", "dominator_fro_norm", (), 0),
+    ("lincomb_a_access", "dominator_row_norm_query", (0,), 1),
+    ("lincomb_a_access", "dominator_row_norm_sample", (), 0),
+    ("lincomb_a_access", "dominator_row_sample", (0,), 1),
+    ("lincomb_a_access", "sq_row_sample_via_rejection", (0, 0.5), 1),
+]
+
+
+@pytest.mark.parametrize("dispatcher,kind,args,fewest", _REQUEST_KINDS)
+def test_request_shape_is_checked_first(dispatcher, kind, args, fewest):
+    # a request with one argument too many or too few, an empty tuple and
+    # None are refused with a ValueError before anything is metered or drawn
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    serve = _DISPATCHERS[dispatcher]
+    serve(s, (kind, *args), np.random.default_rng(1))   # well formed: served
+    rng = np.random.default_rng(0)
+    entries, state = len(s.meter.entries), rng.bit_generator.state
+    wrong_count = [(kind, *args, 9)] + ([(kind, *args[:fewest - 1])] if fewest else [])
+    for request in wrong_count:
+        with pytest.raises(ValueError, match=f"kind '{kind}' takes"):
+            serve(s, request, rng)
+    for request in ((), None):
+        with pytest.raises(ValueError, match="request is a kind string"):
+            serve(s, request, rng)
+    assert len(s.meter.entries) == entries
+    assert rng.bit_generator.state == state
+
+
+def test_replay_session_refuses_assemble_stacked():
+    # a clone holds no private block, so the stacked (A, b) is not served from it
+    live = open_session([([[1.0, 2.0]], [3.0]), ([[4.0, 5.0]], [6.0])])
+    coord_b_setup(live)
+    clone = make_replay_session(live)
+    with pytest.raises(NoPlayerData, match="assemble_stacked reads player data"):
+        assemble_stacked(clone)
+    A, b = assemble_stacked(live)
+    np.testing.assert_array_equal(A, [[1.0, 2.0], [4.0, 5.0]])
+    np.testing.assert_array_equal(b, [3.0, 6.0])
 
 
 def test_failed_player_response_replays():

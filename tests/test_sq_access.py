@@ -262,6 +262,22 @@ def test_estimate_norm():
         estimate_norm(ov, 0.1, 2.0, np.random.default_rng(34))
 
 
+def test_estimate_norm_matches_the_vectorised_mean():
+    # one dominator round at a time draws the indices one vectorised draw
+    # gives; only the order of the ratio sum differs, so n * 2.2e-16 bounds
+    # the relative gap
+    ov = build_oversample([1.0, 0.5, 0.0, 2.0], [1.5, 1.0, 0.5, 2.0])
+    for eps, seed in ((0.3, 1), (0.1, 2)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        est = estimate_norm(ov, eps, 1e-2, rng)
+        n = math.ceil(4.0 * ov.phi * math.log(1e2) / eps**2)
+        js = sq_sample_many(ov.dominator, n, ref_rng)
+        ratios = np.abs(ov.target[js]) ** 2 / ov.dominator.weights[js]
+        assert est == pytest.approx(ov.dominator.norm * math.sqrt(ratios.mean()),
+                                    rel=n * 2.2e-16)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_squared_magnitudes_are_rejected():
     # every entry is finite, but |v_i|^2 or their total is not
