@@ -3,7 +3,8 @@ distributed matrices and vectors, with exact communication-bit accounting.
 
 Layers, bottom up:
 
-* ``sq_access``     - centralized SQ primitives and oversampled (rejection) access
+* ``sq_access``     - centralized SQ primitives, the one rejection loop and the
+                      one norm estimator behind oversampled access
 * ``linalg_oracle`` - exact linear-algebra reference routines
 * ``comm_sim``      - coordinator/player protocol simulation with a metered,
                       replayable transcript
@@ -17,19 +18,14 @@ Layers, bottom up:
 from .sq_access import (
     AllZero,
     IndexOutOfRange,
-    OversampleAccess,
     RejectionSample,
     SqMatrix,
     SqVector,
     Timeout,
-    build_oversample,
     build_sq_matrix,
     build_sq_vector,
-    estimate_norm,
     exact_distribution,
     rejection_round_cap,
-    rejection_sample,
-    sq_norm,
     sq_query,
     sq_row,
     sq_sample,
@@ -74,8 +70,6 @@ from .comm_sim import (
     coord_b_query,
     coord_b_sample,
     coord_b_setup,
-    export_summary_csv,
-    export_transcript_jsonl,
     lincomb_a_access,
     lincomb_a_phi,
     lincomb_b_access,

@@ -6,7 +6,7 @@ coordinator talks to each player over a two-way channel and serves SQ requests
 against the stacked data.  Blocks may also be public (known to the coordinator,
 charged zero bits) or owned by any single player regardless of stack position.
 Every message is charged per an EncodingSpec, and the full transcript is kept
-for reporting, export, and replay.
+for reporting and replay.
 
 Two access families share a session:
 
@@ -39,9 +39,7 @@ every coordinator decision bit for bit.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from bisect import bisect_right
 from collections import Counter, deque
@@ -899,29 +897,3 @@ def meter_report(session: Session) -> MeterReport:
         bits_by_phase=dict(sorted(by_phase.items())),
         messages_by_kind=dict(sorted(count_kind.items())),
     )
-
-
-def export_transcript_jsonl(session: Session, path) -> None:
-    """Write one JSON object per message: round, from, to, kind, bits."""
-    with open(path, "w") as fh:
-        for msg in session.meter.messages:
-            fh.write(json.dumps(
-                {"round": msg.round, "from": msg.sender, "to": msg.receiver,
-                 "kind": msg.kind, "bits": msg.bits},
-                sort_keys=True,
-            ))
-            fh.write("\n")
-
-
-def export_summary_csv(session: Session, path) -> None:
-    """Write per-kind totals: kind, phase, messages, bits (sorted, stable)."""
-    rows: dict = {}
-    for msg in session.meter.messages:
-        key = (msg.kind, msg.phase)
-        msgs, bits = rows.get(key, (0, 0))
-        rows[key] = (msgs + 1, bits + msg.bits)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "phase", "messages", "bits"])
-        for (kind, phase), (msgs, bits) in sorted(rows.items()):
-            writer.writerow([kind, phase, msgs, bits])

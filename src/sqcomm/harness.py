@@ -82,6 +82,8 @@ def tv_distance(p, q) -> float:
     if p.shape != q.shape or p.ndim != 1:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
     for name, arr in (("p", p), ("q", q)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} sums to {arr.sum()!r}, not 1")
     return 0.5 * float(np.abs(p - q).sum())
@@ -102,6 +104,8 @@ def chi_square(counts, probs, significance: float = 0.001) -> ChiSquareResult:
     itself stays small it is merged into the smallest regular bucket.  With a
     single retained bucket the statistic is 0 and the test passes trivially.
     """
+    if not 0 < significance < 1:
+        raise ValueError(f"significance {significance!r} must lie in (0, 1)")
     counts = np.asarray(counts, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if counts.shape != probs.shape or counts.ndim != 1:
@@ -388,6 +392,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _worst(*values) -> float:
+    """The largest residual as a Python float, nan if any is nan: Python's
+    max keeps a nan only in first place (max(0.0, nan) is 0.0), which would
+    let a nan residual read PASS."""
+    return math.nan if any(math.isnan(v) for v in values) else float(max(values))
+
+
 # --- experiment: protocol exactness (stacked access laws) ---------------------------
 
 def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int,
@@ -425,12 +436,12 @@ def _exactness_deviation(session: Session, rng) -> float:
     row_sq = np.abs(A) ** 2
     row_mass = row_sq.sum(axis=1)
     law = protocol_distribution(session, "row_norm_sample")
-    worst = max(worst, float(np.abs(law - row_mass / row_mass.sum()).max()))
+    worst = _worst(worst, float(np.abs(law - row_mass / row_mass.sum()).max()))
     nonzero_rows = np.flatnonzero(row_mass > 0)
     picks = rng.choice(nonzero_rows, size=min(3, nonzero_rows.size), replace=False)
     for i in picks:
         law = protocol_distribution(session, ("row_sample", int(i)))
-        worst = max(worst, float(np.abs(law - row_sq[i] / row_mass[i]).max()))
+        worst = _worst(worst, float(np.abs(law - row_sq[i] / row_mass[i]).max()))
     return worst
 
 
@@ -447,7 +458,7 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
         session = _random_partitioned_session(rng, max_k, max_rows, max_cols,
                                               config.encoding)
         dev = _exactness_deviation(session, rng)
-        worst = max(worst, dev)
+        worst = _worst(worst, dev)
         per_trial.append({"trial": t, "deviation": dev})
     checks = [CheckResult(
         name="stacked_laws_match_centralized",
@@ -636,9 +647,9 @@ def run_oversampling(config: ExperimentConfig) -> Report:
         lhs = float(dominator @ dominator)
         rhs = phi * float(combined @ combined)
         scale = max(lhs, 1.0)
-        worst_norm_identity = max(worst_norm_identity, abs(lhs - rhs) / scale)
+        worst_norm_identity = _worst(worst_norm_identity, abs(lhs - rhs) / scale)
         slack = float((np.abs(combined) - dominator).max())
-        worst_domination = max(worst_domination, slack)
+        worst_domination = _worst(worst_domination, slack)
 
         # enumerated rejection law: dominator law times acceptance ratios
         dom_law = protocol_distribution(session, ("lincomb_b_dominator", mu))
@@ -648,7 +659,7 @@ def run_oversampling(config: ExperimentConfig) -> Report:
         accept_law = dom_law * ratios
         accept_law = accept_law / accept_law.sum()
         target = exact_distribution(build_sq_vector(combined))
-        worst_law = max(worst_law, float(np.abs(accept_law - target).max()))
+        worst_law = _worst(worst_law, float(np.abs(accept_law - target).max()))
 
         row = {"trial": t, "k": k, "phi": phi}
         if phi <= _PHI_CAP:
@@ -717,7 +728,7 @@ def run_sparse_regression(config: ExperimentConfig) -> Report:
             inst, beta_a=float(rng.uniform(0.5, 2.0)), beta_b=float(rng.uniform(0.5, 2.0)))
         A, b = assemble_stacked(build.session)
         dev = float(np.abs(pinv_solve(A, b) - build.x_star).max())
-        worst_closed_form = max(worst_closed_form, dev)
+        worst_closed_form = _worst(worst_closed_form, dev)
 
     correct = 0
     per_trial = []
@@ -775,8 +786,8 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
     for pair in pairs():
         build = reductions.build_regression_dense(pair)
         law = reductions.dense_solution_law(build)
-        worst_law = max(worst_law, float(np.abs(law - build.target_law).max()))
-        worst_tv = max(worst_tv, tv_distance(law, build.target_law))
+        worst_law = _worst(worst_law, float(np.abs(law - build.target_law).max()))
+        worst_tv = _worst(worst_tv, tv_distance(law, build.target_law))
         count += 1
 
     worst_kf = 0.0
@@ -784,8 +795,8 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
     for n in range(1, params_max_n + 1):
         build = reductions.build_regression_dense(reductions.gen_function_pair(n, rng))
         pr = params(build.matrix, build.rhs)
-        worst_kf = max(worst_kf, abs(pr.kappa_F**2 - 2**n))
-        worst_kappa = max(worst_kappa, abs(pr.kappa - 1.0))
+        worst_kf = _worst(worst_kf, abs(pr.kappa_F**2 - 2**n))
+        worst_kappa = _worst(worst_kappa, abs(pr.kappa - 1.0))
 
     checks = [
         CheckResult(
@@ -823,9 +834,9 @@ def run_clustering(config: ExperimentConfig) -> Report:
         sign = int(rng.choice((1, -1)))
         inst = reductions.gen_gap_hamming(k, d, sign, rng)
         build = reductions.build_clustering(inst)
-        worst_dist = max(worst_dist, abs(build.bta_sq - build.distance_sq))
-        worst_fro = max(worst_fro, abs(build.fro_sq - 2.0))
-        worst_b = max(worst_b, abs(build.b_sq - 2.0 * build.alpha**2 * d))
+        worst_dist = _worst(worst_dist, abs(build.bta_sq - build.distance_sq))
+        worst_fro = _worst(worst_fro, abs(build.fro_sq - 2.0))
+        worst_b = _worst(worst_b, abs(build.b_sq - 2.0 * build.alpha**2 * d))
         decision = reductions.decide_clustering(build)
         correct += decision == sign
         per_trial.append({"trial": t, "k": k, "d": d, "sign": sign,
@@ -874,7 +885,7 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
         pca = reductions.build_pca(a_bits, b_bits)
         ts = top_singular(pca.matrix)
         expected_sigma = math.sqrt(2.0) if truth else 1.0
-        worst_sigma = max(worst_sigma, abs(ts.sigma - expected_sigma))
+        worst_sigma = _worst(worst_sigma, abs(ts.sigma - expected_sigma))
         hit, idx = reductions.decide_pca(pca, rng, mode="sample")
         pca_correct += hit == truth
         if truth and hit:
@@ -927,7 +938,7 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
     sweeps = [(n, reductions.all_sign_vectors(n)) for n in range(1, exhaustive_max_n + 1)]
     sweeps += [(n, rng.choice((-1.0, 1.0), size=(config.trials, 2**n))) for n in random_ns]
     errors = [reductions.hamiltonian_identity_errors_batch(n, fs) for n, fs in sweeps]
-    worst_identity = max(float(e.max()) for e in errors)
+    worst_identity = _worst(*(e.max() for e in errors))
     checked = sum(e.size for e in errors)
 
     worst_op_norm = 0.0
@@ -936,12 +947,12 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
     for n in range(1, 9):
         build = reductions.build_hamiltonian(reductions.gen_function_pair(n, rng))
         sigma = float(np.linalg.norm(build.hamiltonian, 2))
-        worst_op_norm = max(worst_op_norm, abs(sigma - 1.0))
+        worst_op_norm = _worst(worst_op_norm, abs(sigma - 1.0))
         fro_sq = float(np.linalg.norm(build.hamiltonian) ** 2)
         expected_fro = 2.0 ** (n - 2) * (n + 1) / n
-        worst_fro = max(worst_fro, abs(fro_sq - expected_fro))
+        worst_fro = _worst(worst_fro, abs(fro_sq - expected_fro))
         law = reductions.hamiltonian_evolved_law(build)
-        worst_law = max(worst_law, float(np.abs(law - build.target_law).max()))
+        worst_law = _worst(worst_law, float(np.abs(law - build.target_law).max()))
 
     checks = [
         CheckResult(
@@ -978,7 +989,7 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
         if rng.random() < 0.3:
             A[:, -1] = A[:, 0]              # force rank deficiency sometimes
         X = pseudoinverse(A)
-        worst = max(
+        worst = _worst(
             worst,
             float(np.abs(A @ X @ A - A).max()),
             float(np.abs(X @ A @ X - X).max()),
@@ -997,7 +1008,7 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
         dense = reductions.hadamard_matrix(n)
         for _ in range(5):
             v = rng.normal(size=size)
-            worst = max(worst, float(np.abs(hadamard_apply(n, v) - dense @ v).max()))
+            worst = _worst(worst, float(np.abs(hadamard_apply(n, v) - dense @ v).max()))
     checks.append(CheckResult(
         name="fast_transform_matches_dense",
         passed=bool(worst <= 1e-10),
@@ -1012,10 +1023,10 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
         H = (M + M.conj().T) / 2
         t = float(rng.uniform(0.1, 5.0))
         U = expm_hermitian(H, t)
-        worst_unitary = max(worst_unitary,
-                            float(np.abs(U @ U.conj().T - np.eye(size)).max()))
-        worst_inverse = max(worst_inverse,
-                            float(np.abs(expm_hermitian(H, -t) @ U - np.eye(size)).max()))
+        worst_unitary = _worst(worst_unitary,
+                               float(np.abs(U @ U.conj().T - np.eye(size)).max()))
+        worst_inverse = _worst(worst_inverse,
+                               float(np.abs(expm_hermitian(H, -t) @ U - np.eye(size)).max()))
     checks.append(CheckResult(
         name="evolution_unitary_and_invertible",
         passed=bool(worst_unitary <= 1e-10 and worst_inverse <= 1e-10),

@@ -541,6 +541,8 @@ def decide_pca(build: PcaBuild, rng: np.random.Generator | None = None,
     it against both bit strings (needs rng).
     Returns (intersects, index), where index is the sampled or argmax support.
     """
+    if mode == "sample" and not isinstance(rng, np.random.Generator):
+        raise ValueError("decide_pca mode 'sample' needs a numpy Generator")
     ts = top_singular(build.matrix)
     if mode == "sigma":
         hit = ts.sigma >= math.sqrt(2) - 0.1

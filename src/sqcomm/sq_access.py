@@ -4,10 +4,11 @@ An SQ handle on a vector v supports three operations: query an entry, query the
 l2 norm, and draw an index i with probability |v_i|^2 / ||v||^2.  A matrix handle
 is one 2-D table (entries, squared magnitudes, per-row cumulative sums) plus an
 SQ handle on the vector of row norms; a row handle is a view into that table.
-An oversampled handle relaxes sampling to a dominating vector and recovers the
-true law by rejection, or the target's norm from the mean acceptance ratio; the
-one rejection loop and the one norm estimator here also serve comm_sim's
-linear-combination access.
+
+Oversampled access draws from a dominating vector instead: the one rejection
+loop here recovers the target's law from those draws, and the one norm
+estimator the target's norm from the mean acceptance ratio.  comm_sim's
+linear-combination access feeds both one dominator round at a time.
 
 Complex entries are supported throughout; real input stays real.  All handles
 are immutable after construction and hold no RNG state: every sampling operation
@@ -94,10 +95,6 @@ def sq_query(v: SqVector, i: int):
     """Entry query. 0-based; no negative indexing."""
     _check_index(i, v.n)
     return v.values[i].item()
-
-
-def sq_norm(v: SqVector) -> float:
-    return v.norm
 
 
 def _last_nonzero(weights: np.ndarray) -> int:
@@ -193,43 +190,7 @@ def sq_row(m: SqMatrix, i: int) -> SqVector:
     return SqVector(values=m.values[i], norm=norm, weights=m.weights[i], cum=m.cum[i])
 
 
-# --- oversampled access -----------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class OversampleAccess:
-    """Exact queries to a target vector plus SQ access to a dominating vector.
-
-    dominator entry magnitudes bound the target's entrywise, and
-    dominator.norm^2 == phi * ||target||^2 by construction.
-    """
-
-    target: np.ndarray
-    dominator: SqVector
-    phi: float
-
-    def query(self, i: int):
-        _check_index(i, self.target.size)
-        return self.target[i].item()
-
-    @property
-    def n(self) -> int:
-        return self.target.size
-
-
-def build_oversample(target, dominator) -> OversampleAccess:
-    """Validate entrywise domination and compute phi = ||dom||^2 / ||target||^2."""
-    tgt, t_w, total = _table(target, 1)
-    dom = build_sq_vector(dominator)
-    if tgt.size != dom.n:
-        raise ValueError("target and dominator lengths differ")
-    if total == 0.0:
-        raise AllZero("target vector is identically zero")
-    # strict mathematical domination, with float slack for equality cases
-    if np.any(t_w > dom.weights * (1 + 1e-9) + 1e-300):
-        raise ValueError("dominator does not cover the target entrywise")
-    phi = float(dom.norm**2 / total)
-    return OversampleAccess(target=tgt, dominator=dom, phi=phi)
-
+# --- oversampled access: rejection and norm estimation ----------------------
 
 def rejection_round_cap(phi: float, delta: float) -> int:
     """Round budget guaranteeing failure probability <= delta.
@@ -293,32 +254,3 @@ def _norm_estimate(one_round, dom_norm: float, get_phi, eps: float, delta: float
         if ratio is not None:
             total += ratio
     return float(dom_norm * math.sqrt(total / n_draws)), bits
-
-
-def _dominator_round(ov: OversampleAccess, rng: np.random.Generator):
-    """one_round for `ov`: a draw j from the dominator and |target_j|^2 /
-    |dom_j|^2, at no bits."""
-    t_w = np.abs(ov.target) ** 2
-
-    def one_round():
-        j = sq_sample(ov.dominator, rng)
-        return j, t_w[j] / ov.dominator.weights[j], 0
-
-    return one_round
-
-
-def rejection_sample(ov: OversampleAccess, delta: float, rng: np.random.Generator) -> RejectionSample:
-    """Sample an index under the target's l2 law via the dominator.
-
-    Each round draws from the dominator and accepts with |target_j|^2/|dom_j|^2;
-    conditioned on acceptance the index follows the target law. Raises Timeout
-    after the round cap (probability <= delta).
-    """
-    return _rejection_loop(_dominator_round(ov, rng), lambda: ov.phi, delta, rng)[0]
-
-
-def estimate_norm(ov: OversampleAccess, eps: float, delta: float, rng: np.random.Generator) -> float:
-    """Estimate ||target|| within relative eps, failure probability <= delta,
-    from ceil(4 phi eps^-2 ln(1/delta)) dominator draws."""
-    return _norm_estimate(_dominator_round(ov, rng), ov.dominator.norm, lambda: ov.phi,
-                          eps, delta)[0]

@@ -1,9 +1,7 @@
 """Coordinator protocol: bit accounting, routing, exact laws, linear
 combinations, and transcript replay."""
 
-import csv
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -29,8 +27,6 @@ from sqcomm import (
     coord_b_query,
     coord_b_sample,
     coord_b_setup,
-    export_summary_csv,
-    export_transcript_jsonl,
     lincomb_a_access,
     lincomb_a_phi,
     lincomb_b_access,
@@ -40,6 +36,7 @@ from sqcomm import (
     open_session,
     open_session_blocks,
     protocol_distribution,
+    rejection_round_cap,
 )
 
 
@@ -333,6 +330,62 @@ def test_lincomb_norm_estimate_exact_ratios():
     # every acceptance ratio is exactly 1/2, so the estimate is exact
     assert est == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert bits > 0
+
+
+def _sample_requests(session, start=0):
+    return sum(1 for m in session.meter.messages[start:]
+               if m.kind == "lincomb_b_sample" and m.sender == "C")
+
+
+def test_lincomb_norm_estimate_unequal_ratios():
+    s = open_session_blocks(3, [], [(0, [1.0, 2.0, 0.0]), (1, [0.0, 1.0, -1.0]),
+                                    (2, [2.0, -1.0, 1.0])])
+    coord_b_setup(s)
+    mu = [1.0, -0.5, 2.0]
+    # combined (5, -0.5, 2.5) against squared dominator entries (51, 24.75, 12.75):
+    # the acceptance ratios 25/51, 0.25/24.75 and 6.25/12.75 all differ
+    combined, dom_sq = np.array([5.0, -0.5, 2.5]), np.array([51.0, 24.75, 12.75])
+    phi = lincomb_b_phi(s, mu)
+    assert phi == pytest.approx(dom_sq.sum() / 31.5, rel=1e-12)
+    # the dominator law times the ratios, renormalized, is the target law
+    accept = protocol_distribution(s, ("lincomb_b_dominator", mu)) * combined**2 / dom_sq
+    np.testing.assert_allclose(accept / accept.sum(), combined**2 / 31.5, atol=1e-15)
+
+    eps, delta = 0.1, 1e-2
+    start = len(s.meter.messages)
+    est, _ = lincomb_b_access(s, mu, ("norm_estimate", eps, delta), np.random.default_rng(3))
+    assert abs(est - math.sqrt(31.5)) <= eps * math.sqrt(31.5)
+    assert _sample_requests(s, start) == math.ceil(4 * phi * math.log(1 / delta) / eps**2)
+
+
+def test_lincomb_rejection_determinism():
+    # one seed fixes the draw, its bits, its transcript and the Generator's state
+    runs = []
+    for _ in range(2):
+        s = _lincomb_session()
+        coord_b_setup(s)
+        rng = np.random.default_rng(5)
+        got = lincomb_b_access(s, [1.0, -0.5, 2.0], ("sq_sample_via_rejection", 1e-3), rng)
+        runs.append((got, meter_report(s), rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
+def test_lincomb_rejection_times_out_at_the_cap():
+    # combined (1, 0) under squared dominator (2, 36): phi 38, and delta 0.9
+    # caps a draw at 6 rounds, so most seeds time out
+    timeouts = 0
+    for seed in range(50):
+        s = open_session_blocks(2, [], [(0, [1.0, 3.0]), (1, [0.0, 3.0])])
+        coord_b_setup(s)
+        cap = rejection_round_cap(lincomb_b_phi(s, [1.0, -1.0]), 0.9)
+        assert cap == 6
+        try:
+            lincomb_b_access(s, [1.0, -1.0], ("sq_sample_via_rejection", 0.9),
+                             np.random.default_rng(seed))
+        except Timeout:
+            timeouts += 1
+            assert _sample_requests(s) == cap
+    assert timeouts > 0
 
 
 def test_lincomb_bounds_validated():
@@ -1054,28 +1107,6 @@ def test_meter_report_consistency():
     assert set(rep.bits_by_phase) <= {"setup", "access"}
     assert rep.bits_by_phase["setup"] == 129 + 129  # 3 * (8 + 32 + 3) per side
 
-
-def test_transcript_exports(tmp_path):
-    s = _mixed_session()
-    _scripted_run(s, seed=2)
-
-    jl = tmp_path / "transcript.jsonl"
-    export_transcript_jsonl(s, jl)
-    rows = [json.loads(line) for line in jl.read_text().splitlines()]
-    assert len(rows) == len(s.meter.messages)
-    names = {"C"} | {f"P{i}" for i in (1, 2, 3)} | {"PUB"}
-    for row in rows:
-        assert set(row) == {"round", "from", "to", "kind", "bits"}
-        assert row["from"] in names and row["to"] in names
-    assert sum(r["bits"] for r in rows) == s.meter.total_bits
-
-    cs = tmp_path / "summary.csv"
-    export_summary_csv(s, cs)
-    with open(cs, newline="") as fh:
-        table = list(csv.reader(fh))
-    assert table[0] == ["kind", "phase", "messages", "bits"]
-    assert sum(int(r[3]) for r in table[1:]) == s.meter.total_bits
-    assert [r[0] for r in table[1:]] == sorted(r[0] for r in table[1:])
 
 
 def _rejection(result):

@@ -39,6 +39,10 @@ def test_tv_distance_frozen():
         tv_distance([0.5, 0.5], [1.0])
     with pytest.raises(ValueError):
         tv_distance([0.5, 0.6], [0.5, 0.5])
+    # a nan slips past the sum check, since abs(nan - 1) > 1e-9 is false
+    for p, q in (([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.inf, 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            tv_distance(p, q)
 
 
 def test_chi_square_accepts_true_law():
@@ -81,6 +85,22 @@ def test_chi_square_edge_cases():
         chi_square([1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match="df"):
         chi_square(np.full(5000, 10.0), np.full(5000, 1.0 / 5000.0))
+    # at 0 the critical value is inf and at 1.5 it is nan: neither is a test
+    for significance in (0.0, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="significance"):
+            chi_square([90, 10], [0.5, 0.5], significance=significance)
+
+
+@pytest.mark.parametrize("experiment,name,check", [
+    ("protocol_exactness", "protocol_distribution", "stacked_laws_match_centralized"),
+    ("oversampling", "exact_distribution", "rejection_law_exact"),
+])
+def test_nan_residual_reads_fail(monkeypatch, experiment, name, check):
+    # Python's max(0.0, nan) is 0.0, so a residual taken that way drops a nan
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: real(*args) * np.nan)
+    report = run(parse_config({"experiment": experiment, "seed": 1, "trials": 3}))
+    assert {c.name: c.passed for c in report.checks}[check] is False
 
 
 def test_chi_square_calibration():

@@ -326,6 +326,9 @@ def test_pca_frozen_disjoint():
     assert not hit
     with pytest.raises(ValueError):
         decide_pca(build, mode="argmax")
+    for rng in (None, 7):
+        with pytest.raises(ValueError, match="needs a numpy Generator"):
+            decide_pca(build, rng, mode="sample")
 
 
 def test_pca_bit_pair_validation():

@@ -1,4 +1,6 @@
-"""Centralized SQ primitives: frozen laws, sampling statistics, rejection."""
+"""Centralized SQ primitives: frozen laws, sampling statistics, the rejection
+round cap.  The rejection loop and the norm estimator are tested through the
+linear-combination access that runs them, in test_comm_sim."""
 
 import math
 
@@ -8,15 +10,10 @@ import pytest
 from sqcomm import (
     AllZero,
     IndexOutOfRange,
-    Timeout,
-    build_oversample,
     build_sq_matrix,
     build_sq_vector,
-    estimate_norm,
     exact_distribution,
     rejection_round_cap,
-    rejection_sample,
-    sq_norm,
     sq_query,
     sq_row,
     sq_sample,
@@ -28,7 +25,7 @@ from sqcomm import (
 def test_vector_handle_frozen_values():
     # |0.6|^2 = 0.36 and |-0.8|^2 = 0.64 sum to 1, so the law is the weights
     v = build_sq_vector([0.6, -0.8])
-    assert sq_norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert v.norm == pytest.approx(1.0, abs=1e-15)
     assert sq_query(v, 0) == 0.6
     assert sq_query(v, 1) == -0.8
     np.testing.assert_allclose(exact_distribution(v), [0.36, 0.64], atol=1e-15)
@@ -36,11 +33,11 @@ def test_vector_handle_frozen_values():
 
 def test_vector_handle_unnormalized_and_complex():
     v = build_sq_vector([3.0, 4.0])
-    assert sq_norm(v) == pytest.approx(5.0, abs=1e-12)
+    assert v.norm == pytest.approx(5.0, abs=1e-12)
     np.testing.assert_allclose(exact_distribution(v), [0.36, 0.64], atol=1e-15)
 
     w = build_sq_vector([1j, 1.0, -1j])
-    assert sq_norm(w) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert w.norm == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert sq_query(w, 0) == 1j
     np.testing.assert_allclose(exact_distribution(w), np.full(3, 1 / 3), atol=1e-15)
 
@@ -62,8 +59,6 @@ def test_vector_handle_errors():
             build_sq_vector([1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             build_sq_matrix([[1.0, 2.0], [bad, 0.0]])
-    with pytest.raises(ValueError, match="finite"):
-        build_oversample([1.0, np.nan], [2.0, 2.0])
 
 
 def test_sample_never_returns_zero_mass():
@@ -169,8 +164,7 @@ def test_one_index_rule_for_every_handle():
     # IndexOutOfRange, not numpy's bare IndexError; numpy integers serve
     v = build_sq_vector([1.0, 2.0])
     m = build_sq_matrix([[1.0, 0.0], [0.0, 2.0]])
-    ov = build_oversample([1.0, 1.0], [1.0, 2.0])
-    for handle_op in (lambda i: sq_query(v, i), lambda i: sq_row(m, i).norm, ov.query):
+    for handle_op in (lambda i: sq_query(v, i), lambda i: sq_row(m, i).norm):
         for bad in (1.0, 0.5, True, np.float64(0.0), "0", None):
             with pytest.raises(IndexOutOfRange, match="not an integer"):
                 handle_op(bad)
@@ -178,104 +172,10 @@ def test_one_index_rule_for_every_handle():
     assert sq_query(v, np.int32(0)) == 1.0
 
 
-def test_oversample_build_and_phi():
-    ov = build_oversample([1.0, 1.0], [1.0, 2.0])
-    assert ov.phi == pytest.approx(2.5, abs=1e-12)
-    assert ov.query(1) == 1.0
-    with pytest.raises(IndexOutOfRange):
-        ov.query(2)
-    # equality is legal domination; phi = 1 means no oversampling
-    assert build_oversample([1.0, 2.0], [1.0, 2.0]).phi == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        build_oversample([1.0, 1.0], [1.0, 0.5])
-    with pytest.raises(AllZero):
-        build_oversample([0.0, 0.0], [1.0, 1.0])
-
-
 def test_rejection_round_cap_frozen():
     # ceil(2.5 * ln 1000) + 1 = ceil(17.269...) + 1 = 19
     assert rejection_round_cap(2.5, 1e-3) == 19
     assert rejection_round_cap(1.0, 0.5) == 1 + 1
-
-
-def test_rejection_law_oracle():
-    """Branch enumeration: dominator law times acceptance ratio, renormalized,
-    must equal the target law; Monte Carlo agrees and rounds track phi."""
-    target = np.array([1.0, 1.0])
-    dominator = np.array([1.0, 2.0])
-    ov = build_oversample(target, dominator)
-
-    dom_law = exact_distribution(ov.dominator)                 # (1/5, 4/5)
-    ratios = np.abs(target) ** 2 / ov.dominator.weights        # (1, 1/4)
-    accept_law = dom_law * ratios
-    accept_law /= accept_law.sum()
-    np.testing.assert_allclose(accept_law, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(
-        accept_law, exact_distribution(build_sq_vector(target)), atol=1e-15)
-
-    rng = np.random.default_rng(2024)
-    hits = np.zeros(2)
-    rounds = []
-    for _ in range(4000):
-        s = rejection_sample(ov, 1e-6, rng)
-        hits[s.index] += 1
-        rounds.append(s.rounds)
-    np.testing.assert_allclose(hits / hits.sum(), [0.5, 0.5], atol=0.03)
-    assert np.mean(rounds) == pytest.approx(ov.phi, rel=0.1)
-
-
-def test_rejection_sample_determinism_and_validation():
-    ov = build_oversample([1.0, 1.0], [1.0, 2.0])
-    a = rejection_sample(ov, 1e-3, np.random.default_rng(5))
-    b = rejection_sample(ov, 1e-3, np.random.default_rng(5))
-    assert a == b
-    with pytest.raises(ValueError):
-        rejection_sample(ov, 0.0, np.random.default_rng(5))
-    with pytest.raises(ValueError):
-        rejection_sample(ov, 1.0, np.random.default_rng(5))
-
-
-def test_rejection_timeout():
-    # phi ~ 109 with a lax delta gives a tiny cap; some seed must time out
-    ov = build_oversample([1.0, 0.0], [10.0, 3.0])
-    cap = rejection_round_cap(ov.phi, 0.9)
-    assert cap < 20
-    timed_out = 0
-    for seed in range(50):
-        try:
-            rejection_sample(ov, 0.9, np.random.default_rng(seed))
-        except Timeout:
-            timed_out += 1
-    assert timed_out > 0
-
-
-def test_estimate_norm():
-    ov = build_oversample([1.0, 1.0], [1.0, 2.0])
-    est = estimate_norm(ov, 0.1, 1e-3, np.random.default_rng(31))
-    assert abs(est - math.sqrt(2.0)) <= 0.1 * math.sqrt(2.0)
-    # tighter eps costs more draws but must stay within its own band
-    est = estimate_norm(ov, 0.02, 1e-3, np.random.default_rng(32))
-    assert abs(est - math.sqrt(2.0)) <= 0.02 * math.sqrt(2.0)
-    with pytest.raises(ValueError):
-        estimate_norm(ov, 0.0, 1e-3, np.random.default_rng(33))
-    with pytest.raises(ValueError):
-        estimate_norm(ov, 0.1, 2.0, np.random.default_rng(34))
-
-
-def test_estimate_norm_matches_the_vectorised_mean():
-    # one dominator round at a time draws the indices one vectorised draw
-    # gives; only the order of the ratio sum differs, so n * 2.2e-16 bounds
-    # the relative gap
-    ov = build_oversample([1.0, 0.5, 0.0, 2.0], [1.5, 1.0, 0.5, 2.0])
-    for eps, seed in ((0.3, 1), (0.1, 2)):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        est = estimate_norm(ov, eps, 1e-2, rng)
-        n = math.ceil(4.0 * ov.phi * math.log(1e2) / eps**2)
-        js = sq_sample_many(ov.dominator, n, ref_rng)
-        ratios = np.abs(ov.target[js]) ** 2 / ov.dominator.weights[js]
-        assert est == pytest.approx(ov.dominator.norm * math.sqrt(ratios.mean()),
-                                    rel=n * 2.2e-16)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -289,10 +189,6 @@ def test_overflowing_squared_magnitudes_are_rejected():
         build_sq_matrix([[1e200, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="overflow"):
         build_sq_matrix([[1.0, 1.0], [1.5e154, 1.5e154]])
-    with pytest.raises(ValueError, match="overflow"):
-        build_oversample([1.0, 1.0], [1e200, 1.0])
-    with pytest.raises(ValueError, match="overflow"):
-        build_oversample([1e200, 1.0], [1e200, 1.0])
     # squares near the top of the float range that still sum to a finite total
     v = build_sq_vector([1e154, 1e153])
     assert math.isfinite(v.norm) and exact_distribution(v).sum() == pytest.approx(1.0)
