@@ -8,6 +8,15 @@ charged zero bits) or owned by any single player regardless of stack position.
 Every message is charged per an EncodingSpec, and the full transcript is kept
 for reporting and replay.
 
+The transcript (`BitMeter`) keeps one plain row per exchange, request and
+response together, with the session's interned player name; a simulation-side
+scalar is an `Annotation` row of its own.  `Message` is only a read-only view,
+built on demand, two per exchange row.  A k-player fan-out is one batched
+exchange that records its k rows at once; live, a combination entry reads
+its k values from one (k, rows, cols) share stack, built on the first
+request.  A replay checks every row of an exchange before it consumes any,
+and `meter_report` is one pass over the rows.
+
 Two access families share a session:
 
 * stacked access - the coordinator composes a player-choice stage with a local
@@ -44,6 +53,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -117,6 +127,10 @@ class EncodingSpec:
 
 @dataclass(frozen=True)
 class Message:
+    """One direction of one exchange, as a read-only view of its transcript
+    row: the request (sender "C") carries the request's indices as payload,
+    the response the player's answer."""
+
     round: int
     sender: str
     receiver: str
@@ -136,20 +150,39 @@ class Annotation:
 
 
 class BitMeter:
-    """Append-only transcript with the running bit total."""
+    """Append-only transcript with the running bit total.
+
+    `rows` holds one plain tuple per exchange, (player name, kind, phase,
+    request bits, response bits, args, payload), and each `Annotation` as a
+    row of its own.  An exchange's round is its ordinal among the exchange
+    rows.  `entries` and `messages` are built on demand: two `Message` views
+    per exchange row (request, then response) and the annotations as they are.
+    """
 
     def __init__(self):
-        self.entries: list = []
+        self.rows: list = []
         self.total_bits: int = 0
 
-    @property
-    def messages(self) -> list:
-        return [e for e in self.entries if isinstance(e, Message)]
+    def record(self, rows, bits: int) -> None:
+        self.rows.extend(rows)
+        self.total_bits += bits
 
-    def add(self, entry) -> None:
-        self.entries.append(entry)
-        if isinstance(entry, Message):
-            self.total_bits += entry.bits
+    @property
+    def entries(self) -> tuple:
+        out, rnd = [], 0
+        for row in self.rows:
+            if isinstance(row, Annotation):
+                out.append(row)
+                continue
+            rnd += 1
+            name, kind, phase, req_bits, resp_bits, args, payload = row
+            out.append(Message(rnd, "C", name, kind, req_bits, phase, args))
+            out.append(Message(rnd, name, "C", kind, resp_bits, phase, payload))
+        return tuple(out)
+
+    @property
+    def messages(self) -> tuple:
+        return tuple(e for e in self.entries if isinstance(e, Message))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +266,7 @@ class _Side:
     def __init__(self, name: str, k: int, blocks, rows: int):
         self.name = name                    # "b" or "a", as in coord_b_setup
         self.noun = "vector" if name == "b" else "matrix"
+        self.k = k
         self.blocks = blocks
         self.rows = rows
         self.cols = blocks[0].data.shape[1] if blocks else None
@@ -257,6 +291,7 @@ class _Side:
         self.norms: np.ndarray | None = None    # filled by the one-time setup
         self.counts: list | None = None
         self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
+        self._shares: np.ndarray | None = None   # see `shares`
 
     def locate(self, g: int):
         _check_index(g, self.rows)
@@ -267,6 +302,22 @@ class _Side:
     def require_setup(self) -> None:
         if self.norms is None:
             raise NotSetup(f"run coord_{self.name}_setup first")
+
+    def players(self) -> list:
+        """The k player views, in player order."""
+        return [self.views[t] for t in range(self.k)]
+
+    def shares(self) -> np.ndarray:
+        """The k equal-shape player shares as one (k, rows, cols) stack, built
+        on the first combination entry and kept (the data never changes).
+        Players that mix real and complex shares are stacked as Python
+        scalars, so each entry reads back as that player's own `.item()`."""
+        if self._shares is None:
+            data = [view.data for view in self.players()]
+            if len({d.dtype for d in data}) > 1:
+                data = [d.astype(object) for d in data]
+            self._shares = np.stack(data)
+        return self._shares
 
 
 class Session:
@@ -279,7 +330,7 @@ class Session:
         self.k = int(k)
         self.encoding = encoding if encoding is not None else EncodingSpec()
         self.meter = BitMeter()
-        self._round = 0
+        self.player_names = tuple(f"P{t + 1}" for t in range(self.k))
         self._replay_queue: deque | None = None
 
         self.b_blocks, self.m = _stack_blocks(self.k, b_blocks, 1)
@@ -298,40 +349,45 @@ class Session:
 
     # --- transcript plumbing -------------------------------------------------
 
-    def _exchange(self, owner: int, kind: str, phase: str, req_bits: int,
-                  resp_bits: int, respond, args=()):
-        """One round: coordinator request to a player, player response back.
+    def _exchange(self, names, kind: str, phase: str, req_bits: int, resp_bits: int,
+                  respond, args=()):
+        """One round with each named player, recorded as one row each:
+        coordinator request, player response.  `respond()` gives the answers
+        in `names` order and runs only live; returns (answers, bits).
 
         `args` are the indices the request carries (a global index, a row, a
-        column), recorded on the request entry at no extra bits; a replay
-        checks them along with kind, receiver and both widths.
+        column), recorded on every row at no extra bits.  A replay checks
+        every row (receiver, kind, phase, args, both widths) before it
+        consumes any, so a mismatch leaves the replay where it was.
 
         A player whose local step fails (say, a draw from its zero row) answers
-        with that failure at the same widths: the round is recorded with the
-        exception as payload, then the exception is raised, and a replay
-        raises the same type at the same point.
+        with that failure at the same widths: `respond()` fails as a whole, the
+        round is recorded with the exception as every payload, then the
+        exception is raised, and a replay raises the same type at the same
+        point.
         """
-        name = "PUB" if owner == PUBLIC else f"P{owner + 1}"
         replaying = self._replay_queue is not None
         if replaying:
-            req, resp = self._peek(Message, 2)
-            want = (kind, name, args, req_bits, resp_bits)
-            seen = (req.kind, req.receiver, req.payload, req.bits, resp.bits)
-            if resp.kind != kind or seen != want:
-                raise RuntimeError(f"transcript mismatch: expected {want}, saw {seen}")
-            self._consume(2)
-            payload = resp.payload
+            rows = self._peek(tuple, len(names))
+            for name, row in zip(names, rows):
+                want = (name, kind, phase, req_bits, resp_bits, args)
+                if row[:6] != want:
+                    raise RuntimeError(f"transcript mismatch: expected {want}, saw {row[:6]}")
+            self._consume(len(rows))
+            answers = [row[6] for row in rows]
         else:
             try:
-                payload = respond()
+                answers = respond()
             except (ValueError, IndexError) as err:
-                payload = err
-        self._round += 1
-        self.meter.add(Message(self._round, "C", name, kind, req_bits, phase, args))
-        self.meter.add(Message(self._round, name, "C", kind, resp_bits, phase, payload))
-        if isinstance(payload, Exception):
-            raise type(payload)(*payload.args) if replaying else payload
-        return payload, req_bits + resp_bits
+                answers = [err] * len(names)
+            rows = [(name, kind, phase, req_bits, resp_bits, args, answer)
+                    for name, answer in zip(names, answers)]
+        bits = len(rows) * (req_bits + resp_bits)
+        self.meter.record(rows, bits)
+        failure = answers[0]
+        if isinstance(failure, Exception):
+            raise type(failure)(*failure.args) if replaying else failure
+        return answers, bits
 
     def _annotate(self, kind: str, compute):
         """Record (or replay) a simulation-side scalar as a zero-bit entry; a
@@ -347,22 +403,22 @@ class Session:
                 entry = Annotation(kind, compute())
             except Cancellation as err:
                 entry = Annotation(kind, err)
-        self.meter.add(entry)
+        self.meter.record((entry,), 0)
         if isinstance(entry.value, Exception):
             raise type(entry.value)(*entry.value.args) if replaying else entry.value
         return entry.value
 
     def _peek(self, cls, count: int) -> list:
-        """The next `count` replay entries, each checked to be a `cls`, left in
-        the queue: a caller consumes them only once they match its request, so
-        a mismatched request leaves the replay where it was."""
-        queue = self._replay_queue
-        for t in range(count):
-            if t >= len(queue):
-                raise RuntimeError("replay transcript exhausted")
-            if not isinstance(queue[t], cls):
-                raise RuntimeError("replay transcript out of order")
-        return [queue[t] for t in range(count)]
+        """The next `count` replay rows, each checked to be a `cls` (`tuple`
+        for an exchange row), left in the queue: a caller consumes them only
+        once they match its request, so a mismatched request leaves the
+        replay where it was."""
+        rows = list(islice(self._replay_queue, count))
+        if not all(isinstance(row, cls) for row in rows):
+            raise RuntimeError("replay transcript out of order")
+        if len(rows) < count:
+            raise RuntimeError("replay transcript exhausted")
+        return rows
 
     def _consume(self, count: int) -> None:
         for _ in range(count):
@@ -404,7 +460,7 @@ def make_replay_session(session: Session) -> Session:
     for side in (clone._b, clone._a):
         for o in range(clone.k):
             side.views[o] = None
-    clone._replay_queue = deque(session.meter.entries)
+    clone._replay_queue = deque(session.meter.rows)
     return clone
 
 
@@ -460,9 +516,9 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     if not side.blocks:
         raise DimensionMismatch(f"session holds no {side.noun} blocks")
     enc = session.encoding
-    values, bits = _fan_out(session, side, kind, "setup", enc.opcode_bits,
+    values, bits = _fan_out(session, kind, "setup", enc.opcode_bits,
                             enc.scalar_bits + enc.index_bits(side.rows),
-                            lambda v: (v.norm, v.size))
+                            lambda: [(v.norm, v.size) for v in side.players()])
     side.norms = np.asarray([float(norm) for norm, _ in values])
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
@@ -470,17 +526,12 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     return bits
 
 
-def _fan_out(session: Session, side: _Side, kind: str, phase: str, req_bits: int,
-             resp_bits: int, read, args=()):
-    """Ask each of the k players for `read(view)` of its view on `side`, empty
-    holdings included; returns (values, bits)."""
-    values, bits = [], 0
-    for t in range(session.k):
-        value, cost = session._exchange(t, kind, phase, req_bits, resp_bits,
-                                        lambda v=side.views[t]: read(v), args)
-        values.append(value)
-        bits += cost
-    return values, bits
+def _fan_out(session: Session, kind: str, phase: str, req_bits: int, resp_bits: int,
+             read, args=()):
+    """Ask all k players, empty holdings included, in one batched exchange;
+    `read()` gives their k answers, live only.  Returns (values, bits)."""
+    return session._exchange(session.player_names, kind, phase, req_bits, resp_bits,
+                             read, args)
 
 
 class _Coin:
@@ -520,8 +571,9 @@ def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
     view = side.views[owner]
     if owner == PUBLIC:
         return owner, sq_sample(view.sample_law(row), coin), 0
-    local, bits = session._exchange(owner, kind, "access", req_bits, resp_bits,
-                                    lambda: sq_sample(view.sample_law(row), coin), args)
+    (local,), bits = session._exchange((session.player_names[owner],), kind, "access",
+                                       req_bits, resp_bits,
+                                       lambda: [sq_sample(view.sample_law(row), coin)], args)
     return owner, local, bits
 
 
@@ -551,9 +603,11 @@ def _owner_query(session: Session, side: _Side, kind: str, g: int, read, column=
     view = side.views[owner]
     if owner == PUBLIC:
         return read(view.data[local]), 0
-    return session._exchange(owner, kind, "access", req_bits, enc.scalar_bits,
-                             lambda: read(view.data[local]),
-                             (g,) if column is None else (g, column))
+    (value,), bits = session._exchange((session.player_names[owner],), kind, "access",
+                                       req_bits, enc.scalar_bits,
+                                       lambda: [read(view.data[local])],
+                                       (g,) if column is None else (g, column))
+    return value, bits
 
 
 def _mixture_law(size: int, weights, views, empty: str, row=None, stacked=False) -> np.ndarray:
@@ -698,7 +752,7 @@ class _Combination:
         _require_player_data(self.session, "the exact phi or law of a combination")
         if row is not None:
             self.check_row(row)
-        views = [self.side.views[t] for t in range(self.session.k)]
+        views = self.side.players()
         shares = [v.data if row is None else v.data[row] for v in views]
         sq = ([v.norm**2 for v in views] if row is None
               else [float(np.linalg.norm(s) ** 2) for s in shares])
@@ -740,9 +794,9 @@ class _Combination:
         self.check_row(i)
         _check_index(j, self.cols, "column")
         enc = self.session.encoding
-        values, bits = _fan_out(self.session, self.side, f"lincomb_{self.side.name}_query",
-                                "access", self.row_req + enc.index_bits(self.cols),
-                                enc.scalar_bits, lambda v: v.data[i, j].item(), (i, j))
+        values, bits = _fan_out(self.session, f"lincomb_{self.side.name}_query", "access",
+                                self.row_req + enc.index_bits(self.cols), enc.scalar_bits,
+                                lambda: self.side.shares()[:, i, j].tolist(), (i, j))
         terms = list(zip(self.coeffs, values))
         return (sum(c * v for c, v in terms),
                 self.session.k * sum(abs(c * v) ** 2 for c, v in terms), bits)
@@ -750,9 +804,10 @@ class _Combination:
     def row_norms(self, i):
         """Fan out the norms of row i of every share; returns (norms, bits)."""
         self.check_row(i)
-        return _fan_out(self.session, self.side, "lincomb_a_row_norm", "access", self.row_req,
+        return _fan_out(self.session, "lincomb_a_row_norm", "access", self.row_req,
                         self.session.encoding.scalar_bits,
-                        lambda v: float(np.linalg.norm(v.data[i])), (i,))
+                        lambda: [float(np.linalg.norm(v.data[i])) for v in self.side.players()],
+                        (i,))
 
     def draw(self, rng, law: _OwnerLaw | None = None, row=None):
         """One dominator draw; returns (index, bits).  Without `row`, a row
@@ -876,24 +931,34 @@ class MeterReport:
     bits_by_kind: dict
     bits_by_phase: dict
     messages_by_kind: dict
+    bits_by_player: dict     # player name -> bits, both directions, in player order
 
 
 def meter_report(session: Session) -> MeterReport:
-    """Aggregate the transcript: totals overall, by message kind, and by phase."""
-    if session.replaying and session._replay_queue:
-        raise RuntimeError(f"replay left {len(session._replay_queue)} transcript "
-                           f"entries unconsumed")
-    by_kind, by_phase, count_kind = Counter(), Counter(), Counter()
-    messages = session.meter.messages
-    for msg in messages:
-        by_kind[msg.kind] += msg.bits
-        by_phase[msg.phase] += msg.bits
-        count_kind[msg.kind] += 1
+    """Aggregate the transcript in one pass over its rows: totals overall, by
+    message kind, by phase and by player."""
+    queue = session._replay_queue
+    if queue:
+        left = sum(1 if isinstance(row, Annotation) else 2 for row in queue)
+        raise RuntimeError(f"replay left {left} transcript entries unconsumed")
+    by_kind, by_phase, by_player, count_kind = Counter(), Counter(), Counter(), Counter()
+    rounds = 0
+    for row in session.meter.rows:
+        if isinstance(row, Annotation):
+            continue
+        name, kind, phase, req_bits, resp_bits = row[:5]
+        bits = req_bits + resp_bits
+        by_kind[kind] += bits
+        by_phase[phase] += bits
+        by_player[name] += bits
+        count_kind[kind] += 2
+        rounds += 1
     return MeterReport(
         total_bits=session.meter.total_bits,
-        n_messages=len(messages),
-        n_rounds=max((msg.round for msg in messages), default=0),
+        n_messages=2 * rounds,
+        n_rounds=rounds,
         bits_by_kind=dict(sorted(by_kind.items())),
         bits_by_phase=dict(sorted(by_phase.items())),
         messages_by_kind=dict(sorted(count_kind.items())),
+        bits_by_player={name: by_player[name] for name in session.player_names},
     )

@@ -3,6 +3,7 @@ combinations, and transcript replay."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,7 @@ def test_setup_costs_frozen():
     # k * (opcode + scalar + index_bits(m)) = 2 * (8 + 32 + 2)
     assert coord_b_setup(s) == 84
     assert s.meter.total_bits == 84
+    assert meter_report(s).bits_by_player == {"P1": 42, "P2": 42}
     np.testing.assert_allclose(s.b_norms, [math.sqrt(5.0), 5.0])
     assert s.b_sizes == [2, 2]
     with pytest.raises(AlreadySetup):
@@ -104,6 +106,8 @@ def test_setup_costs_frozen():
     s3 = open_session_blocks(3, [], [(i, np.ones(2 + i)) for i in range(3)])
     assert s3.m == 9  # index_bits(9) = 4
     assert coord_b_setup(s3) == 3 * (8 + 32 + 4) == 132
+    # each player is charged opcode + scalar + index_bits(rows), empty or not
+    assert meter_report(s3).bits_by_player == {"P1": 44, "P2": 44, "P3": 44}
 
 
 def test_setup_required_and_missing_blocks():
@@ -645,6 +649,31 @@ def test_replay_mismatch_consumes_nothing():
     assert meter_report(clone) == meter_report(live)
 
 
+def test_replay_fan_out_checks_every_row_first():
+    # a fan-out is replayed as one batch: all k rows are checked before any
+    # is consumed, so a mismatch in the last player's row consumes nothing
+    mu = [1.0, 1.0, 1.0]
+    live = _lincomb_session()
+    coord_b_setup(live)
+    want = lincomb_b_access(live, mu, ("query", 0))
+    clone = make_replay_session(live)
+    coord_b_setup(clone)
+    queue = clone._replay_queue
+    recorded = queue[2]
+    queue[2] = recorded[:5] + ((1, 0),) + recorded[6:]  # P3's row now asks for entry 1
+    bits = clone.meter.total_bits
+    # query 1 fails on P1's row, query 0 only on P3's
+    for request in (("query", 1), ("query", 0)):
+        with pytest.raises(RuntimeError, match="transcript mismatch"):
+            lincomb_b_access(clone, mu, request)
+        assert len(queue) == 3 and clone.meter.total_bits == bits
+        with pytest.raises(RuntimeError, match="replay left 6 transcript entries unconsumed"):
+            meter_report(clone)
+    queue[2] = recorded
+    assert lincomb_b_access(clone, mu, ("query", 0)) == want
+    assert meter_report(clone) == meter_report(live)
+
+
 def test_combination_coefficients_must_be_finite():
     # one check in the combination record covers every metered request, the
     # exact phi and the exact laws; nothing is metered
@@ -1104,9 +1133,67 @@ def test_meter_report_consistency():
     assert rep.n_messages % 2 == 0  # request/response pairs
     assert sum(rep.bits_by_kind.values()) == rep.total_bits
     assert sum(rep.bits_by_phase.values()) == rep.total_bits
+    assert sum(rep.bits_by_player.values()) == rep.total_bits
+    assert list(rep.bits_by_player) == ["P1", "P2", "P3"]
     assert set(rep.bits_by_phase) <= {"setup", "access"}
     assert rep.bits_by_phase["setup"] == 129 + 129  # 3 * (8 + 32 + 3) per side
 
+
+
+def test_combination_query_messages_pinned():
+    # the Message views of one k=3 fan-out, in player order: each player's
+    # request carries (i, j), its response that player's entry as a float
+    s = _lincomb_session()
+    coord_a_setup(s)
+    assert lincomb_a_access(s, [0.5, 1.0, -1.0], ("query", 2, 1)) == (-2.5, 3 * (12 + 32))
+    messages = s.meter.messages[6:]
+    assert [(m.round, m.sender, m.receiver, m.kind, m.bits, m.phase, m.payload)
+            for m in messages] == [
+        (4, "C", "P1", "lincomb_a_query", 12, "access", (2, 1)),
+        (4, "P1", "C", "lincomb_a_query", 32, "access", 1.0),
+        (5, "C", "P2", "lincomb_a_query", 12, "access", (2, 1)),
+        (5, "P2", "C", "lincomb_a_query", 32, "access", 0.0),
+        (6, "C", "P3", "lincomb_a_query", 12, "access", (2, 1)),
+        (6, "P3", "C", "lincomb_a_query", 32, "access", 3.0),
+    ]
+    assert [type(m.payload) for m in messages[1::2]] == [float, float, float]
+
+    # a real and a complex share: each player still answers its own scalar type
+    s = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [0.5j, 0.0])])
+    coord_b_setup(s)
+    assert lincomb_b_access(s, [1.0, 2.0], ("query", 0)) == (1.0 + 1.0j, 2 * (8 + 1 + 32))
+    assert [(type(m.payload), m.payload) for m in s.meter.messages[-3::2]] == [
+        (float, 1.0), (complex, 0.5j)]
+
+
+def _transcript_bytes(op, calls: int) -> float:
+    """Traced memory kept per call of `op`, after one untimed call (which
+    builds anything lazy).  CPython reuses freed small tuples from a free
+    list that tracemalloc does not see; holding a few thousand 7-tuples
+    empties it, so every transcript row is a traced allocation."""
+    held = [tuple(range(t, t + 7)) for t in range(4000)]
+    op()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            op()
+        return (tracemalloc.get_traced_memory()[0] - before) / calls
+    finally:
+        tracemalloc.stop()
+        del held
+
+
+def test_transcript_memory_per_access():
+    # one row per exchange: about 105 B per metered stacked draw and 1,150 B
+    # per k=8 fan-out (372 B and 3,306 B as two Message objects per exchange)
+    g = np.random.default_rng(0)
+    s = open_session_blocks(8, [], [(t, g.standard_normal(64)) for t in range(8)])
+    coord_b_setup(s)
+    rng = np.random.default_rng(1)
+    mu = [1.0, -0.5, 2.0, 0.25, 1.0, 1.0, -1.0, 0.5]
+    assert _transcript_bytes(lambda: coord_b_sample(s, rng), 2000) <= 128
+    assert _transcript_bytes(lambda: lincomb_b_access(s, mu, ("query", 5)), 500) <= 1280
 
 
 def _rejection(result):
@@ -1140,6 +1227,7 @@ def test_golden_stacked_transcript():
         "bits_by_phase": {"access": 243, "setup": 258},
         "messages_by_kind": {"a_row_norm_sample": 18, "a_row_sample": 12,
                              "a_setup": 6, "b_sample": 12, "b_setup": 6},
+        "bits_by_player": {"P1": 147, "P2": 189, "P3": 165},
     }
 
 
@@ -1183,4 +1271,5 @@ def test_golden_lincomb_transcript():
                              "lincomb_a_row_norm_sample": 12,
                              "lincomb_a_row_sample": 32,
                              "lincomb_b_query": 684, "lincomb_b_sample": 240},
+        "bits_by_player": {"P1": 6282, "P2": 6230, "P3": 7300},
     }

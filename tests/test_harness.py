@@ -43,6 +43,10 @@ def test_tv_distance_frozen():
     for p, q in (([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.inf, 0.0])):
         with pytest.raises(ValueError, match="non-finite"):
             tv_distance(p, q)
+    # a negative entry can sum to 1 and would read a distance above 1
+    for p, q in (([2.0, -1.0], [0.5, 0.5]), ([0.5, 0.5], [-0.5, 1.5])):
+        with pytest.raises(ValueError, match="negative"):
+            tv_distance(p, q)
 
 
 def test_chi_square_accepts_true_law():
@@ -85,6 +89,14 @@ def test_chi_square_edge_cases():
         chi_square([1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match="df"):
         chi_square(np.full(5000, 10.0), np.full(5000, 1.0 / 5000.0))
+    # probs must be a law: a negative bucket used to drop out of the pool
+    # and pass with df 0; counts cannot be negative either
+    for counts, probs, match in (([50, 50], [1.5, -0.5], "negative"),
+                                 ([50, 50], [0.5, 0.6], "sums to"),
+                                 ([50, 50], [np.nan, 0.5], "non-finite"),
+                                 ([60, -10], [0.5, 0.5], "negative")):
+        with pytest.raises(ValueError, match=match):
+            chi_square(counts, probs)
     # at 0 the critical value is inf and at 1.5 it is nan: neither is a test
     for significance in (0.0, 1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="significance"):
@@ -101,6 +113,17 @@ def test_nan_residual_reads_fail(monkeypatch, experiment, name, check):
     monkeypatch.setattr(harness, name, lambda *args: real(*args) * np.nan)
     report = run(parse_config({"experiment": experiment, "seed": 1, "trials": 3}))
     assert {c.name: c.passed for c in report.checks}[check] is False
+
+
+def test_mean_rounds_check_fails_with_no_combination_under_the_cap():
+    # seed 0 draws one combination with phi above 8: no rounds are drawn, so
+    # the round-count check has nothing to compare and must not read PASS
+    report = run(parse_config({"experiment": "oversampling", "seed": 0, "trials": 1,
+                               "params": {"max_players": 32, "max_len": 64,
+                                          "rounds_draws": 1}}))
+    checks = {c.name: c for c in report.checks}
+    assert "over 0 combinations" in checks["mean_rounds_tracks_phi"].detail
+    assert checks["mean_rounds_tracks_phi"].passed is False
 
 
 def test_chi_square_calibration():
