@@ -940,18 +940,45 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
 # --- experiment: Hamiltonian evolution ----------------------------------------------------
 
 _IDENTITY_TOL = 1e-8     # Frobenius error of evolution against the signed Hadamard
+_IDENTITY_SAMPLE = 256   # sign vectors evolved one by one at each exhaustive n
 
 
 def run_hamiltonian(config: ExperimentConfig) -> Report:
+    """Check that evolving each sign vector's generator for time n*pi gives its
+    signed Hadamard target, then the generator norms and the evolved law.
+
+    Every sign vector at n = 1..exhaustive_max_n (65,812 of the canonical
+    66,012, n <= 4) is certified by conjugation: its generator and target are
+    checked to be exactly diag(f) conjugates of the unsigned ones, and one
+    evolution of the unsigned generator gives the error they all share.  The
+    independent per-instance route evolves every vector at n <= 3, 256 drawn
+    without replacement at n = 4, and the trials random vectors at each of
+    random_ns (100 each at n = 6 and 8).  The n = 4 draws come from a stream
+    of their own, seeded (seed, 1), which leaves the config stream to the
+    random_ns vectors and the function pairs.
+    """
     p = config.params
     exhaustive_max_n, random_ns = p["exhaustive_max_n"], p["random_ns"]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    sample_rng = np.random.default_rng([config.seed, 1])
 
-    sweeps = [(n, reductions.all_sign_vectors(n)) for n in range(1, exhaustive_max_n + 1)]
-    sweeps += [(n, rng.choice((-1.0, 1.0), size=(config.trials, 2**n))) for n in random_ns]
-    errors = [reductions.hamiltonian_identity_errors_batch(n, fs) for n, fs in sweeps]
-    worst_identity = _worst(*(e.max() for e in errors))
-    checked = sum(e.size for e in errors)
+    mismatches = 0
+    errors = []
+    checked = 0
+    for n in range(1, exhaustive_max_n + 1):
+        fs = reductions.all_sign_vectors(n)
+        checked += len(fs)
+        bad, residual = reductions.hamiltonian_conjugation_sweep(n, fs)
+        mismatches += bad
+        errors.append(residual)
+        if len(fs) > _IDENTITY_SAMPLE:
+            fs = fs[sample_rng.choice(len(fs), _IDENTITY_SAMPLE, replace=False)]
+        errors.extend(reductions.hamiltonian_identity_errors_batch(n, fs))
+    for n in random_ns:
+        fs = rng.choice((-1.0, 1.0), size=(config.trials, 2**n))
+        checked += len(fs)
+        errors.extend(reductions.hamiltonian_identity_errors_batch(n, fs))
+    worst_identity = _worst(*errors)
 
     worst_op_norm = 0.0
     worst_fro = 0.0
@@ -969,9 +996,11 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
     checks = [
         CheckResult(
             name="evolution_equals_signed_hadamard",
-            passed=bool(worst_identity <= _IDENTITY_TOL),
+            passed=bool(mismatches == 0 and worst_identity <= _IDENTITY_TOL),
             detail=(f"max Frobenius error {_fmt(worst_identity)} over {checked} "
-                    f"sign vectors (tol {_fmt(_IDENTITY_TOL)})"),
+                    f"sign vectors (tol {_fmt(_IDENTITY_TOL)})"
+                    + (f"; {mismatches} generators or targets not the exact "
+                       f"sign conjugates" if mismatches else "")),
         ),
         CheckResult(
             name="generator_norms",

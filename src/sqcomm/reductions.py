@@ -606,6 +606,18 @@ def _mixing_generator(n: int) -> np.ndarray:
     return total / (2.0 * n)
 
 
+def _check_evolution_n(n: int) -> None:
+    # n = 0 would divide the mixing generator by zero
+    if not 1 <= n <= EVOLUTION_MAX_N:
+        raise BadDimension(f"evolution construction needs 1 <= n <= {EVOLUTION_MAX_N}")
+
+
+def _sign_conjugate(fs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """diag(f) @ X @ diag(f) for each row f of fs; exact, as each entry is
+    only multiplied by +-1."""
+    return fs[:, :, None] * X * fs[:, None, :]
+
+
 @dataclass(frozen=True)
 class HamiltonianBuild:
     session: Session
@@ -621,14 +633,12 @@ def build_hamiltonian(pair: FunctionPair) -> HamiltonianBuild:
     Hadamard conjugation; evolving the signed uniform state reproduces the
     squared-correlation law."""
     pair.verify()
-    if pair.n > EVOLUTION_MAX_N:
-        raise BadDimension(f"evolution construction capped at n = {EVOLUTION_MAX_N}")
+    _check_evolution_n(pair.n)
     n = pair.n
     f = np.asarray(pair.f, dtype=np.float64)
     g = np.asarray(pair.g, dtype=np.float64)
-    signs = np.outer(f, f)
-    A = signs * _mixing_generator(n)
-    target = signs * hadamard_matrix(n)
+    A = _sign_conjugate(f[None], _mixing_generator(n))[0]
+    target = _sign_conjugate(f[None], hadamard_matrix(n))[0]
     v = g / math.sqrt(g.size)
     session = open_session_blocks(2, [(0, A)], [(1, v)])
     return HamiltonianBuild(
@@ -650,30 +660,72 @@ def hamiltonian_evolved_law(build: HamiltonianBuild) -> np.ndarray:
     return p / p.sum()
 
 
-_IDENTITY_BUDGET = 2048 * 16 * 16    # matrix entries per stack: 2048 vectors at n = 4, 8 at n = 8
-
-
-def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
-    """Identity-check errors for many sign vectors at once.
-
-    Builds the shared generator once and evolves stacks of the signed ones
-    through `expm_hermitian`; per-instance calls would crawl on exhaustive sweeps.
-    """
+def _check_sign_stack(n: int, fs) -> np.ndarray:
+    """fs as a float stack of +-1 vectors of length 2^n, for an evolvable n."""
+    _check_evolution_n(n)
     fs = np.asarray(fs, dtype=np.float64)
     size = 2**n
     if fs.ndim != 2 or fs.shape[1] != size:
         raise BadDimension(f"sign vectors must have length {size}")
+    if not np.all(np.abs(fs) == 1):
+        raise PromiseViolation("sign vector entries must be +1 or -1")
+    return fs
+
+
+# matrix entries per stack: the per-instance route evolves 8 sign vectors at a
+# time at n = 8, and the conjugation sweep checks 2048 at a time at n = 4
+_IDENTITY_BUDGET = 2048 * 16 * 16
+
+
+def _stacks(fs: np.ndarray):
+    size = fs.shape[1]
+    chunk = max(1, _IDENTITY_BUDGET // size**2)
+    for start in range(0, fs.shape[0], chunk):
+        yield start, fs[start:start + chunk]
+
+
+def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
+    """Identity-check errors, one per sign vector, each from its own evolution.
+
+    Builds the shared generator once and evolves stacks of the signed ones
+    through `expm_hermitian`; per-instance calls would crawl.
+    """
+    fs = _check_sign_stack(n, fs)
     base = _mixing_generator(n)
     h = hadamard_matrix(n)
     t = n * math.pi
-    chunk = max(1, _IDENTITY_BUDGET // size**2)
     out = np.empty(fs.shape[0])
-    for start in range(0, fs.shape[0], chunk):
-        part = fs[start:start + chunk]
-        signs = part[:, :, None] * part[:, None, :]
-        diff = expm_hermitian(signs * base, t) - signs * h
-        out[start:start + chunk] = np.linalg.norm(diff, axis=(1, 2))
+    for start, part in _stacks(fs):
+        diff = expm_hermitian(_sign_conjugate(part, base), t) - _sign_conjugate(part, h)
+        out[start:start + len(part)] = np.linalg.norm(diff, axis=(1, 2))
     return out
+
+
+def hamiltonian_conjugation_sweep(n: int, fs: np.ndarray) -> tuple[int, float]:
+    """Certify the identity for every sign vector with one evolution.
+
+    exp(i t D A D) = D exp(i t A) D for D = diag(f), and ||D X D||_F = ||X||_F,
+    so every f's identity error equals the unsigned residual
+    ||expm_hermitian(A, n pi) - H||_F once its generator and target are shown
+    to be exactly D A D and D H D.  That is checked here against a second
+    exact route, matmul by diag(f), one stack of sign vectors at a time; the
+    two are compared by value, since a matmul may sum a -0.0 entry to 0.0.
+    Returns (number of sign vectors whose generator or target differs, the
+    shared residual).
+    """
+    fs = _check_sign_stack(n, fs)
+    base = _mixing_generator(n)
+    h = hadamard_matrix(n)
+    eye = np.eye(2**n)
+    mismatches = 0
+    for _, part in _stacks(fs):
+        d = part[:, :, None] * eye
+        bad = np.zeros(len(part), dtype=bool)
+        for X in (base, h):
+            bad |= (_sign_conjugate(part, X) != d @ X @ d).any(axis=(1, 2))
+        mismatches += int(bad.sum())
+    residual = float(np.linalg.norm(expm_hermitian(base, n * math.pi) - h))
+    return mismatches, residual
 
 
 def all_sign_vectors(n: int) -> np.ndarray:

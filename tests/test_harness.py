@@ -25,7 +25,7 @@ from sqcomm import (
     run_suite,
     tv_distance,
 )
-from sqcomm import cli, harness, open_session_blocks
+from sqcomm import cli, harness, open_session_blocks, reductions
 from sqcomm.cli import main as cli_main
 from sqcomm.harness import EXPERIMENTS, fit_bit_costs
 
@@ -124,6 +124,61 @@ def test_mean_rounds_check_fails_with_no_combination_under_the_cap():
     checks = {c.name: c for c in report.checks}
     assert "over 0 combinations" in checks["mean_rounds_tracks_phi"].detail
     assert checks["mean_rounds_tracks_phi"].passed is False
+
+
+def test_hamiltonian_planted_faults_read_fail(monkeypatch):
+    config = parse_config({"experiment": "hamiltonian", "seed": 1, "trials": 3,
+                           "params": {"exhaustive_max_n": 4, "random_ns": [2]}})
+    check = "evolution_equals_signed_hadamard"
+
+    def outcome():
+        return {c.name: c for c in run(config).checks}[check]
+
+    # the clean run, recording which n = 4 vectors are evolved one by one
+    sampled = []
+    batch = reductions.hamiltonian_identity_errors_batch
+
+    def recording(n, fs):
+        if n == 4:
+            sampled.extend(map(tuple, fs))
+        return batch(n, fs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "hamiltonian_identity_errors_batch", recording)
+        clean = outcome()
+    assert clean.passed and "over 65815 sign vectors" in clean.detail
+    assert len(set(sampled)) == harness._IDENTITY_SAMPLE
+
+    # fault 1: one sign vector the sample skips is signed with one entry
+    # flipped; its generator is still a true conjugate, so only the
+    # conjugation check can see it
+    victim = next(f for f in reductions.all_sign_vectors(4) if tuple(f) not in set(sampled))
+    sign = reductions._sign_conjugate
+
+    def misassigned(fs, X):
+        if fs.shape[1] == victim.size:
+            fs = fs.copy()
+            fs[(fs == victim).all(axis=1), 7] *= -1
+        return sign(fs, X)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "_sign_conjugate", misassigned)
+        faulty = outcome()
+    assert not faulty.passed
+    assert "; 1 generators or targets not the exact sign conjugates" in faulty.detail
+
+    # fault 2: the shared residual (the one unstacked evolution) runs for the
+    # wrong time; the per-instance stacks are untouched
+    evolve = reductions.expm_hermitian
+
+    def mistimed(H, t):
+        return evolve(H, t + (0.01 if np.ndim(H) == 2 else 0.0))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "expm_hermitian", mistimed)
+        faulty = outcome()
+    assert not faulty.passed
+    assert float(faulty.detail.split()[3]) > 1e-3
 
 
 def test_chi_square_calibration():

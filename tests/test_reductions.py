@@ -39,7 +39,11 @@ from sqcomm import (
 from sqcomm import reductions
 from sqcomm.reductions import (
     _band_targets,
+    _mixing_generator,
+    _sign_conjugate,
     all_sign_vectors,
+    hadamard_matrix,
+    hamiltonian_conjugation_sweep,
     hamiltonian_identity_errors_batch,
 )
 
@@ -442,10 +446,70 @@ def test_hamiltonian_batch_stacks_follow_the_matrix_size(monkeypatch):
             errors[picks], [hamiltonian_identity_errors_batch(n, fs[[i]])[0] for i in picks])
 
 
+def test_build_hamiltonian_signs_through_sign_conjugate():
+    # one signing route: the per-instance build and the sweeps sign alike
+    rng = np.random.default_rng(18)
+    for n in range(1, 9):
+        pair = gen_function_pair(n, rng)
+        build = build_hamiltonian(pair)
+        for got, unsigned in ((build.hamiltonian, _mixing_generator(n)),
+                              (build.target_unitary, hadamard_matrix(n))):
+            assert got.tobytes() == _sign_conjugate(pair.f[None], unsigned)[0].tobytes()
+
+
+def test_conjugation_sweep_agrees_with_per_instance_errors():
+    for n in (1, 2, 3):
+        fs = all_sign_vectors(n)
+        mismatches, residual = hamiltonian_conjugation_sweep(n, fs)
+        assert mismatches == 0
+        assert residual < 1e-13
+        # LAPACK promises no bitwise agreement between the two routes
+        np.testing.assert_allclose(hamiltonian_identity_errors_batch(n, fs), residual,
+                                   rtol=0, atol=1e-13)
+
+
+def test_conjugation_sweep_counts_wrongly_signed_vectors(monkeypatch):
+    # a fault that signs with the wrong vector still yields a true conjugate,
+    # so only the second route, matmul by diag(f), can see it
+    fs = all_sign_vectors(4)
+    wrong = fs[[3, 2047, 2048, 65535]]      # across the first stack boundary
+    stacks = []
+    real = reductions._sign_conjugate
+
+    def flipped(part, X):
+        stacks.append(len(part))
+        part = part.copy()
+        part[(part[:, None, :] == wrong).all(axis=2).any(axis=1), 5] *= -1
+        return real(part, X)
+
+    monkeypatch.setattr(reductions, "_sign_conjugate", flipped)
+    mismatches, residual = hamiltonian_conjugation_sweep(4, fs)
+    assert mismatches == 4
+    assert residual < 1e-13
+    # 65,536 vectors in stacks of 2048, each signed twice (generator, target)
+    assert stacks == [2048] * 64
+
+
+@pytest.mark.parametrize("route", [hamiltonian_identity_errors_batch,
+                                   hamiltonian_conjugation_sweep])
+def test_identity_routes_reject_what_they_cannot_serve(route):
+    for bad in (0.5, np.nan, 0.0, 2.0):
+        fs = np.ones((3, 4))
+        fs[1, 2] = bad
+        with pytest.raises(PromiseViolation, match="entries must be"):
+            route(2, fs)
+    for n in (0, 9, -1):
+        with pytest.raises(BadDimension, match="1 <= n <= 8"):
+            route(n, np.ones((1, 2 ** max(n, 0))))
+    with pytest.raises(BadDimension, match="length 4"):
+        route(2, np.ones((3, 3)))
+
+
 def test_hamiltonian_caps():
-    big = FunctionPair(n=9, f=np.ones(512), g=np.ones(512))
-    with pytest.raises(BadDimension):
-        build_hamiltonian(big)
+    for n in (0, 9):
+        pair = FunctionPair(n=n, f=np.ones(2**n), g=np.ones(2**n))
+        with pytest.raises(BadDimension, match="1 <= n <= 8"):
+            build_hamiltonian(pair)
 
 
 def test_all_sign_vectors():
