@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import comm_sim, reductions
-from .harness import (EXPERIMENTS, ConfigError, bit_sweep, fit_verdict, load_config,
+from .harness import (EXPERIMENTS, ConfigError, bit_sweep, fit_checks, load_config,
                       parse_config, run, sweep_session, sweep_values)
 from .verify import SUITES, run_suite, suite_passed
 
@@ -107,7 +107,7 @@ def _cmd_fit_bits(args) -> int:
     print(f"# word bits w = {fit['word_bits']}, players k = {k}")
     print(f"# total = c0*k*w + c1*T*w with c0 = {fit['c0']:.6f}, "
           f"c1 = {fit['c1']:.6f}, R^2 = {fit['r_squared']:.9f}")
-    ok = all(fit_verdict(fit))
+    ok = all(c.passed for c in fit_checks(fit, *config.params["t_sweep"][:2]))
     print(f"# fit check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

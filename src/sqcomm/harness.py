@@ -9,7 +9,9 @@ the bytes written to disk.
 Experiments cover the protocol layer (exact law enumeration, bit-cost fits,
 oversampled combinations) and the five reductions, plus a quick self-check of
 the linear-algebra oracle.  Each experiment returns named checks; the CLI and
-the acceptance tests consume the same results.
+the acceptance tests consume the same results.  A check is a list of measured
+terms, each a value against its bound, rendered by one `_check`: it passes iff
+every term is met, and its detail prints the same values and bounds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -402,6 +405,24 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+_RULES = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+def _check(name: str, text: str, *terms, **fields) -> CheckResult:
+    """The one constructor of a check.  A term is (value, bound), met when
+    value <= bound, or (value, rule, bound) with rule ">=" or ">"; a nan
+    meets no bound.  The check passes iff every term is met.  Its detail is
+    `text.format` with term t's value and bound as {vt} and {bt} in _fmt
+    form and `fields` verbatim (exact counts, and numbers with a format of
+    their own)."""
+    passed = True
+    for t, term in enumerate(terms):
+        value, rule, bound = term if len(term) == 3 else (term[0], "<=", term[1])
+        passed &= bool(_RULES[rule](value, bound))
+        fields[f"v{t}"], fields[f"b{t}"] = _fmt(value), _fmt(bound)
+    return CheckResult(name=name, passed=passed, detail=text.format(**fields))
+
+
 def _worst(*values) -> float:
     """The largest residual as a Python float, nan if any is nan: Python's
     max keeps a nan only in first place (max(0.0, nan) is 0.0), which would
@@ -470,12 +491,9 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
         dev = _exactness_deviation(session, rng)
         worst = _worst(worst, dev)
         per_trial.append({"trial": t, "deviation": dev})
-    checks = [CheckResult(
-        name="stacked_laws_match_centralized",
-        passed=bool(worst <= _EXACTNESS_TOL),
-        detail=(f"max abs deviation {_fmt(worst)} over {config.trials} partitions "
-                f"(tol {_fmt(_EXACTNESS_TOL)})"),
-    )]
+    checks = [_check("stacked_laws_match_centralized",
+                     "max abs deviation {v0} over {trials} partitions (tol {b0})",
+                     (worst, _EXACTNESS_TOL), trials=config.trials)]
     return _report(config, checks, {"max_deviation": worst}, per_trial)
 
 
@@ -557,10 +575,18 @@ def fit_bit_costs(k: int, t_values, totals, encoding: EncodingSpec, m: int, n: i
             "r_squared": r_squared, "word_bits": w}
 
 
-def fit_verdict(fit: dict):
-    """The bit-fit pass rule: (R^2 above the floor, c0 and c1 both in [0, cap])."""
-    return (bool(fit["r_squared"] > _R2_FLOOR),
-            bool(0 <= fit["c0"] <= _COEF_CAP and 0 <= fit["c1"] <= _COEF_CAP))
+def fit_checks(fit: dict, t_start: int, t_stop: int) -> list:
+    """The bit-fit checks, of the experiment and of `sqcomm fit-bits`: R^2
+    above the floor over T in [t_start, t_stop], and c0 and c1 in [0, cap]."""
+    c0, c1 = fit["c0"], fit["c1"]
+    return [
+        _check("bit_total_linear_in_accesses", "R^2 = {r2:.9f} over T in [{start}, {stop}]",
+               (fit["r_squared"], ">", _R2_FLOOR), r2=fit["r_squared"], start=t_start,
+               stop=t_stop),
+        _check("fit_coefficients_bounded", "c0 = {v0}, c1 = {v1} (cap {cap})",
+               (c0, _COEF_CAP), (c1, _COEF_CAP), (c0, ">=", 0.0), (c1, ">=", 0.0),
+               cap=_COEF_CAP),
+    ]
 
 
 # bit_fit's access mix.  Every mix of `sqcomm fit-bits` has as many accesses,
@@ -590,20 +616,8 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
         lambda rng: sweep_session(p["k"], p["m"], p["n"], rng, config.encoding),
         _BIT_FIT_MIX, t_values, config.seed, config.encoding)
     per_trial = [{"t": t, "total_bits": total} for t, total in zip(t_values, totals)]
-    linear, bounded = fit_verdict(fit)
-    checks = [
-        CheckResult(
-            name="bit_total_linear_in_accesses",
-            passed=linear,
-            detail=f"R^2 = {fit['r_squared']:.9f} over T in [{t_start}, {t_stop}]",
-        ),
-        CheckResult(
-            name="fit_coefficients_bounded",
-            passed=bounded,
-            detail=f"c0 = {_fmt(fit['c0'])}, c1 = {_fmt(fit['c1'])} (cap {_COEF_CAP})",
-        ),
-    ]
-    return _report(config, checks, {"t_values": t_values, "totals": totals}, per_trial,
+    return _report(config, fit_checks(fit, t_start, t_stop),
+                   {"t_values": t_values, "totals": totals}, per_trial,
                    trials=len(t_values), bits_mean=float(np.mean(totals)),
                    bits_max=int(max(totals)), fit=fit)
 
@@ -631,6 +645,7 @@ def _random_lincomb_session(rng, max_players: int, max_len: int,
 _OVERSAMPLING_TOL = 1e-9       # norm identity and entrywise domination
 _REJECTION_LAW_TOL = 1e-12     # enumerated rejection law against the target law
 _PHI_CAP = 8.0                 # rounds are drawn only for combinations with phi <= cap
+_ROUNDS_SLACK = 0.10           # relative error of the mean rounds against phi
 
 
 def run_oversampling(config: ExperimentConfig) -> Report:
@@ -638,11 +653,8 @@ def run_oversampling(config: ExperimentConfig) -> Report:
     max_players, max_len, rounds_draws = p["max_players"], p["max_len"], p["rounds_draws"]
     rngs = _trial_rngs(config.seed, config.trials)
 
-    worst_norm_identity = 0.0
-    worst_domination = 0.0
-    worst_law = 0.0
-    rounds_total = 0.0
-    phi_total = 0.0
+    worst_norm_identity = worst_domination = worst_law = 0.0
+    rounds_total = phi_total = 0.0
     qualifying = 0
     per_trial = []
     for t, rng in enumerate(rngs):
@@ -690,30 +702,18 @@ def run_oversampling(config: ExperimentConfig) -> Report:
 
     rounds_ratio = rounds_total / phi_total if phi_total else 1.0
     checks = [
-        CheckResult(
-            name="dominator_norm_identity",
-            passed=bool(worst_norm_identity <= _OVERSAMPLING_TOL),
-            detail=(f"max relative error {_fmt(worst_norm_identity)} "
-                    f"(tol {_fmt(_OVERSAMPLING_TOL)})"),
-        ),
-        CheckResult(
-            name="entrywise_domination",
-            passed=bool(worst_domination <= _OVERSAMPLING_TOL),
-            detail=f"max violation {_fmt(worst_domination)} (tol {_fmt(_OVERSAMPLING_TOL)})",
-        ),
-        CheckResult(
-            name="rejection_law_exact",
-            passed=bool(worst_law <= _REJECTION_LAW_TOL),
-            detail=f"max abs deviation {_fmt(worst_law)} (tol {_fmt(_REJECTION_LAW_TOL)})",
-        ),
+        _check("dominator_norm_identity", "max relative error {v0} (tol {b0})",
+               (worst_norm_identity, _OVERSAMPLING_TOL)),
+        _check("entrywise_domination", "max violation {v0} (tol {b0})",
+               (worst_domination, _OVERSAMPLING_TOL)),
+        _check("rejection_law_exact", "max abs deviation {v0} (tol {b0})",
+               (worst_law, _REJECTION_LAW_TOL)),
         # with no combination under the cap there are no rounds to compare,
         # and the check fails rather than pass over nothing
-        CheckResult(
-            name="mean_rounds_tracks_phi",
-            passed=bool(qualifying > 0 and abs(rounds_ratio - 1.0) <= 0.10),
-            detail=(f"observed/expected rounds = {rounds_ratio:.4f} over "
-                    f"{qualifying} combinations with phi <= {_PHI_CAP}"),
-        ),
+        _check("mean_rounds_tracks_phi", "observed/expected rounds = {ratio:.4f} over "
+               "{qualifying} combinations with phi <= {cap}",
+               (abs(rounds_ratio - 1.0), _ROUNDS_SLACK), (qualifying, ">", 0),
+               ratio=rounds_ratio, qualifying=qualifying, cap=_PHI_CAP),
     ]
     return _report(config, checks, {"rounds_ratio": rounds_ratio, "qualifying": qualifying},
                    per_trial)
@@ -758,18 +758,13 @@ def run_sparse_regression(config: ExperimentConfig) -> Report:
     accuracy = correct / config.trials
 
     checks = [
-        CheckResult(
-            name="closed_form_matches_pinv",
-            passed=bool(worst_closed_form <= _CLOSED_FORM_TOL),
-            detail=(f"max abs deviation {_fmt(worst_closed_form)} over "
-                    f"{closed_form_instances} instances "
-                    f"(tol {_fmt(_CLOSED_FORM_TOL)})"),
-        ),
-        CheckResult(
-            name="disjointness_decision_accuracy",
-            passed=bool(accuracy >= _ACCURACY_FLOOR),
-            detail=f"{correct}/{config.trials} correct (accuracy {accuracy:.4f})",
-        ),
+        _check("closed_form_matches_pinv",
+               "max abs deviation {v0} over {instances} instances (tol {b0})",
+               (worst_closed_form, _CLOSED_FORM_TOL), instances=closed_form_instances),
+        _check("disjointness_decision_accuracy",
+               "{correct}/{trials} correct (accuracy {accuracy:.4f})",
+               (accuracy, ">=", _ACCURACY_FLOOR), correct=correct, trials=config.trials,
+               accuracy=accuracy),
     ]
     return _report(config, checks, {"worst_closed_form": worst_closed_form}, per_trial,
                    accuracy=accuracy, bits_mean=float(np.mean(bits)), bits_max=int(max(bits)))
@@ -778,6 +773,7 @@ def run_sparse_regression(config: ExperimentConfig) -> Report:
 # --- experiment: dense regression -----------------------------------------------------
 
 _DENSE_LAW_TOL = 1e-9     # solution law against the sign-correlation law
+_CONDITION_TOL = 1e-9     # kappa_F^2 against 2^n and kappa against 1
 
 
 def run_dense_regression(config: ExperimentConfig) -> Report:
@@ -802,8 +798,7 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
         worst_tv = _worst(worst_tv, tv_distance(law, build.target_law))
         count += 1
 
-    worst_kf = 0.0
-    worst_kappa = 0.0
+    worst_kf = worst_kappa = 0.0
     for n in range(1, params_max_n + 1):
         build = reductions.build_regression_dense(reductions.gen_function_pair(n, rng))
         pr = params(build.matrix, build.rhs)
@@ -811,18 +806,13 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
         worst_kappa = _worst(worst_kappa, abs(pr.kappa - 1.0))
 
     checks = [
-        CheckResult(
-            name="solution_law_matches_sign_correlation",
-            passed=bool(worst_law <= _DENSE_LAW_TOL),
-            detail=(f"max abs deviation {_fmt(worst_law)} over {count} pairs "
-                    f"(TV max {_fmt(worst_tv)}, tol {_fmt(_DENSE_LAW_TOL)})"),
-        ),
-        CheckResult(
-            name="condition_numbers",
-            passed=bool(worst_kf <= 1e-9 and worst_kappa <= 1e-9),
-            detail=(f"max |kappa_F^2 - 2^n| = {_fmt(worst_kf)}, "
-                    f"max |kappa - 1| = {_fmt(worst_kappa)} for n <= {params_max_n}"),
-        ),
+        # the TV distance is reported, not bounded
+        _check("solution_law_matches_sign_correlation",
+               "max abs deviation {v0} over {count} pairs (TV max {v1}, tol {b0})",
+               (worst_law, _DENSE_LAW_TOL), (worst_tv, math.inf), count=count),
+        _check("condition_numbers",
+               "max |kappa_F^2 - 2^n| = {v0}, max |kappa - 1| = {v1} for n <= {max_n}",
+               (worst_kf, _CONDITION_TOL), (worst_kappa, _CONDITION_TOL), max_n=params_max_n),
     ]
     return _report(config, checks, {"tv_max": worst_tv, "pairs_checked": count}, [],
                    trials=count)
@@ -830,14 +820,15 @@ def run_dense_regression(config: ExperimentConfig) -> Report:
 
 # --- experiment: clustering ------------------------------------------------------------
 
+_CENTROID_TOL = 1e-10     # weighted row combination against the centroid distance
+_NORM_TOL = 1e-12         # Frobenius and vector norms against their closed forms
+
 def run_clustering(config: ExperimentConfig) -> Report:
     p = config.params
     ks, ds = p["ks"], p["ds"]
     rngs = _trial_rngs(config.seed, config.trials)
 
-    worst_dist = 0.0
-    worst_fro = 0.0
-    worst_b = 0.0
+    worst_dist = worst_fro = worst_b = 0.0
     correct = 0
     per_trial = []
     for t, rng in enumerate(rngs):
@@ -855,22 +846,13 @@ def run_clustering(config: ExperimentConfig) -> Report:
                           "decision": decision})
     accuracy = correct / config.trials
     checks = [
-        CheckResult(
-            name="weighted_row_combination_is_centroid_distance",
-            passed=bool(worst_dist <= 1e-10),
-            detail=f"max abs deviation {_fmt(worst_dist)} (tol 1e-10)",
-        ),
-        CheckResult(
-            name="norm_identities",
-            passed=bool(worst_fro <= 1e-12 and worst_b <= 1e-12),
-            detail=(f"max |fro^2 - 2| = {_fmt(worst_fro)}, "
-                    f"max vector-norm error = {_fmt(worst_b)}"),
-        ),
-        CheckResult(
-            name="threshold_separates_promise_branches",
-            passed=bool(correct == config.trials),
-            detail=f"{correct}/{config.trials} branches decided correctly",
-        ),
+        _check("weighted_row_combination_is_centroid_distance",
+               "max abs deviation {v0} (tol {b0})", (worst_dist, _CENTROID_TOL)),
+        _check("norm_identities", "max |fro^2 - 2| = {v0}, max vector-norm error = {v1}",
+               (worst_fro, _NORM_TOL), (worst_b, _NORM_TOL)),
+        _check("threshold_separates_promise_branches",
+               "{correct}/{trials} branches decided correctly",
+               (correct, ">=", config.trials), correct=correct, trials=config.trials),
     ]
     return _report(config, checks, {"worst_distance_error": worst_dist}, per_trial,
                    accuracy=accuracy)
@@ -878,17 +860,15 @@ def run_clustering(config: ExperimentConfig) -> Report:
 
 # --- experiment: PCA and thresholded projection ------------------------------------------
 
+_SIGMA_TOL = 1e-9     # top singular value against sqrt(2) or 1
+
 def run_pca_recsys(config: ExperimentConfig) -> Report:
     p = config.params
     n, level = p["n"], p["level"]
     rngs = _trial_rngs(config.seed, config.trials)
 
     worst_sigma = 0.0
-    rank_ok = True
-    pca_correct = 0
-    recsys_correct = 0
-    recovered = 0
-    rank1_count = 0
+    rank_wrong = pca_correct = recsys_correct = recovered = rank1_count = 0
     per_trial = []
     for t, rng in enumerate(rngs):
         truth = bool(rng.random() < 0.5)
@@ -904,7 +884,7 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
             pca_correct -= 0 if idx == pca.truth else 1
 
         rec = reductions.build_recsys(a_bits, b_bits, level)
-        rank_ok = rank_ok and rec.rank in (0, 1) and (rec.rank == 1) == truth
+        rank_wrong += not (rec.rank in (0, 1) and (rec.rank == 1) == truth)
         decision, coord = reductions.decide_recsys(rec, rng)
         recsys_correct += decision == truth
         if rec.rank == 1:
@@ -913,24 +893,17 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
         per_trial.append({"trial": t, "truth": truth, "sigma": ts.sigma,
                           "rank": rec.rank})
 
+    faults = ((rank_wrong, "rank mismatches"), (rank1_count - recovered, "coordinates missed"),
+              (config.trials - recsys_correct, "wrong recsys decisions"))
     checks = [
-        CheckResult(
-            name="top_singular_value_binary",
-            passed=bool(worst_sigma <= 1e-9),
-            detail=f"max |sigma - expected| = {_fmt(worst_sigma)} (tol 1e-9)",
-        ),
-        CheckResult(
-            name="pca_sampling_decision",
-            passed=bool(pca_correct == config.trials),
-            detail=f"{pca_correct}/{config.trials} sampled decisions correct",
-        ),
-        CheckResult(
-            name="truncation_rank_and_recovery",
-            passed=bool(rank_ok and recovered == rank1_count
-                        and recsys_correct == config.trials),
-            detail=(f"rank in {{0,1}} matched truth on all trials; "
-                    f"{recovered}/{rank1_count} coordinates recovered"),
-        ),
+        _check("top_singular_value_binary", "max |sigma - expected| = {v0} (tol 1e-9)",
+               (worst_sigma, _SIGMA_TOL)),
+        _check("pca_sampling_decision", "{correct}/{trials} sampled decisions correct",
+               (pca_correct, ">=", config.trials), correct=pca_correct, trials=config.trials),
+        _check("truncation_rank_and_recovery", "rank in {{0,1}} matched truth on all trials; "
+               "{recovered}/{rank1} coordinates recovered{faults}",
+               *((count, 0) for count, _ in faults), recovered=recovered, rank1=rank1_count,
+               faults="".join(f"; {count} {what}" for count, what in faults if count)),
     ]
     accuracy = (pca_correct + recsys_correct) / (2 * config.trials)
     return _report(config, checks, {"worst_sigma": worst_sigma}, per_trial,
@@ -941,6 +914,9 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
 
 _IDENTITY_TOL = 1e-8     # Frobenius error of evolution against the signed Hadamard
 _IDENTITY_SAMPLE = 256   # sign vectors evolved one by one at each exhaustive n
+# generator operator norm against 1, Frobenius norm squared against
+# 2^(n-2)(n+1)/n, and the evolved law against the sign-correlation law
+_OP_NORM_TOL, _FRO_SQ_TOL, _EVOLVED_LAW_TOL = 1e-9, 1e-6, 1e-9
 
 
 def run_hamiltonian(config: ExperimentConfig) -> Report:
@@ -962,9 +938,8 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sample_rng = np.random.default_rng([config.seed, 1])
 
-    mismatches = 0
+    mismatches = checked = 0
     errors = []
-    checked = 0
     for n in range(1, exhaustive_max_n + 1):
         fs = reductions.all_sign_vectors(n)
         checked += len(fs)
@@ -980,9 +955,7 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
         errors.extend(reductions.hamiltonian_identity_errors_batch(n, fs))
     worst_identity = _worst(*errors)
 
-    worst_op_norm = 0.0
-    worst_fro = 0.0
-    worst_law = 0.0
+    worst_op_norm = worst_fro = worst_law = 0.0
     for n in range(1, 9):
         build = reductions.build_hamiltonian(reductions.gen_function_pair(n, rng))
         sigma = float(np.linalg.norm(build.hamiltonian, 2))
@@ -994,30 +967,24 @@ def run_hamiltonian(config: ExperimentConfig) -> Report:
         worst_law = _worst(worst_law, float(np.abs(law - build.target_law).max()))
 
     checks = [
-        CheckResult(
-            name="evolution_equals_signed_hadamard",
-            passed=bool(mismatches == 0 and worst_identity <= _IDENTITY_TOL),
-            detail=(f"max Frobenius error {_fmt(worst_identity)} over {checked} "
-                    f"sign vectors (tol {_fmt(_IDENTITY_TOL)})"
-                    + (f"; {mismatches} generators or targets not the exact "
-                       f"sign conjugates" if mismatches else "")),
-        ),
-        CheckResult(
-            name="generator_norms",
-            passed=bool(worst_op_norm <= 1e-9 and worst_fro <= 1e-6),
-            detail=(f"max |op norm - 1| = {_fmt(worst_op_norm)}, "
-                    f"max Frobenius-sq error = {_fmt(worst_fro)}"),
-        ),
-        CheckResult(
-            name="evolved_state_law",
-            passed=bool(worst_law <= 1e-9),
-            detail=f"max abs deviation from sign-correlation law {_fmt(worst_law)}",
-        ),
+        _check("evolution_equals_signed_hadamard",
+               "max Frobenius error {v0} over {checked} sign vectors (tol {b0}){faults}",
+               (worst_identity, _IDENTITY_TOL), (mismatches, 0), checked=checked,
+               faults=(f"; {mismatches} generators or targets not the exact sign conjugates"
+                       if mismatches else "")),
+        _check("generator_norms", "max |op norm - 1| = {v0}, max Frobenius-sq error = {v1}",
+               (worst_op_norm, _OP_NORM_TOL), (worst_fro, _FRO_SQ_TOL)),
+        _check("evolved_state_law", "max abs deviation from sign-correlation law {v0}",
+               (worst_law, _EVOLVED_LAW_TOL)),
     ]
     return _report(config, checks, {"instances_checked": checked}, [], trials=checked)
 
 
 # --- experiment: oracle self-checks ---------------------------------------------------------
+
+# Moore-Penrose residual; fast transform, evolution unitarity and inverse,
+# and brute-force law; the law's total mass; a kept singular value at a tie
+_PINV_TOL, _ORACLE_TOL, _MASS_TOL, _TIE_TOL = 1e-8, 1e-10, 1e-9, 1e-12
 
 def run_oracle_properties(config: ExperimentConfig) -> Report:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -1037,11 +1004,8 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
             float(np.abs((A @ X).conj().T - A @ X).max()),
             float(np.abs((X @ A).conj().T - X @ A).max()),
         )
-    checks.append(CheckResult(
-        name="pseudoinverse_identities",
-        passed=bool(worst <= 1e-8),
-        detail=f"max Moore-Penrose residual {_fmt(worst)} (tol 1e-8)",
-    ))
+    checks.append(_check("pseudoinverse_identities",
+                         "max Moore-Penrose residual {v0} (tol 1e-8)", (worst, _PINV_TOL)))
 
     worst = 0.0
     for n in range(1, 7):
@@ -1050,14 +1014,10 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
         for _ in range(5):
             v = rng.normal(size=size)
             worst = _worst(worst, float(np.abs(hadamard_apply(n, v) - dense @ v).max()))
-    checks.append(CheckResult(
-        name="fast_transform_matches_dense",
-        passed=bool(worst <= 1e-10),
-        detail=f"max abs deviation {_fmt(worst)} for n <= 6 (tol 1e-10)",
-    ))
+    checks.append(_check("fast_transform_matches_dense",
+                         "max abs deviation {v0} for n <= 6 (tol {b0})", (worst, _ORACLE_TOL)))
 
-    worst_unitary = 0.0
-    worst_inverse = 0.0
+    worst_unitary = worst_inverse = 0.0
     for _ in range(10):
         size = int(rng.integers(2, 24))
         M = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
@@ -1068,12 +1028,9 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
                                float(np.abs(U @ U.conj().T - np.eye(size)).max()))
         worst_inverse = _worst(worst_inverse,
                                float(np.abs(expm_hermitian(H, -t) @ U - np.eye(size)).max()))
-    checks.append(CheckResult(
-        name="evolution_unitary_and_invertible",
-        passed=bool(worst_unitary <= 1e-10 and worst_inverse <= 1e-10),
-        detail=(f"max unitarity defect {_fmt(worst_unitary)}, "
-                f"max inverse defect {_fmt(worst_inverse)}"),
-    ))
+    checks.append(_check("evolution_unitary_and_invertible",
+                         "max unitarity defect {v0}, max inverse defect {v1}",
+                         (worst_unitary, _ORACLE_TOL), (worst_inverse, _ORACLE_TOL)))
 
     n = 5
     f = rng.choice((-1.0, 1.0), size=2**n)
@@ -1085,25 +1042,23 @@ def run_oracle_properties(config: ExperimentConfig) -> Report:
         for x in range(2**n):
             acc += f[x] * g[x] * (-1) ** bin(x & y).count("1")
         brute[y] = (acc / 2**n) ** 2
-    dev = float(np.abs(law - brute).max())
-    checks.append(CheckResult(
-        name="sign_correlation_law_brute_force",
-        passed=bool(dev <= 1e-10 and abs(law.sum() - 1.0) <= 1e-9),
-        detail=f"max abs deviation {_fmt(dev)}; total mass {law.sum():.12f}",
-    ))
+    checks.append(_check("sign_correlation_law_brute_force",
+                         "max abs deviation {v0}; total mass {mass:.12f}",
+                         (float(np.abs(law - brute).max()), _ORACLE_TOL),
+                         (abs(law.sum() - 1.0), _MASS_TOL), mass=law.sum()))
 
     diag = np.array([2.0, 1.2, 1.2, 0.5])
     A = np.diag(diag)
     kept = threshold_svd(A, 1.2)
     tie_ok = (np.linalg.matrix_rank(kept) == 3
-              and float(np.abs(kept - np.diag([2.0, 1.2, 1.2, 0.0])).max()) <= 1e-12)
+              and float(np.abs(kept - np.diag([2.0, 1.2, 1.2, 0.0])).max()) <= _TIE_TOL)
     ts = top_singular(np.diag([1.0, 1.0, 0.3]))
     sf = svd_factors(np.diag([3.0, 2.0, 0.0]))
-    checks.append(CheckResult(
-        name="truncation_ties_and_degeneracy",
-        passed=bool(tie_ok and ts.degenerate and sf.rank == 2),
-        detail="ties kept at the level; equal top values flagged; zero modes dropped",
-    ))
+    failed = [what for what, ok in (("tie", tie_ok), ("degeneracy", ts.degenerate),
+                                    ("rank", sf.rank == 2)) if not ok]
+    checks.append(_check("truncation_ties_and_degeneracy", "ties kept at the level; equal "
+                         "top values flagged; zero modes dropped{faults}", (len(failed), 0),
+                         faults=f"; failed: {', '.join(failed)}" if failed else ""))
 
     return _report(config, checks, {}, [])
 

@@ -1,7 +1,10 @@
-"""Statistics helpers, config parsing, report determinism, and the CLI."""
+"""Statistics helpers, config parsing, checks, report determinism, and the CLI."""
 
+import ast
+import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -179,6 +182,90 @@ def test_hamiltonian_planted_faults_read_fail(monkeypatch):
         faulty = outcome()
     assert not faulty.passed
     assert float(faulty.detail.split()[3]) > 1e-3
+
+
+@pytest.mark.parametrize("rule", ["<=", ">=", ">"])
+def test_check_nan_meets_no_bound(rule):
+    assert not harness._check("c", "{v0}", (math.nan, rule, 0.0)).passed
+    assert not harness._check("c", "{v0}", (0.0, rule, math.nan)).passed
+
+
+def test_check_rules_at_the_bound_and_every_term():
+    check = harness._check
+    assert check("c", "", (1.0, 1.0)).passed
+    assert check("c", "", (1.0, "<=", 1.0)).passed
+    assert check("c", "", (1.0, ">=", 1.0)).passed
+    assert not check("c", "", (1.0, ">", 1.0)).passed
+    assert check("c", "", (2, ">", 1), (0, 0)).passed
+    assert not check("c", "", (2, ">", 1), (1, 0)).passed     # every term must be met
+
+
+def test_check_renders_terms_in_fmt_form_and_fields_verbatim():
+    check = harness._check("name", "{v0} (tol {b0}); {v1} > {b1}; {count} of {ratio:.4f}{{x}}",
+                           (1234567.0, 1e-9), (10**6, ">", 3), count=10**6, ratio=0.5)
+    assert check == harness.CheckResult(
+        name="name", passed=False,
+        detail="1.23457e+06 (tol 1e-09); 1e+06 > 3; 1000000 of 0.5000{x}")
+
+
+def _fit(**changes):
+    return dict({"c0": 1.0, "c1": 0.5, "r_squared": 0.9999, "word_bits": 40}, **changes)
+
+
+def test_fit_checks_pass_and_render():
+    linear, bounded = harness.fit_checks(_fit(), 10, 1000)
+    assert linear.passed and linear.detail == "R^2 = 0.999900000 over T in [10, 1000]"
+    assert bounded.passed and bounded.detail == "c0 = 1, c1 = 0.5 (cap 4.0)"
+
+
+@pytest.mark.parametrize("changes, failing", [
+    ({"r_squared": harness._R2_FLOOR}, "bit_total_linear_in_accesses"),    # must exceed it
+    ({"r_squared": math.nan}, "bit_total_linear_in_accesses"),
+    ({"c0": -1e-12}, "fit_coefficients_bounded"),
+    ({"c1": harness._COEF_CAP * (1 + 1e-12)}, "fit_coefficients_bounded"),
+    ({"c0": math.nan}, "fit_coefficients_bounded"),
+    ({"c1": math.nan}, "fit_coefficients_bounded"),
+])
+def test_fit_checks_fail(changes, failing):
+    verdicts = {c.name: c.passed for c in harness.fit_checks(_fit(**changes), 10, 1000)}
+    assert [name for name, ok in verdicts.items() if not ok] == [failing]
+
+
+def test_checks_are_built_only_by_the_one_constructor():
+    # every CheckResult comes out of _check, and no runner formats a number of
+    # its own, so each printed value and bound is one the verdict compared
+    tree = ast.parse(Path(harness.__file__).read_text())
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+
+    def calls(node, name):
+        return sum(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                   and c.func.id == name for c in ast.walk(node))
+
+    assert calls(tree, "CheckResult") == calls(functions["_check"], "CheckResult") == 1
+    runners = {entry.runner.__name__ for entry in EXPERIMENTS.values()}
+    assert runners <= set(functions) and all(name.startswith("run_") for name in runners)
+    assert [name for name in functions if name.startswith("run_")
+            and calls(functions[name], "_fmt")] == []
+
+
+def test_failing_recsys_check_names_what_failed(monkeypatch):
+    # a rank outside {0, 1} must not read "matched truth on all trials" alone
+    real = reductions.build_recsys
+    monkeypatch.setattr(reductions, "build_recsys",
+                        lambda *args: dataclasses.replace(real(*args), rank=2))
+    report = run(parse_config({"experiment": "pca_recsys", "seed": 1, "trials": 4}))
+    check = {c.name: c for c in report.checks}["truncation_rank_and_recovery"]
+    assert not check.passed
+    assert "0/0 coordinates recovered; 4 rank mismatches" in check.detail
+
+
+def test_failing_truncation_check_names_what_failed(monkeypatch):
+    real = harness.top_singular
+    monkeypatch.setattr(harness, "top_singular",
+                        lambda A: dataclasses.replace(real(A), degenerate=False))
+    check = {c.name: c for c in run(default_config("oracle_properties")).checks}[
+        "truncation_ties_and_degeneracy"]
+    assert not check.passed and check.detail.endswith("; failed: degeneracy")
 
 
 def test_chi_square_calibration():
