@@ -32,10 +32,16 @@ Every sampling access of both families is one owner-mixture draw,
 `_owner_draw`: the coordinator picks an owner by squared norm and that owner
 makes one local l2 draw; `_mixture_law` gives its exact law.  Every rejection
 draw runs through the one rejection loop in `sq_access`, and every norm
-estimate through its one norm estimator.  Each dispatcher checks a request's
-kind and argument count against its own table (`_split`) before anything is
-metered or drawn.  Each request records the indices it carries, so a replay
-checks them as well as kind and widths.
+estimate through its one norm estimator, one round at a time.  A round is
+that owner draw of a dominator index, then one fan-out of the drawn entry,
+folded in player order with the coefficients the request prepared once as
+Python scalars; it does not re-check the indices it drew.  The exact phi that
+sets a request's round budget is memoised per side for the last coefficients
+and row, and still recorded as an annotation on every request.  Each
+dispatcher checks a request's kind and argument count against its own table
+(`_split`), and its indices and Generator, before anything is metered or
+drawn.  Each request records the indices it carries, so a replay checks them
+as well as kind and widths.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
 the Generator passed to each operation.  The coordinator draws the owner pick
@@ -48,6 +54,7 @@ every coordinator decision bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from bisect import bisect_right
@@ -247,7 +254,7 @@ class _OwnerLaw:
         self.total = float(weights.sum())
         if not math.isfinite(self.total):
             raise ValueError("owner masses overflow: their total is not finite")
-        self.cum = np.cumsum(weights).tolist()
+        self.cum = weights.cumsum().tolist()
 
     def pick(self, rng) -> int:
         if self.total <= 0.0:
@@ -292,6 +299,8 @@ class _Side:
         self.counts: list | None = None
         self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
         self._shares: np.ndarray | None = None   # see `shares`
+        # one combination's exact phi: ((coefficient dtype, bytes, row), phi)
+        self.phi_memo: tuple | None = None
 
     def locate(self, g: int):
         _check_index(g, self.rows)
@@ -516,9 +525,9 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     if not side.blocks:
         raise DimensionMismatch(f"session holds no {side.noun} blocks")
     enc = session.encoding
-    values, bits = _fan_out(session, kind, "setup", enc.opcode_bits,
-                            enc.scalar_bits + enc.index_bits(side.rows),
-                            lambda: [(v.norm, v.size) for v in side.players()])
+    values, bits = session._exchange(session.player_names, kind, "setup", enc.opcode_bits,
+                                     enc.scalar_bits + enc.index_bits(side.rows),
+                                     lambda: [(v.norm, v.size) for v in side.players()])
     side.norms = np.asarray([float(norm) for norm, _ in values])
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
@@ -526,12 +535,11 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     return bits
 
 
-def _fan_out(session: Session, kind: str, phase: str, req_bits: int, resp_bits: int,
-             read, args=()):
-    """Ask all k players, empty holdings included, in one batched exchange;
-    `read()` gives their k answers, live only.  Returns (values, bits)."""
-    return session._exchange(session.player_names, kind, phase, req_bits, resp_bits,
-                             read, args)
+def _require_generator(rng, kind: str) -> None:
+    """Every sampling request checks its Generator once, before anything is
+    metered or drawn."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"{kind} needs a numpy Generator")
 
 
 class _Coin:
@@ -559,10 +567,8 @@ def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
     owner's view, its own law or the law of its row `row`, at one more uniform
     from rng: public coin, drawn on every stage 2, live or replayed, so the
     coordinator's stream never depends on player data.  The public view draws
-    for free.
+    for free.  The caller has checked rng with `_require_generator`.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"{kind} needs a numpy Generator")
     if owner is None:
         owner = owner_law.pick(rng)
         if owner == session.k:
@@ -585,6 +591,7 @@ def _stacked_sample(session: Session, side: _Side, kind: str, rng):
     space through the public layout.
     """
     side.require_setup()
+    _require_generator(rng, kind)
     enc = session.encoding
     owner, local, bits = _owner_draw(session, side, kind, rng, enc.opcode_bits,
                                      enc.index_bits(side.rows), owner_law=side.owner_law)
@@ -677,6 +684,7 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
 
     if kind == "row_sample":
         owner, local = side.locate(args[0])
+        _require_generator(rng, "a_row_sample")
         _, j, bits = _owner_draw(session, side, "a_row_sample", rng,
                                  enc.opcode_bits + enc.index_bits(session.a_rows),
                                  enc.index_bits(session.n), owner=owner, row=local, args=args)
@@ -729,7 +737,9 @@ class _Combination:
     shares, each a (rows, cols) block; a vector is the one-column case and
     reads entry (j, 0).  The dominator has entries sqrt(k sum_t |c_t S^(t)_ij|^2).
     The constructor checks the coefficients and the shares once, before
-    anything is metered; the record then serves the metered requests and,
+    anything is metered, and prepares what every round of a request reuses:
+    the coefficients as Python scalars, the message kinds, the bit widths and
+    the player names.  The record then serves the metered requests and,
     simulation-side, the exact phi and the exact dominator laws.  Only a
     matrix is asked for row norms or a draw within a row."""
 
@@ -738,17 +748,24 @@ class _Combination:
         if c.shape != (session.k,):
             raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
         self.coeffs = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
-        if not np.isfinite(self.coeffs).all():
+        self.terms = self.coeffs.tolist()
+        if not all(map(cmath.isfinite, self.terms)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         if side.share_rows is None:
             raise DimensionMismatch(side.share_mismatch)
         self.session, self.side = session, side
         self.rows, self.cols = side.share_rows, side.cols
-        self.row_req = session.encoding.opcode_bits + session.encoding.index_bits(self.rows)
+        self.names = session.player_names
+        enc = session.encoding
+        self.opcode_bits, self.scalar_bits = enc.opcode_bits, enc.scalar_bits
+        self.row_bits, self.col_bits = enc.index_bits(self.rows), enc.index_bits(self.cols)
+        self.row_req = self.opcode_bits + self.row_bits
+        self.query_kind = f"lincomb_{side.name}_query"
+        self.sample_kind = "lincomb_b_sample" if side.name == "b" else "lincomb_a_row_norm_sample"
 
     def _terms(self, row=None):
-        """Simulation-side: the coefficients as Python scalars, the k player
-        views, their shares (or the shares' row `row`) and those squared norms."""
+        """Simulation-side: the k player views, their shares (or the shares'
+        row `row`) and those squared norms."""
         _require_player_data(self.session, "the exact phi or law of a combination")
         if row is not None:
             self.check_row(row)
@@ -756,25 +773,35 @@ class _Combination:
         shares = [v.data if row is None else v.data[row] for v in views]
         sq = ([v.norm**2 for v in views] if row is None
               else [float(np.linalg.norm(s) ** 2) for s in shares])
-        return self.coeffs.tolist(), views, shares, sq
+        return views, shares, sq
 
     def phi(self, row=None) -> float:
         """Exact oversampling ratio k sum_t |c_t|^2 ||S^(t)||^2 / ||combined||^2,
         or that of row `row` alone."""
-        coeffs, _, shares, sq = self._terms(row)
-        c_norm2 = float(np.linalg.norm(sum(c * s for c, s in zip(coeffs, shares))) ** 2)
+        _, shares, sq = self._terms(row)
+        c_norm2 = float(np.linalg.norm(sum(c * s for c, s in zip(self.terms, shares))) ** 2)
         if c_norm2 <= CANCELLATION_TOL**2:
             what = "combination" if row is None else f"combined row {row}"
             raise Cancellation(f"{what} cancels below tolerance")
-        return self.session.k * sum(abs(c) ** 2 * q for c, q in zip(coeffs, sq)) / c_norm2
+        return self.session.k * sum(abs(c) ** 2 * q for c, q in zip(self.terms, sq)) / c_norm2
+
+    def cached_phi(self, row=None) -> float:
+        """`phi`, memoised on the side in one slot keyed by the coefficients'
+        dtype and bytes and the row (the shares never change).  A
+        Cancellation is raised again on every call, never memoised."""
+        key = (self.coeffs.dtype.str, self.coeffs.tobytes(), row)
+        memo = self.side.phi_memo
+        if memo is None or memo[0] != key:
+            memo = self.side.phi_memo = (key, self.phi(row))
+        return memo[1]
 
     def law(self, row=None) -> np.ndarray:
         """Exact law of a dominator draw: the row-norm law, or with `row` the
         law of a column within that row."""
-        coeffs, views, _, sq = self._terms(row)
+        views, _, sq = self._terms(row)
         size, empty = ((self.rows, "all combination shares are zero") if row is None
                        else (self.cols, f"dominator row {row} is identically zero"))
-        return _mixture_law(size, [abs(c) ** 2 * q for c, q in zip(coeffs, sq)], views,
+        return _mixture_law(size, [abs(c) ** 2 * q for c, q in zip(self.terms, sq)], views,
                             empty, row=row)
 
     def weights(self) -> np.ndarray:
@@ -788,61 +815,63 @@ class _Combination:
     def check_row(self, i) -> None:
         _check_index(i, self.rows, "row")
 
-    def entry(self, i, j=0):
-        """Fan out entry (i, j) to all k players, zero coefficients included;
-        returns (combined entry, squared dominator entry, bits)."""
-        self.check_row(i)
-        _check_index(j, self.cols, "column")
-        enc = self.session.encoding
-        values, bits = _fan_out(self.session, f"lincomb_{self.side.name}_query", "access",
-                                self.row_req + enc.index_bits(self.cols), enc.scalar_bits,
-                                lambda: self.side.shares()[:, i, j].tolist(), (i, j))
-        terms = list(zip(self.coeffs, values))
-        return (sum(c * v for c, v in terms),
-                self.session.k * sum(abs(c * v) ** 2 for c, v in terms), bits)
+    # The metered steps below take indices the dispatcher has checked or the
+    # protocol itself drew, and do not check them again.
+
+    def entry(self, i, j):
+        """Fan out entry (i, j) to all k players, zero coefficients included,
+        and fold the answers term by term in player order; returns (combined
+        entry, squared dominator entry, bits)."""
+        values, bits = self.session._exchange(
+            self.names, self.query_kind, "access", self.row_req + self.col_bits,
+            self.scalar_bits, lambda: self.side.shares()[:, i, j].tolist(), (i, j))
+        combined = dom_sq = 0
+        for c, v in zip(self.terms, values):
+            term = c * v
+            combined += term
+            dom_sq += abs(term) ** 2
+        return combined, self.session.k * dom_sq, bits
 
     def row_norms(self, i):
         """Fan out the norms of row i of every share; returns (norms, bits)."""
-        self.check_row(i)
-        return _fan_out(self.session, "lincomb_a_row_norm", "access", self.row_req,
-                        self.session.encoding.scalar_bits,
-                        lambda: [float(np.linalg.norm(v.data[i])) for v in self.side.players()],
-                        (i,))
+        return self.session._exchange(
+            self.names, "lincomb_a_row_norm", "access", self.row_req, self.scalar_bits,
+            lambda: [float(np.linalg.norm(v.data[i])) for v in self.side.players()], (i,))
 
     def draw(self, rng, law: _OwnerLaw | None = None, row=None):
-        """One dominator draw; returns (index, bits).  Without `row`, a row
-        under the row-norm law `law`; with it, a column of that row, the owner
-        weighted by |c_t|^2 times the fanned-out norm of its share's row."""
-        enc = self.session.encoding
+        """One dominator draw, the one `_owner_draw`; returns (row, column,
+        bits).  Without `row`, a row under the row-norm law `law` (column 0);
+        with it, a column of that row, the owner weighted by |c_t|^2 times the
+        fanned-out norm of its share's row."""
         if row is None:
-            kind = "lincomb_b_sample" if self.side.name == "b" else "lincomb_a_row_norm_sample"
-            req_bits, resp_bits, bits, args = enc.opcode_bits, enc.index_bits(self.rows), 0, ()
-        else:
-            norms, bits = self.row_norms(row)
-            law = _OwnerLaw(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
-            kind, req_bits, resp_bits, args = (
-                "lincomb_a_row_sample", self.row_req, enc.index_bits(self.cols), (row,))
-        _, j, cost = _owner_draw(self.session, self.side, kind, rng, req_bits, resp_bits,
-                                 owner_law=law, row=row, args=args)
-        return j, bits + cost
+            _, i, bits = _owner_draw(self.session, self.side, self.sample_kind, rng,
+                                     self.opcode_bits, self.row_bits, owner_law=law)
+            return i, 0, bits
+        norms, bits = self.row_norms(row)
+        law = _OwnerLaw(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
+        _, j, cost = _owner_draw(self.session, self.side, "lincomb_a_row_sample", rng,
+                                 self.row_req, self.col_bits, owner_law=law, row=row,
+                                 args=(row,))
+        return row, j, bits + cost
 
     def rejection_round(self, rng, law: _OwnerLaw | None = None, row=None):
         """A dominator draw as in `draw`, then its entry fanned out; returns
-        (index, |combined|^2 / dominator^2 or None where the dominator is
-        zero, bits)."""
-        j, bits = self.draw(rng, law, row)
-        combined, dom_sq, cost = self.entry(j, 0) if row is None else self.entry(row, j)
-        return j, (abs(combined) ** 2 / dom_sq if dom_sq > 0 else None), bits + cost
+        (the drawn index, |combined|^2 / dominator^2 or None where the
+        dominator is zero, bits)."""
+        i, j, bits = self.draw(rng, law, row)
+        combined, dom_sq, cost = self.entry(i, j)
+        return (i if row is None else j), (abs(combined) ** 2 / dom_sq if dom_sq > 0
+                                           else None), bits + cost
 
 
 def lincomb_b_phi(session: Session, mu) -> float:
     """Exact oversampling ratio phi for the combined vector (simulation-side)."""
-    return _Combination(session, session._b, mu).phi()
+    return _Combination(session, session._b, mu).cached_phi()
 
 
 def lincomb_a_phi(session: Session, lambdas) -> float:
     """Exact oversampling ratio phi for the combined matrix (simulation-side)."""
-    return _Combination(session, session._a, lambdas).phi()
+    return _Combination(session, session._a, lambdas).cached_phi()
 
 
 # request kind -> (fewest, most) arguments on each side; a vector request
@@ -861,39 +890,45 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
     """Serve one access against the combination of `side`'s shares; returns
     (result, bits).  The vector side's kinds are the matrix side's on one
     column: "dominator_norm" is "dominator_fro_norm", "dominator_sample" is
-    "dominator_row_norm_sample"."""
+    "dominator_row_norm_sample".  Every index the caller names, and the
+    Generator of a sampling kind, is checked here, before anything is
+    metered."""
     kind, args = _split(request, _COMBINATION_KINDS[side.name], "combination access")
     side.require_setup()
     comb = _Combination(session, side, coeffs)
 
     if kind in ("query", "dominator_query"):
-        combined, dom_sq, bits = comb.entry(*args)
+        i, j = args if len(args) == 2 else (args[0], 0)
+        comb.check_row(i)
+        _check_index(j, comb.cols, "column")
+        combined, dom_sq, bits = comb.entry(i, j)
         return (combined if kind == "query" else math.sqrt(dom_sq)), bits
 
     if kind in ("dominator_norm", "dominator_fro_norm"):
         return comb.dominator_norm(), 0
 
     if kind == "dominator_row_norm_query":
-        norms, bits = comb.row_norms(*args)
+        comb.check_row(args[0])
+        norms, bits = comb.row_norms(args[0])
         return math.sqrt(session.k * sum(abs(c) ** 2 * r**2
                                          for c, r in zip(comb.coeffs, norms))), bits
 
-    if kind == "dominator_row_sample":
-        return comb.draw(rng, row=args[0])
-
-    if kind == "sq_row_sample_via_rejection":
-        # a column of row i: the law is fanned out per round
+    # every other kind samples
+    _require_generator(rng, kind)
+    if kind in ("dominator_row_sample", "sq_row_sample_via_rejection"):
+        # a column of row i: the law is fanned out per draw
         row, args, law = args[0], args[1:], None
         comb.check_row(row)
     else:
-        # every other kind draws dominator rows: one row-norm law per request
+        # a dominator row: one row-norm law per request
         row, law = None, _OwnerLaw(comb.weights())
-        if kind in ("dominator_sample", "dominator_row_norm_sample"):
-            return comb.draw(rng, law)
+    if kind.startswith("dominator_"):
+        i, j, bits = comb.draw(rng, law, row)
+        return (i if row is None else j), bits
 
     one_round = functools.partial(comb.rejection_round, rng, law, row)
     phi = functools.partial(session._annotate, "phi_b" if row is None else "phi_row",
-                            functools.partial(comb.phi, row))
+                            functools.partial(comb.cached_phi, row))
     if kind == "norm_estimate":
         return _norm_estimate(one_round, comb.dominator_norm(), phi, *args)
     return _rejection_loop(one_round, phi, args[0] if args else DEFAULT_REJECTION_DELTA, rng)

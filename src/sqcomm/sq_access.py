@@ -109,7 +109,8 @@ def sq_sample_at(v: SqVector, r: float) -> int:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"uniform {r!r} outside [0, 1)")
     u = r * v.cum[-1]
-    idx = int(np.searchsorted(v.cum, u, side="right"))
+    # the ndarray method skips np.searchsorted's Python-level dispatch
+    idx = int(v.cum.searchsorted(u, side="right"))
     if idx >= v.n:
         # u rounded up onto the total mass; land in the last populated bucket
         idx = _last_nonzero(v.weights)

@@ -2,6 +2,7 @@
 combinations, and transcript replay."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqcomm import comm_sim
 from sqcomm import (
     AllZero,
     Annotation,
@@ -1273,3 +1275,190 @@ def test_golden_lincomb_transcript():
                              "lincomb_b_query": 684, "lincomb_b_sample": 240},
         "bits_by_player": {"P1": 6282, "P2": 6230, "P3": 7300},
     }
+
+
+# --- the lean rejection round ---------------------------------------------------
+
+_LAM = [0.5, 1.0, -1.0]
+_SAMPLING_REQUESTS = [
+    (lincomb_b_access, _MU, "dominator_sample"),
+    (lincomb_b_access, _MU, "sq_sample_via_rejection"),
+    (lincomb_b_access, _MU, ("norm_estimate", 0.5, 0.1)),
+    (lincomb_a_access, _LAM, "dominator_row_norm_sample"),
+    (lincomb_a_access, _LAM, ("dominator_row_sample", 0)),
+    (lincomb_a_access, _LAM, ("sq_row_sample_via_rejection", 0)),
+]
+
+
+@pytest.mark.parametrize("access,coeffs,request_", _SAMPLING_REQUESTS)
+def test_combination_sampling_checks_the_generator_first(access, coeffs, request_):
+    # without a Generator a sampling request is refused before its phi is
+    # annotated or any row norm is fanned out
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    rows, bits = list(s.meter.rows), s.meter.total_bits
+    for rng in (None, 7, np.random.RandomState(0)):
+        with pytest.raises(ValueError, match="needs a numpy Generator"):
+            access(s, coeffs, request_, rng)
+    assert (s.meter.rows, s.meter.total_bits) == (rows, bits)
+
+
+def _mixed_share_session():
+    # _lincomb_session with one complex share per side: the share stacks are
+    # object arrays, and each player answers its own scalar type
+    s = _lincomb_session()
+    b_blocks = [(bl.owner, bl.data[:, 0]) for bl in s.b_blocks]
+    a_blocks = [(bl.owner, bl.data) for bl in s.a_blocks]
+    b_blocks[1] = (1, [0.5j, 1.0, -1.0 + 0.25j])
+    a_blocks[2] = (2, [[1.0j, 1.0, 0.0], [2.0, 0.0, -1.0 + 1.0j], [0.0, 3.0j, 0.5]])
+    return open_session_blocks(3, a_blocks, b_blocks)
+
+
+# SHA-256 over repr of every transcript row, and the Generator's final state,
+# taken before the rejection round was rewritten
+_ROUND_PINS = {
+    "golden": (_lincomb_session, _MU, _LAM, 202,
+               "f9cea0ce1d6aa663d1e6829fe46948169204e900139cfc60a8af7bcde021be6e",
+               203044089133525513547595965040573595419, 24682),
+    "complex_coefficients": (_lincomb_session, [1.0 + 1.0j, -0.5, 2.0j],
+                             [0.5j, 1.0, -1.0 - 0.5j], 203,
+                             "17a130b7d8a769d05787451dcd577280bbaf8693b08910497685f28370d724bc",
+                             112058084589984373722744847458777879305, 30104),
+    "mixed_shares": (_mixed_share_session, _MU, _LAM, 204,
+                     "3c42119d13f79316a2c13d3ef4f2059c66743f37d6265cb8089c43d479f81695",
+                     217759427107866059060486178576634390689, 27388),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUND_PINS))
+def test_rejection_rounds_pinned_bit_for_bit(case):
+    make, mu, lam, seed, digest, state, bits = _ROUND_PINS[case]
+    s = make()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        lincomb_b_access(s, mu, "sq_sample_via_rejection", rng)
+    lincomb_b_access(s, mu, ("norm_estimate", 0.5, 0.1), rng)
+    for i in (0, 1, 2, 1, 0):
+        lincomb_a_access(s, lam, ("sq_row_sample_via_rejection", i), rng)
+    rows = "".join(repr(row) for row in s.meter.rows)
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+    assert rng.bit_generator.state["state"]["state"] == state
+    assert s.meter.total_bits == bits
+
+
+_complex_values = st.sampled_from([0.0, 1.0, -2.0, 0.5j, 1.0 - 1.0j])
+
+
+@st.composite
+def _rejection_runs(draw):
+    """k = 1-3 players, each holding same-shape vector and matrix shares, a
+    share complex at random (so a stack may mix real and complex), real or
+    complex coefficients, and one rejection or norm-estimate request."""
+    k, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a_shares, b_shares = [], []
+    for _ in range(k):
+        values = _complex_values if draw(st.booleans()) else _small_values
+        a_shares.append(draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows)))
+        b_shares.append(draw(st.lists(values, min_size=rows, max_size=rows)))
+    coefficient = _complex_values if draw(st.booleans()) else _coefficient_values
+    coeffs = draw(st.lists(coefficient, min_size=k, max_size=k))
+    delta = draw(st.sampled_from([0.99, 0.999]))
+    request = draw(st.sampled_from([
+        ("b", ("sq_sample_via_rejection", delta)),
+        ("b", ("norm_estimate", 1.0, delta)),
+        ("a", ("sq_row_sample_via_rejection", draw(st.integers(0, rows - 1)), delta))]))
+    session = open_session_blocks(k, list(enumerate(a_shares)), list(enumerate(b_shares)))
+    return session, coeffs, request
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(run=_rejection_runs(), seed=st.integers(0, 2**32 - 1))
+def test_rejection_request_consumes_pick_coin_and_accept_uniforms(run, seed):
+    # each round takes the owner-pick and the local-coin uniforms, and a
+    # rejection round one more accept uniform when its dominator entry is
+    # nonzero; nothing else draws from the caller's Generator
+    session, coeffs, (side, request) = run
+    coord_b_setup(session)
+    coord_a_setup(session)
+    access = lincomb_b_access if side == "b" else lincomb_a_access
+    start = len(session.meter.rows)
+    rng = np.random.default_rng(seed)
+    try:
+        access(session, coeffs, request, rng)
+    except (AllZero, Cancellation, Timeout):
+        pass
+    queries = [row for row in session.meter.rows[start:]
+               if not isinstance(row, Annotation) and row[1].endswith("_query")]
+    k = session.k
+    rounds = [queries[t:t + k] for t in range(0, len(queries), k)]
+    spent = 2 * len(rounds)
+    if request[0] != "norm_estimate":
+        spent += sum(any(c * row[6] != 0 for c, row in zip(coeffs, rnd)) for rnd in rounds)
+    reference = np.random.default_rng(seed)
+    reference.random(spent)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_phi_is_memoised_per_side(monkeypatch):
+    calls = []
+    exact = comm_sim._Combination.phi
+
+    def counted(self, row=None):
+        calls.append(row)
+        return exact(self, row)
+
+    monkeypatch.setattr(comm_sim._Combination, "phi", counted)
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    vector, row = "sq_sample_via_rejection", "sq_row_sample_via_rejection"
+    # (access, coefficients, request, the rows whose phi it computes)
+    script = [
+        # equal coefficients, in any container: phi once, one annotation each
+        (lincomb_b_access, _MU, vector, [None]),
+        (lincomb_b_access, np.array(_MU), vector, []),
+        (lincomb_b_access, tuple(_MU), vector, []),
+        # changed values, then the complex dtype of equal values
+        (lincomb_b_access, [1.0, -0.5, 2.5], vector, [None]),
+        (lincomb_b_access, [1.0 + 0j, -0.5, 2.5], vector, [None]),
+        # the A side keeps its own slot; another row recomputes
+        (lincomb_a_access, _LAM, (row, 0), [0]),
+        (lincomb_a_access, _LAM, (row, 0), []),
+        (lincomb_a_access, _LAM, (row, 1), [1]),
+        (lincomb_a_access, _LAM, (row, 0), [0]),
+    ]
+    rng = np.random.default_rng(9)
+    live = []
+    for access, coeffs, request, computed in script:
+        before = len(calls)
+        live.append(access(s, coeffs, request, rng))
+        assert calls[before:] == computed
+    annotations = [r for r in s.meter.rows if isinstance(r, Annotation)]
+    assert [a.kind for a in annotations] == ["phi_b"] * 5 + ["phi_row"] * 4
+    assert annotations[0] == annotations[1] == annotations[2]
+
+    # a replay clone reproduces every annotation and computes no phi
+    clone = make_replay_session(s)
+    coord_b_setup(clone)
+    coord_a_setup(clone)
+    rng = np.random.default_rng(9)
+    before = len(calls)
+    assert [access(clone, coeffs, request, rng)
+            for access, coeffs, request, _ in script] == live
+    assert [r for r in clone.meter.rows if isinstance(r, Annotation)] == annotations
+    assert len(calls) == before
+
+    # a cancelling combination raises on every request, never memoised
+    s = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [1.0, 2.0])])
+    coord_b_setup(s)
+    before = len(calls)
+    for _ in range(3):
+        with pytest.raises(Cancellation):
+            lincomb_b_access(s, [1.0, -1.0], vector, np.random.default_rng(0))
+    assert calls[before:] == [None] * 3
+    assert [type(r.value) for r in s.meter.rows if isinstance(r, Annotation)] == (
+        [Cancellation] * 3)
