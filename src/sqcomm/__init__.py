@@ -87,7 +87,6 @@ from .reductions import (
     FunctionPair,
     GapHammingInstance,
     HamiltonianBuild,
-    InfeasiblePromise,
     PcaBuild,
     PromiseViolation,
     RecsysBuild,

@@ -878,7 +878,7 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
         ts = top_singular(pca.matrix)
         expected_sigma = math.sqrt(2.0) if truth else 1.0
         worst_sigma = _worst(worst_sigma, abs(ts.sigma - expected_sigma))
-        hit, idx = reductions.decide_pca(pca, rng, mode="sample")
+        hit, idx = reductions.decide_pca(pca, rng)
         pca_correct += hit == truth
         if truth and hit:
             pca_correct -= 0 if idx == pca.truth else 1

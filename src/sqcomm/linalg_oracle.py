@@ -121,7 +121,7 @@ def params(A, b) -> ProblemParams:
 
 def threshold_svd(A, delta: float) -> np.ndarray:
     """Reconstruction from singular triples with sigma >= delta (ties included)."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     arr = np.asarray(A)
     U, s, Vh = np.linalg.svd(arr, full_matrices=False)
@@ -146,6 +146,8 @@ def top_singular(A) -> TopSingular:
     space (any is acceptable).
     """
     arr = np.asarray(A)
+    if arr.size == 0:
+        raise BadDimension(f"shape {arr.shape}: an empty matrix has no singular pair")
     U, s, Vh = np.linalg.svd(arr, full_matrices=False)
     degenerate = s.size >= 2 and s[1] >= s[0] * (1 - DEGENERACY_REL_GAP)
     return TopSingular(sigma=float(s[0]), vector=Vh[0].conj(), degenerate=bool(degenerate))
@@ -224,7 +226,7 @@ def dsp_distribution(f, g) -> np.ndarray:
         raise BadDimension("f and g must be 1-d of equal length")
     size = f_arr.size
     n = size.bit_length() - 1
-    if size != 1 << n:
+    if size == 0 or size != 1 << n:
         raise BadDimension("length must be a power of two")
     _check_sign_vector(f_arr, "f")
     _check_sign_vector(g_arr, "g")

@@ -23,8 +23,6 @@ strongest case for any algorithm producing such output.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,14 +50,11 @@ from .sq_access import (
 
 DENSE_MAX_N = 10        # largest n of the dense regression construction
 EVOLUTION_MAX_N = 8     # largest n of the Hamiltonian evolution construction
+GAP_C1, GAP_C2 = 1.0, 2.0   # the gap-Hamming band [c1 sqrt(d), c2 sqrt(d)]
 
 
 class PromiseViolation(ValueError):
     """An instance fails its promise verifier."""
-
-
-class InfeasiblePromise(ValueError):
-    """No instance satisfies the requested promise parameters."""
 
 
 class ZeroMatrix(ValueError):
@@ -103,36 +98,6 @@ class DisjointnessInstance:
         truth = hits[0] if hits else None
         if truth != self.intersection:
             raise PromiseViolation(f"recorded truth {self.intersection}, scan found {truth}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "type": "disjointness",
-                "k": self.k,
-                "n": self.n,
-                "sets": [_pack_bits(row) for row in np.asarray(self.sets)],
-                "intersection": list(self.intersection) if self.intersection else None,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "DisjointnessInstance":
-        obj = json.loads(text)
-        sets = np.stack([_unpack_bits(s, obj["n"]) for s in obj["sets"]])
-        inter = tuple(obj["intersection"]) if obj["intersection"] else None
-        inst = DisjointnessInstance(k=obj["k"], n=obj["n"], sets=sets, intersection=inter)
-        inst.verify()
-        return inst
-
-
-def _pack_bits(row: np.ndarray) -> str:
-    return base64.b64encode(np.packbits(row.astype(np.uint8)).tobytes()).decode("ascii")
-
-
-def _unpack_bits(text: str, n: int) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(text), dtype=np.uint8)
-    return np.unpackbits(raw)[:n].astype(np.int64)
 
 
 def gen_disjointness(k: int, n: int, want_intersection: bool,
@@ -255,24 +220,10 @@ class FunctionPair:
             if not np.all(np.abs(a) == 1):
                 raise PromiseViolation(f"{name} entries must be +1 or -1")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"type": "function_pair", "n": self.n,
-             "f": np.asarray(self.f).astype(int).tolist(),
-             "g": np.asarray(self.g).astype(int).tolist()},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "FunctionPair":
-        obj = json.loads(text)
-        pair = FunctionPair(n=obj["n"], f=np.asarray(obj["f"], dtype=np.float64),
-                            g=np.asarray(obj["g"], dtype=np.float64))
-        pair.verify()
-        return pair
-
 
 def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
+    if n < 0:
+        raise BadDimension(f"n = {n} must be nonnegative")
     size = 2**n
     f = rng.choice((-1.0, 1.0), size=size)
     g = rng.choice((-1.0, 1.0), size=size)
@@ -319,16 +270,14 @@ def dense_solution_law(build: DenseRegressionBuild) -> np.ndarray:
 @dataclass(frozen=True)
 class GapHammingInstance:
     """k sign vectors summing to a sign vector, plus a probe vector; the inner
-    product of the sum with the probe is promised to sit in a band of width
-    [c1*sqrt(d), c2*sqrt(d)] on one side of zero."""
+    product of the sum with the probe is promised to sit in the band
+    [GAP_C1*sqrt(d), GAP_C2*sqrt(d)] on one side of zero."""
 
     k: int
     d: int
     players: np.ndarray       # (k, d) entries +-1
     probe: np.ndarray         # (d,) entries +-1
     sign: int                 # promised side, +1 or -1
-    c1: float
-    c2: float
 
     @property
     def gap(self) -> int:
@@ -339,6 +288,8 @@ class GapHammingInstance:
         probe = np.asarray(self.probe)
         if self.k % 2 == 0:
             raise PromiseViolation("player count must be odd")
+        if self.d < 1:
+            raise PromiseViolation(f"dimension d = {self.d} must be at least 1")
         if players.shape != (self.k, self.d) or probe.shape != (self.d,):
             raise PromiseViolation("shape mismatch")
         if not (np.all(np.abs(players) == 1) and np.all(np.abs(probe) == 1)):
@@ -350,46 +301,27 @@ class GapHammingInstance:
             raise PromiseViolation("sign must be +1 or -1")
         gap = self.gap
         root = math.sqrt(self.d)
-        if not self.c1 * root <= self.sign * gap <= self.c2 * root:
+        if not GAP_C1 * root <= self.sign * gap <= GAP_C2 * root:
             raise PromiseViolation(
-                f"gap {gap} outside {self.sign}*[{self.c1 * root}, {self.c2 * root}]"
+                f"gap {gap} outside {self.sign}*[{GAP_C1 * root}, {GAP_C2 * root}]"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"type": "gap_hamming", "k": self.k, "d": self.d,
-             "players": np.asarray(self.players).astype(int).tolist(),
-             "probe": np.asarray(self.probe).astype(int).tolist(),
-             "sign": self.sign, "c1": self.c1, "c2": self.c2},
-            sort_keys=True,
-        )
 
-    @staticmethod
-    def from_json(text: str) -> "GapHammingInstance":
-        obj = json.loads(text)
-        inst = GapHammingInstance(
-            k=obj["k"], d=obj["d"],
-            players=np.asarray(obj["players"], dtype=np.float64),
-            probe=np.asarray(obj["probe"], dtype=np.float64),
-            sign=obj["sign"], c1=obj["c1"], c2=obj["c2"],
-        )
-        inst.verify()
-        return inst
+def _band_targets(d: int) -> np.ndarray:
+    """Inner-product values in [GAP_C1*sqrt(d), GAP_C2*sqrt(d)] reachable for
+    dim d.
 
-
-def _band_targets(d: int, c1: float, c2: float) -> np.ndarray:
-    """Inner-product values in [c1*sqrt(d), c2*sqrt(d)] reachable for dim d.
-
-    An inner product of two sign vectors of length d has parity d mod 2.
+    An inner product of two sign vectors of length d has parity d mod 2.  For
+    d >= 1 the band is never empty: [1, 2], [sqrt 2, 2 sqrt 2] and
+    [sqrt 3, 2 sqrt 3] hold 1, 2 and 3, and from d = 4 on it is at least 2
+    wide, so it holds an integer of either parity.
     """
-    lo = math.ceil(c1 * math.sqrt(d))
-    hi = math.floor(c2 * math.sqrt(d))
-    targets = np.array([v for v in range(lo, hi + 1) if (v - d) % 2 == 0])
-    return targets
+    lo = math.ceil(GAP_C1 * math.sqrt(d))
+    hi = math.floor(GAP_C2 * math.sqrt(d))
+    return np.array([v for v in range(lo, hi + 1) if (v - d) % 2 == 0])
 
 
-def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator,
-                    c1: float = 1.0, c2: float = 2.0) -> GapHammingInstance:
+def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator) -> GapHammingInstance:
     """Sample an instance on the requested promise side.
 
     The probe is flipped one coordinate at a time (each flip moves the inner
@@ -399,11 +331,9 @@ def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator,
         raise ValueError("player count must be odd and positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not 1 <= c1 < c2:
-        raise ValueError("need 1 <= c1 < c2")
-    targets = _band_targets(d, c1, c2)
-    if targets.size == 0:
-        raise InfeasiblePromise(f"no reachable inner product in the band for d={d}")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"dimension d must be an integer >= 1, got d = {d!r}")
+    targets = _band_targets(d)
     total = rng.choice((-1.0, 1.0), size=d)
     probe = rng.choice((-1.0, 1.0), size=d)
     goal = sign * int(targets[rng.integers(targets.size)])
@@ -426,8 +356,7 @@ def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator,
         signs = np.full(k, -total[col])
         signs[rng.permutation(k)[:half]] = total[col]
         players[:, col] = signs
-    inst = GapHammingInstance(k=k, d=d, players=players, probe=probe,
-                              sign=sign, c1=c1, c2=c2)
+    inst = GapHammingInstance(k=k, d=d, players=players, probe=probe, sign=sign)
     inst.verify()
     return inst
 
@@ -441,24 +370,21 @@ class ClusteringBuild:
     distance_sq: float        # exact ||p - centroid||^2 via direct arithmetic
     bta_sq: float             # exact ||b^T A||^2 from the assembled system
     threshold: float          # decision boundary alpha^2 d (1 + 1/k^2)
-    margin: float             # guaranteed gap (2 alpha^2 / k) c1 sqrt(d)
+    margin: float             # guaranteed gap (2 alpha^2 / k) GAP_C1 sqrt(d)
     fro_sq: float             # ||A||_F^2, equals 2 by construction
     b_sq: float               # ||b||^2, equals 2 alpha^2 d
 
 
-def build_clustering(inst: GapHammingInstance, alpha: float | None = None) -> ClusteringBuild:
+def build_clustering(inst: GapHammingInstance) -> ClusteringBuild:
     """Point-to-centroid distance task: row 0 carries the negated probe point,
     the remaining k rows carry the cluster points scaled so that the weighted
     row combination b^T A equals centroid - point."""
     inst.verify()
     k, d = inst.k, inst.d
-    if alpha is None:
-        alpha = d ** -0.25          # normalizes alpha^2 sqrt(d) to 1
+    alpha = d ** -0.25              # normalizes alpha^2 sqrt(d) to 1
     p = alpha * np.asarray(inst.probe, dtype=np.float64)
     q = alpha * np.asarray(inst.players, dtype=np.float64)
     q_norms = np.linalg.norm(q, axis=1)
-    if np.any(q_norms == 0):
-        raise ZeroMatrix("a cluster point is zero")
     p_norm = float(np.linalg.norm(p))
     root_k = math.sqrt(k)
 
@@ -486,7 +412,7 @@ def build_clustering(inst: GapHammingInstance, alpha: float | None = None) -> Cl
         distance_sq=distance_sq,
         bta_sq=bta_sq,
         threshold=alpha**2 * d * (1.0 + 1.0 / k**2),
-        margin=(2.0 * alpha**2 / k) * inst.c1 * math.sqrt(d),
+        margin=(2.0 * alpha**2 / k) * GAP_C1 * math.sqrt(d),
         fro_sq=float(np.linalg.norm(A) ** 2),
         b_sq=float(b @ b),
     )
@@ -532,29 +458,20 @@ def build_pca(a_bits, b_bits) -> PcaBuild:
     return PcaBuild(session=session, matrix=A, truth=truth)
 
 
-def decide_pca(build: PcaBuild, rng: np.random.Generator | None = None,
-               mode: str = "sigma"):
-    """Decide intersection from the top singular pair.
+def decide_pca(build: PcaBuild, rng: np.random.Generator):
+    """Decide intersection from the top singular pair: draw one index from the
+    top right singular vector and test it against both bit strings.
 
-    mode "sigma": threshold the top singular value at sqrt(2) - 0.1.
-    mode "sample": draw one index from the top right singular vector and test
-    it against both bit strings (needs rng).
-    Returns (intersects, index), where index is the sampled or argmax support.
+    Returns (intersects, sampled index).
     """
-    if mode == "sample" and not isinstance(rng, np.random.Generator):
-        raise ValueError("decide_pca mode 'sample' needs a numpy Generator")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError("decide_pca needs a numpy Generator")
     ts = top_singular(build.matrix)
-    if mode == "sigma":
-        hit = ts.sigma >= math.sqrt(2) - 0.1
-        idx = int(np.argmax(np.abs(ts.vector)))
-        return bool(hit), idx
-    if mode == "sample":
-        idx = int(sq_sample(build_sq_vector(ts.vector), rng))
-        n = build.matrix.shape[1]
-        a = np.real(np.diag(build.matrix[:n]))
-        b = np.real(np.diag(build.matrix[n:]))
-        return bool(a[idx] == 1 and b[idx] == 1), idx
-    raise ValueError(f"unknown mode {mode!r}")
+    idx = int(sq_sample(build_sq_vector(ts.vector), rng))
+    n = build.matrix.shape[1]
+    a = np.real(np.diag(build.matrix[:n]))
+    b = np.real(np.diag(build.matrix[n:]))
+    return bool(a[idx] == 1 and b[idx] == 1), idx
 
 
 @dataclass(frozen=True)
@@ -566,7 +483,7 @@ class RecsysBuild:
     truth: int | None
 
 
-def build_recsys(a_bits, b_bits, level: float = 1.2) -> RecsysBuild:
+def build_recsys(a_bits, b_bits, level: float) -> RecsysBuild:
     """Same stacked matrix, truncated at a level strictly between the two
     possible top singular values; rank 1 certifies an intersection."""
     if not 1.0 < level < math.sqrt(2):
@@ -730,6 +647,8 @@ def hamiltonian_conjugation_sweep(n: int, fs: np.ndarray) -> tuple[int, float]:
 
 def all_sign_vectors(n: int) -> np.ndarray:
     """Every +-1 vector of length 2^n, one per row (2^(2^n) rows)."""
+    if n < 0:
+        raise BadDimension(f"n = {n} must be nonnegative")
     size = 2**n
     count = 2**size
     if count > 1 << 20:

@@ -122,6 +122,21 @@ def test_top_singular_and_degeneracy():
     assert top_singular(np.eye(3)).degenerate
 
 
+def test_threshold_svd_rejects_a_nan_level():
+    # a nan level keeps no singular triple; it must not read as a zero matrix
+    for bad in (math.nan, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            threshold_svd(np.eye(2), bad)
+
+
+def test_empty_inputs_are_bad_dimensions():
+    with pytest.raises(BadDimension, match="power of two"):
+        dsp_distribution([], [])
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(BadDimension, match="empty matrix"):
+            top_singular(np.zeros(shape))
+
+
 def test_expm_matches_scipy():
     rng = np.random.default_rng(3)
     M = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

@@ -1,7 +1,6 @@
 """Instance generators and the five constructions, checked against closed
 forms and the exact oracles."""
 
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from sqcomm import (
     DisjointnessInstance,
     FunctionPair,
     GapHammingInstance,
-    InfeasiblePromise,
     PromiseViolation,
     ZeroMatrix,
     assemble_stacked,
@@ -37,7 +35,10 @@ from sqcomm import (
     top_singular,
 )
 from sqcomm import reductions
+from sqcomm.harness import _ROWS
 from sqcomm.reductions import (
+    GAP_C1,
+    GAP_C2,
     _band_targets,
     _mixing_generator,
     _sign_conjugate,
@@ -96,16 +97,6 @@ def test_gen_disjointness_honors_request():
         gen_disjointness(1, 32, True, rng)
     with pytest.raises(ValueError):
         gen_disjointness(2, 4, True, rng)
-
-
-def test_disjointness_json_round_trip():
-    for inst in (_frozen_intersecting(), _frozen_disjoint()):
-        back = DisjointnessInstance.from_json(inst.to_json())
-        assert (back.k, back.n, back.intersection) == (inst.k, inst.n, inst.intersection)
-        assert np.array_equal(back.sets, inst.sets)
-    # the payload packs each row, so it stays readable and small
-    obj = json.loads(_frozen_intersecting().to_json())
-    assert obj["type"] == "disjointness" and len(obj["sets"]) == 2
 
 
 # --- sparse regression ---
@@ -191,15 +182,18 @@ def test_dense_regression_layout_and_caps():
         build_regression_dense(big)
 
 
-def test_function_pair_validation_and_json():
+def test_function_pair_validation():
     with pytest.raises(PromiseViolation):
         FunctionPair(n=2, f=np.ones(3), g=np.ones(4)).verify()
     with pytest.raises(PromiseViolation):
         FunctionPair(n=1, f=np.array([1.0, 0.5]), g=np.ones(2)).verify()
-    pair = gen_function_pair(3, np.random.default_rng(6))
-    back = FunctionPair.from_json(pair.to_json())
-    assert back.n == 3
-    assert np.array_equal(back.f, pair.f) and np.array_equal(back.g, pair.g)
+
+
+def test_negative_n_is_a_bad_dimension():
+    with pytest.raises(BadDimension, match="n = -1"):
+        gen_function_pair(-1, np.random.default_rng(6))
+    with pytest.raises(BadDimension, match="n = -1"):
+        all_sign_vectors(-1)
 
 
 # --- gap-Hamming instances ---
@@ -207,8 +201,18 @@ def test_function_pair_validation_and_json():
 
 def test_band_targets_frozen():
     # sqrt(64) = 8 and inner products share the parity of d, so even values only
-    np.testing.assert_array_equal(_band_targets(64, 1.0, 2.0), [8, 10, 12, 14, 16])
-    assert _band_targets(64, 1.9, 1.99).size == 0
+    np.testing.assert_array_equal(_band_targets(64), [8, 10, 12, 14, 16])
+
+
+def test_band_holds_a_target_for_every_dimension():
+    # backs gen_gap_hamming drawing from the band with no empty-band branch,
+    # for every d a clustering config may ask for
+    for d in range(1, _ROWS + 1):
+        targets = _band_targets(d)
+        assert targets.size > 0, d
+        assert np.all(GAP_C1 * math.sqrt(d) <= targets)
+        assert np.all(targets <= GAP_C2 * math.sqrt(d))
+        assert np.all((targets - d) % 2 == 0)
 
 
 def test_gen_gap_hamming_properties():
@@ -229,34 +233,31 @@ def test_gen_gap_hamming_validation():
         gen_gap_hamming(2, 64, 1, rng)
     with pytest.raises(ValueError):
         gen_gap_hamming(3, 64, 0, rng)
-    with pytest.raises(ValueError):
-        gen_gap_hamming(3, 64, 1, rng, c1=2.0, c2=2.0)
-    with pytest.raises(ValueError):
-        gen_gap_hamming(3, 64, 1, rng, c1=0.5, c2=2.0)
-    with pytest.raises(InfeasiblePromise):
-        gen_gap_hamming(3, 64, 1, rng, c1=1.9, c2=1.99)
 
 
 def test_gap_hamming_verify_rejects():
     rng = np.random.default_rng(9)
     good = gen_gap_hamming(3, 16, 1, rng)
     with pytest.raises(PromiseViolation, match="odd"):
-        GapHammingInstance(2, 16, good.players[:2], good.probe, 1, 1.0, 2.0).verify()
+        GapHammingInstance(2, 16, good.players[:2], good.probe, 1).verify()
     with pytest.raises(PromiseViolation, match="sum to a sign vector"):
-        GapHammingInstance(3, 16, np.ones((3, 16)), good.probe, 1, 1.0, 2.0).verify()
+        GapHammingInstance(3, 16, np.ones((3, 16)), good.probe, 1).verify()
     probe = np.asarray(good.players[0])  # gap d is far above the band
     with pytest.raises(PromiseViolation, match="gap"):
-        GapHammingInstance(1, 16, good.players[:1], probe, 1, 1.0, 2.0).verify()
+        GapHammingInstance(1, 16, good.players[:1], probe, 1).verify()
     with pytest.raises(PromiseViolation, match="sign"):
-        GapHammingInstance(3, 16, good.players, good.probe, 0, 1.0, 2.0).verify()
+        GapHammingInstance(3, 16, good.players, good.probe, 0).verify()
 
 
-def test_gap_hamming_json_round_trip():
-    inst = gen_gap_hamming(5, 16, -1, np.random.default_rng(10))
-    back = GapHammingInstance.from_json(inst.to_json())
-    assert (back.k, back.d, back.sign, back.c1, back.c2) == (5, 16, -1, 1.0, 2.0)
-    assert np.array_equal(back.players, inst.players)
-    assert np.array_equal(back.probe, inst.probe)
+def test_gap_hamming_dimension_below_one_rejected():
+    # the clustering scale d^(-1/4) and the band need a positive integer d
+    rng = np.random.default_rng(10)
+    for d in (0, -1, 2.5, 16.0):
+        with pytest.raises(ValueError, match=f"got d = {d!r}"):
+            gen_gap_hamming(1, d, 1, rng)
+    with pytest.raises(PromiseViolation, match="d = 0"):
+        GapHammingInstance(1, 0, np.ones((1, 0)), np.ones(0), 1).verify()
+    assert gen_gap_hamming(1, np.int64(16), 1, rng).d == 16
 
 
 # --- clustering ---
@@ -267,7 +268,7 @@ def test_clustering_frozen_example():
         k=1, d=4,
         players=np.array([[1.0, 1.0, -1.0, 1.0]]),
         probe=np.array([1.0, 1.0, 1.0, 1.0]),
-        sign=1, c1=1.0, c2=2.0,
+        sign=1,
     )
     build = build_clustering(inst)
     assert build.alpha == pytest.approx(4.0**-0.25, abs=1e-15)
@@ -299,12 +300,6 @@ def test_clustering_identities_random():
                 assert sign * (build.threshold - build.bta_sq) >= build.margin - 1e-9
 
 
-def test_clustering_zero_alpha_rejected():
-    inst = gen_gap_hamming(3, 16, 1, np.random.default_rng(12))
-    with pytest.raises(ZeroMatrix):
-        build_clustering(inst, alpha=0.0)
-
-
 # --- principal component and projection decisions ---
 
 
@@ -314,8 +309,7 @@ def test_pca_frozen_intersecting():
     ts = top_singular(build.matrix)
     assert ts.sigma == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert not ts.degenerate
-    assert decide_pca(build) == (True, 2)
-    assert decide_pca(build, np.random.default_rng(0), mode="sample") == (True, 2)
+    assert decide_pca(build, np.random.default_rng(0)) == (True, 2)
 
 
 def test_pca_frozen_disjoint():
@@ -324,15 +318,11 @@ def test_pca_frozen_disjoint():
     ts = top_singular(build.matrix)
     assert ts.sigma == pytest.approx(1.0, abs=1e-12)
     assert ts.degenerate
-    hit, _ = decide_pca(build)
+    hit, _ = decide_pca(build, np.random.default_rng(1))
     assert not hit
-    hit, _ = decide_pca(build, np.random.default_rng(1), mode="sample")
-    assert not hit
-    with pytest.raises(ValueError):
-        decide_pca(build, mode="argmax")
     for rng in (None, 7):
         with pytest.raises(ValueError, match="needs a numpy Generator"):
-            decide_pca(build, rng, mode="sample")
+            decide_pca(build, rng)
 
 
 def test_pca_bit_pair_validation():
@@ -352,18 +342,18 @@ def test_pca_random_instances():
         for _ in range(20):
             inst = gen_disjointness(2, 16, want, rng)
             build = build_pca(inst.sets[0], inst.sets[1])
-            hit, idx = decide_pca(build, rng, mode="sample")
+            hit, idx = decide_pca(build, rng)
             assert hit == want
             if want:
                 assert idx == build.truth == inst.intersection[1]
 
 
 def test_recsys_rank_certifies():
-    build = build_recsys([1, 0, 1], [0, 0, 1])
+    build = build_recsys([1, 0, 1], [0, 0, 1], 1.2)
     assert build.rank == 1 and build.truth == 2
     assert decide_recsys(build, np.random.default_rng(0)) == (True, 2)
 
-    empty = build_recsys([1, 0], [0, 1])
+    empty = build_recsys([1, 0], [0, 1], 1.2)
     assert empty.rank == 0 and not empty.truncated.any()
     assert decide_recsys(empty, np.random.default_rng(0)) == (False, None)
 
@@ -377,7 +367,7 @@ def test_recsys_random_instances():
     for want in (False, True):
         for _ in range(20):
             inst = gen_disjointness(2, 16, want, rng)
-            build = build_recsys(inst.sets[0], inst.sets[1])
+            build = build_recsys(inst.sets[0], inst.sets[1], 1.2)
             assert build.rank == (1 if want else 0)
             hit, idx = decide_recsys(build, rng)
             assert hit == want
