@@ -220,21 +220,40 @@ def _stack_blocks(k: int, blocks, ndim: int):
     return out, off
 
 
+def _masses_bounded(data) -> bool:
+    """True when every entry of `data` is finite and the total of its squared
+    magnitudes cannot overflow: twice that total, taken by one BLAS dot, is
+    finite.  A cheap sufficient test; `_Side` falls back to the exact one,
+    building the handle, when it fails."""
+    return math.isfinite(2.0 * float(np.vdot(data, data).real))
+
+
 class _OwnerView:
-    """One owner's stacked blocks on one side as one SQ matrix handle; stage 2
-    samples its row-norm vector (for a one-column vector side, |b_j|), or the
-    law of one of its rows."""
+    """One owner's stacked blocks on one side as one SQ matrix handle, built on
+    first use; stage 2 samples its row-norm vector (for a one-column vector
+    side, |b_j|), or the law of one of its rows."""
 
     def __init__(self, blocks):
         self.globals = np.concatenate(
             [np.arange(b.offset, b.offset + len(b.data)) for b in blocks]
         ) if blocks else np.zeros(0, dtype=np.int64)
         self.data = np.concatenate([b.data for b in blocks]) if blocks else None
-        nonzero = self.data is not None and np.any(self.data != 0)
-        self.handle = build_sq_matrix(self.data) if nonzero else None
-        self.law = self.handle.row_norm_vector if nonzero else None
-        self.norm = self.law.norm if nonzero else 0.0
         self.size = int(self.globals.size)
+
+    @functools.cached_property
+    def handle(self):
+        """The SQ matrix handle, or None when the view holds no nonzero entry."""
+        if self.data is None or not self.data.any():
+            return None
+        return build_sq_matrix(self.data)
+
+    @functools.cached_property
+    def law(self):
+        return None if self.handle is None else self.handle.row_norm_vector
+
+    @functools.cached_property
+    def norm(self) -> float:
+        return 0.0 if self.law is None else self.law.norm
 
     def sample_law(self, row=None) -> SqVector:
         """The view's own law, or the law of one row of its matrix."""
@@ -277,8 +296,15 @@ class _Side:
         self.blocks = blocks
         self.rows = rows
         self.cols = blocks[0].data.shape[1] if blocks else None
-        self.views = {o: _OwnerView([bl for bl in blocks if bl.owner == o])
-                      for o in list(range(k)) + [PUBLIC]}
+        owned = {o: [] for o in list(range(k)) + [PUBLIC]}
+        for bl in blocks:
+            owned[bl.owner].append(bl)
+        self.views = {o: _OwnerView(mine) for o, mine in owned.items()}
+        # the handles are built on first use; a nan or inf entry, or an
+        # overflowing squared total, is still refused here, by the same build
+        for view in self.views.values():
+            if view.data is not None and not _masses_bounded(view.data):
+                view.handle
         # owner-local index -> global index; layout only, so a replay clone
         # keeps it after its private views are dropped
         self.globals = {o: v.globals for o, v in self.views.items()}

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import comm_sim, reductions
 from .comm_sim import (
@@ -151,8 +150,12 @@ def chi_square(counts, probs, significance: float = 0.001) -> ChiSquareResult:
         raise ValueError(f"df {df} above the supported range (4096)")
     if df == 0:
         return ChiSquareResult(statistic=0.0, critical=0.0, df=0, passed=True)
+    # chdtri(df, q) is the function scipy.stats.chi2.isf(q, df) evaluates;
+    # imported here so that importing the package does not load scipy
+    from scipy.special import chdtri
+
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
-    critical = float(_scipy_stats.chi2.isf(significance, df))
+    critical = float(chdtri(df, significance))
     return ChiSquareResult(statistic=statistic, critical=critical, df=df,
                            passed=bool(statistic <= critical))
 

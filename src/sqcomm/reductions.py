@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard as _hadamard_unscaled
 
 from .comm_sim import Session, assemble_stacked, open_session_blocks
 from .linalg_oracle import (
@@ -59,6 +58,13 @@ class PromiseViolation(ValueError):
 
 class ZeroMatrix(ValueError):
     """A construction degenerated to an all-zero matrix."""
+
+
+def _check_count(name: str, value, lo: int, what: str) -> None:
+    """The one integer rule of the generators and the decision: `value` must
+    be an integer (a numpy integer too, never a bool) >= lo, or ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{what} {name} must be an integer >= {lo}, got {name} = {value!r}")
 
 
 # --- set-disjointness instances -------------------------------------------------
@@ -104,8 +110,8 @@ def gen_disjointness(k: int, n: int, want_intersection: bool,
                      rng: np.random.Generator) -> DisjointnessInstance:
     """Sample a promise-respecting instance; the intersecting pair, when
     requested, is planted at a uniformly random (player, coordinate)."""
-    if n < 8 or k < 2:
-        raise ValueError("need n >= 8 and k >= 2")
+    _check_count("k", k, 2, "player count")
+    _check_count("n", n, 8, "length")
     lo = math.ceil(n / 4)
     while True:
         sets = np.zeros((k, n), dtype=np.int64)
@@ -193,8 +199,9 @@ def decide_disjointness(build: SparseRegressionBuild, num_samples: int,
 
     The solution is computed by the oracle from the assembled system and
     exposed to the decision as an SQ vector; see the module docstring for why
-    this stand-in is the strongest case.
+    this stand-in is the strongest case.  A decision on no draws is refused.
     """
+    _check_count("num_samples", num_samples, 1, "sample count")
     A, b = assemble_stacked(build.session)
     x = pinv_solve(A, b)
     draws = sq_sample_many(build_sq_vector(x), num_samples, rng)
@@ -231,8 +238,12 @@ def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
 
 
 def hadamard_matrix(n: int) -> np.ndarray:
-    """Orthonormal 2^n x 2^n Hadamard matrix (Sylvester ordering)."""
-    return _hadamard_unscaled(2**n).astype(np.float64) / math.sqrt(2**n)
+    """Orthonormal 2^n x 2^n Hadamard matrix (Sylvester ordering), built by
+    doubling [[1]] n times into [[H, H], [H, -H]]."""
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])
+    return h / math.sqrt(2**n)
 
 
 @dataclass(frozen=True)
@@ -321,18 +332,31 @@ def _band_targets(d: int) -> np.ndarray:
     return np.array([v for v in range(lo, hi + 1) if (v - d) % 2 == 0])
 
 
+def _split_signs(total: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Split a sign vector into k (odd) sign vectors summing to it, column by
+    column: a +1 column gets (k+1)/2 positive entries at uniformly random
+    players, a -1 column (k+1)/2 negative ones.  Row col of `perms` is the
+    permutation rng.permutation(k) would give for column col, drawn from the
+    same stream in the same order."""
+    d = total.size
+    perms = rng.permuted(np.tile(np.arange(k), (d, 1)), axis=1)
+    players = np.tile(-total, (k, 1))
+    players[perms[:, :(k + 1) // 2], np.arange(d)[:, None]] = total[:, None]
+    return players
+
+
 def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator) -> GapHammingInstance:
     """Sample an instance on the requested promise side.
 
     The probe is flipped one coordinate at a time (each flip moves the inner
     product by +-2) until it reaches a uniformly chosen value in the band.
     """
-    if k % 2 == 0 or k < 1:
+    _check_count("k", k, 1, "player count")
+    if k % 2 == 0:
         raise ValueError("player count must be odd and positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension d must be an integer >= 1, got d = {d!r}")
+    _check_count("d", d, 1, "dimension")
     targets = _band_targets(d)
     total = rng.choice((-1.0, 1.0), size=d)
     probe = rng.choice((-1.0, 1.0), size=d)
@@ -348,14 +372,7 @@ def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator) -> GapH
         probe[pos] = -probe[pos]
         ip += 2 if ip < goal else -2
 
-    # split the sum into k sign vectors coordinatewise: a +1 column gets
-    # (k+1)/2 positive entries, a -1 column gets (k+1)/2 negative ones
-    players = np.empty((k, d))
-    half = (k + 1) // 2
-    for col in range(d):
-        signs = np.full(k, -total[col])
-        signs[rng.permutation(k)[:half]] = total[col]
-        players[:, col] = signs
+    players = _split_signs(total, k, rng)
     inst = GapHammingInstance(k=k, d=d, players=players, probe=probe, sign=sign)
     inst.verify()
     return inst

@@ -25,6 +25,7 @@ from sqcomm import (
     Session,
     Timeout,
     assemble_stacked,
+    build_sq_matrix,
     coord_a_access,
     coord_a_setup,
     coord_b_query,
@@ -270,6 +271,46 @@ def test_session_rejects_overflowing_masses():
     s = open_session_blocks(2, [], [(0, [1.3e154]), (1, [1.3e154])])
     with pytest.raises(ValueError, match="overflow"):
         coord_b_setup(s)
+
+
+def test_owner_views_build_their_handles_on_first_use(monkeypatch):
+    builds = []
+
+    def counting(matrix):
+        builds.append(np.asarray(matrix).shape)
+        return build_sq_matrix(matrix)
+
+    monkeypatch.setattr(comm_sim, "build_sq_matrix", counting)
+    a_blocks = [(0, [[1.0, 2.0]]), (1, [[0.0, 3.0]]), (None, [[4.0, 0.0]]), (1, [[0.0, 0.0]])]
+    b_blocks = [(0, [1.0, 2.0]), (1, [0.0]), (0, [5.0])]
+    s = open_session_blocks(2, a_blocks, b_blocks)
+    assert builds == []
+    # the b setup reads player 0's view only: player 1's is all zero, and
+    # there is no public b block
+    coord_b_setup(s)
+    assert builds == [(3, 1)]
+    coord_a_setup(s)
+    assert builds == [(3, 1), (1, 2), (2, 2), (1, 2)]
+    # draws and queries reuse the handles
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        coord_b_sample(s, rng)
+        coord_a_access(s, "row_norm_sample", rng)
+        coord_a_access(s, ("row_sample", 0), rng)
+    assert len(builds) == 4
+    # a replay clone builds nothing for its private views
+    del builds[:]
+    clone = make_replay_session(s)
+    coord_b_setup(clone)
+    coord_a_setup(clone)
+    assert builds == [(1, 2)]
+    # a view whose squared total may overflow is built at open, and refused
+    # there only when the build refuses it
+    del builds[:]
+    open_session_blocks(1, [], [(0, [1.3e154])])
+    assert builds == [(1, 1)]
+    with pytest.raises(ValueError, match="finite"):
+        open_session_blocks(2, [], [(0, [1.0]), (1, [complex(np.inf, 0.0)])])
 
 
 def test_lincomb_phi_frozen():

@@ -5,6 +5,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -104,6 +107,29 @@ def test_chi_square_edge_cases():
     for significance in (0.0, 1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="significance"):
             chi_square([90, 10], [0.5, 0.5], significance=significance)
+
+
+def test_import_loads_no_scipy():
+    # a fresh process: scipy is loaded only by chi_square's first call
+    script = ("import sys, sqcomm, sqcomm.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]"]
+
+
+def test_chi_square_critical_is_scipy_isf():
+    import scipy.stats
+
+    for df in (1, 2, 3, 7, 30, 255, 1000, 4096):
+        counts = np.full(df + 1, 10.0)
+        probs = np.full(df + 1, 1.0 / (df + 1))
+        for significance in (1e-9, 0.001, 0.05, 0.5, 0.999):
+            res = chi_square(counts, probs, significance=significance)
+            assert res.df == df
+            assert res.critical == float(scipy.stats.chi2.isf(significance, df))
 
 
 @pytest.mark.parametrize("experiment,name,check", [

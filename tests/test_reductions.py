@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sqcomm import (
     BadDimension,
@@ -42,6 +43,7 @@ from sqcomm.reductions import (
     _band_targets,
     _mixing_generator,
     _sign_conjugate,
+    _split_signs,
     all_sign_vectors,
     hadamard_matrix,
     hamiltonian_conjugation_sweep,
@@ -99,6 +101,21 @@ def test_gen_disjointness_honors_request():
         gen_disjointness(2, 4, True, rng)
 
 
+def test_generators_refuse_non_integer_counts():
+    # a float or bool count used to end in numpy's bare TypeError
+    rng = np.random.default_rng(11)
+    for call, name in ((lambda: gen_gap_hamming(3.0, 16, 1, rng), "k"),
+                       (lambda: gen_gap_hamming(True, 16, 1, rng), "k"),
+                       (lambda: gen_gap_hamming(3, True, 1, rng), "d"),
+                       (lambda: gen_disjointness(2.0, 8, True, rng), "k"),
+                       (lambda: gen_disjointness(True, 8, True, rng), "k"),
+                       (lambda: gen_disjointness(2, 8.5, True, rng), "n"),
+                       (lambda: gen_disjointness(2, 8.0, False, rng), "n")):
+        with pytest.raises(ValueError, match=f"got {name} = "):
+            call()
+    assert gen_disjointness(np.int64(3), np.int64(16), True, rng).k == 3
+
+
 # --- sparse regression ---
 
 
@@ -147,6 +164,17 @@ def test_decide_disjointness():
     assert sum(decide_disjointness(hit, 25, rng) for _ in range(50)) == 50
 
 
+def test_decide_disjointness_refuses_no_samples():
+    # no draws used to read as "disjoint" on an intersecting instance
+    rng = np.random.default_rng(12)
+    hit = build_regression_sparse(_frozen_intersecting())
+    state = rng.bit_generator.state
+    for num_samples in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="num_samples"):
+            decide_disjointness(hit, num_samples, rng)
+    assert rng.bit_generator.state == state
+
+
 # --- dense regression ---
 
 
@@ -180,6 +208,14 @@ def test_dense_regression_layout_and_caps():
     big = FunctionPair(n=11, f=np.ones(2048), g=np.ones(2048))
     with pytest.raises(BadDimension):
         build_regression_dense(big)
+
+
+def test_hadamard_matrix_is_scipy_bytes():
+    for n in range(11):
+        want = scipy.linalg.hadamard(2**n).astype(np.float64) / math.sqrt(2**n)
+        got = hadamard_matrix(n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_function_pair_validation():
@@ -233,6 +269,31 @@ def test_gen_gap_hamming_validation():
         gen_gap_hamming(2, 64, 1, rng)
     with pytest.raises(ValueError):
         gen_gap_hamming(3, 64, 0, rng)
+
+
+def _split_per_column(total, k, rng):
+    """The per-column split `_split_signs` replaces, kept as its reference."""
+    players = np.empty((k, total.size))
+    half = (k + 1) // 2
+    for col in range(total.size):
+        signs = np.full(k, -total[col])
+        signs[rng.permutation(k)[:half]] = total[col]
+        players[:, col] = signs
+    return players
+
+
+def test_split_signs_matches_per_column_permutations():
+    # same players and same stream position, so every instance is unchanged
+    for k in (1, 3, 5, 7):
+        for d in (1, 2, 3, 64, 256):
+            for seed in range(4):
+                total = np.random.default_rng([seed, k, d]).choice((-1.0, 1.0), size=d)
+                fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _split_signs(total, k, fast)
+                want = _split_per_column(total, k, ref)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert fast.bit_generator.state == ref.bit_generator.state
+                np.testing.assert_array_equal(got.sum(axis=0), total)
 
 
 def test_gap_hamming_verify_rejects():
