@@ -63,8 +63,7 @@ def _parse_sweep(text: str) -> list:
 
 def _reduction_session(name: str, params: dict, rng):
     if name == "generic":
-        return sweep_session(params["k"], params["m"], params["n"], rng,
-                             comm_sim.EncodingSpec())
+        return sweep_session(params["k"], params["m"], params["n"], rng)
     if name == "sparse":
         inst = reductions.gen_disjointness(8, 64, True, rng)
         return reductions.build_regression_sparse(inst).session
@@ -99,7 +98,7 @@ def _cmd_fit_bits(args) -> int:
     t_values = sweep_values(config.params["t_sweep"])
     totals, fit, k = bit_sweep(
         lambda rng: _reduction_session(args.reduction, config.params, rng),
-        _access_mix, t_values, config.seed, config.encoding)
+        _access_mix, t_values, config.seed)
 
     print("t_accesses,total_bits")
     for t_accesses, total in zip(t_values, totals):

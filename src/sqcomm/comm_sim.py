@@ -72,6 +72,7 @@ from .sq_access import (
     sq_row,
     sq_sample,
     _check_index,
+    _is_integer,
     _norm_estimate,
     _rejection_loop,
 )
@@ -204,9 +205,13 @@ def _stack_blocks(k: int, blocks, ndim: int):
     one column; returns (blocks, rows)."""
     out, off = [], 0
     for owner, data in blocks:
-        owner = PUBLIC if owner is None else owner
-        if owner != PUBLIC and not 0 <= owner < k:
-            raise ValueError(f"owner {owner} outside [0, {k})")
+        if owner is None or (isinstance(owner, str) and owner == PUBLIC):
+            owner = PUBLIC
+        elif _is_integer(owner) and 0 <= owner < k:
+            owner = int(owner)
+        else:
+            raise ValueError(f"owner {owner!r} is not None, {PUBLIC!r} or an integer "
+                             f"in [0, {k})")
         arr = np.asarray(data)
         arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
         if arr.ndim != ndim or arr.size == 0:
@@ -360,8 +365,8 @@ class Session:
     coordinator knowledge, and the metered transcript."""
 
     def __init__(self, k: int, a_blocks, b_blocks, encoding: EncodingSpec | None = None):
-        if k < 1:
-            raise ValueError("need at least one player")
+        if not (_is_integer(k) and k >= 1):
+            raise ValueError(f"player count k = {k!r} is not an integer >= 1")
         self.k = int(k)
         self.encoding = encoding if encoding is not None else EncodingSpec()
         self.meter = BitMeter()

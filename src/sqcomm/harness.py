@@ -24,7 +24,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -168,7 +168,6 @@ class ExperimentConfig:
     seed: int
     trials: int
     params: dict
-    encoding: EncodingSpec = field(default_factory=EncodingSpec)
 
     def to_dict(self) -> dict:
         return {
@@ -176,8 +175,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "trials": self.trials,
             "params": dict(self.params),
-            "encoding": {"scalar_bits": self.encoding.scalar_bits,
-                         "opcode_bits": self.encoding.opcode_bits},
         }
 
 
@@ -209,7 +206,7 @@ class Param:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment: its runner, canonical seed and trials, its params, and
-    an optional check across params that raises ConfigError."""
+    an optional check of (params, trials) together that raises ConfigError."""
 
     runner: Callable
     seed: int
@@ -282,25 +279,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
         if key not in specs:
             raise ConfigError(f"params.{key}: unknown field")
         _check_param(f"params.{key}", specs[key], value)
-    enc_obj = obj.get("encoding", {})
-    if not isinstance(enc_obj, dict):
-        raise ConfigError("encoding: must be an object")
-    for key in enc_obj:
-        if key not in ("scalar_bits", "opcode_bits"):
-            raise ConfigError(f"encoding.{key}: unknown field")
-    try:
-        encoding = EncodingSpec(**enc_obj)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"encoding: {err}") from err
-    unknown = set(obj) - {"experiment", "seed", "trials", "params", "encoding"}
+    unknown = set(obj) - {"experiment", "seed", "trials", "params"}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
     params = {key: copy.deepcopy(spec.value) for key, spec in specs.items()}
     params.update(raw_params)
     if entry.check is not None:
-        entry.check(params)
-    return ExperimentConfig(experiment=name, seed=obj["seed"], trials=trials,
-                            params=params, encoding=encoding)
+        entry.check(params, trials)
+    return ExperimentConfig(experiment=name, seed=obj["seed"], trials=trials, params=params)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -435,8 +421,7 @@ def _worst(*values) -> float:
 
 # --- experiment: protocol exactness (stacked access laws) ---------------------------
 
-def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int,
-                                encoding: EncodingSpec) -> Session:
+def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int) -> Session:
     k = int(rng.integers(2, max_k + 1))
     m = int(rng.integers(2, max_rows + 1))
     n = int(rng.integers(1, max_cols + 1))
@@ -460,7 +445,7 @@ def _random_partitioned_session(rng, max_k: int, max_rows: int, max_cols: int,
             blocks.append((None if owner < 0 else owner, data))
         return blocks
 
-    return open_session_blocks(k, cut(m, rows=True), cut(m), encoding)
+    return open_session_blocks(k, cut(m, rows=True), cut(m))
 
 
 def _exactness_deviation(session: Session, rng) -> float:
@@ -489,8 +474,7 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
     worst = 0.0
     per_trial = []
     for t, rng in enumerate(rngs):
-        session = _random_partitioned_session(rng, max_k, max_rows, max_cols,
-                                              config.encoding)
+        session = _random_partitioned_session(rng, max_k, max_rows, max_cols)
         dev = _exactness_deviation(session, rng)
         worst = _worst(worst, dev)
         per_trial.append({"trial": t, "deviation": dev})
@@ -506,7 +490,7 @@ _R2_FLOOR = 0.999   # pass rule of the bit-cost fit
 _COEF_CAP = 4.0
 
 
-def sweep_session(k: int, m: int, n: int, rng, encoding: EncodingSpec) -> Session:
+def sweep_session(k: int, m: int, n: int, rng) -> Session:
     """The generic bit-fit session: k players split m rows of an m x n matrix
     and of a vector, all rows player-owned and nonzero, so every access costs
     the same."""
@@ -516,7 +500,7 @@ def sweep_session(k: int, m: int, n: int, rng, encoding: EncodingSpec) -> Sessio
         lo, hi = bounds[i], bounds[i + 1]
         a_blocks.append((i, rng.normal(size=(hi - lo, n)) + 0.1))
         b_blocks.append((i, rng.normal(size=hi - lo) + 0.1))
-    return open_session_blocks(k, a_blocks, b_blocks, encoding)
+    return open_session_blocks(k, a_blocks, b_blocks)
 
 
 # The accesses whose bit cost is a constant of the session's layout.  Step i
@@ -538,11 +522,12 @@ _ACCESSES = {
 }
 
 
-def bit_sweep(make_session, mix, t_values, seed: int, encoding: EncodingSpec):
+def bit_sweep(make_session, mix, t_values, seed: int):
     """For each T, the bits of T accesses on a fresh session `make_session(rng)`
-    after its setups, step i making access mix[i % len(mix)]; then the fit.
-    `mix` is a tuple of _ACCESSES names or a function of the session that
-    returns one.  Returns (totals, fit, k)."""
+    after its setups, step i making access mix[i % len(mix)]; then the fit at
+    the sessions' own widths (`session.encoding`).  `mix` is a tuple of
+    _ACCESSES names or a function of the session that returns one.  Returns
+    (totals, fit, k)."""
     totals = []
     for t_accesses, rng in zip(t_values, _trial_rngs(seed, len(t_values))):
         session = make_session(rng)
@@ -558,7 +543,7 @@ def bit_sweep(make_session, mix, t_values, seed: int, encoding: EncodingSpec):
         for i in range(t_accesses):
             steps[i % len(steps)](session, rng, i, rows, b_idx)
         totals.append(session.meter.total_bits)
-    fit = fit_bit_costs(session.k, t_values, totals, encoding,
+    fit = fit_bit_costs(session.k, t_values, totals, session.encoding,
                         session.m or session.a_rows, session.n or 1)
     return totals, fit, session.k
 
@@ -598,7 +583,9 @@ def fit_checks(fit: dict, t_start: int, t_stop: int) -> list:
 _BIT_FIT_MIX = ("b_sample", "b_query", "row_norm_sample", "row_sample", "entry_query")
 
 
-def _check_bit_fit(p: dict) -> None:
+def _check_bit_fit(p: dict, trials: int) -> None:
+    if trials != 1:     # one sweep, whose T values are the report's trials
+        raise ConfigError(f"trials: bit_fit runs one sweep, so trials must be 1, not {trials}")
     if p["k"] > p["m"]:     # sweep_session gives each player at least one row
         raise ConfigError(f"params.k: {p['k']} players exceed m = {p['m']} rows")
     sweep = p["t_sweep"]
@@ -616,8 +603,8 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
     t_start, t_stop, _ = p["t_sweep"]
     t_values = sweep_values(p["t_sweep"])
     totals, fit, _ = bit_sweep(
-        lambda rng: sweep_session(p["k"], p["m"], p["n"], rng, config.encoding),
-        _BIT_FIT_MIX, t_values, config.seed, config.encoding)
+        lambda rng: sweep_session(p["k"], p["m"], p["n"], rng),
+        _BIT_FIT_MIX, t_values, config.seed)
     per_trial = [{"t": t, "total_bits": total} for t, total in zip(t_values, totals)]
     return _report(config, fit_checks(fit, t_start, t_stop),
                    {"t_values": t_values, "totals": totals}, per_trial,
@@ -627,8 +614,7 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
 
 # --- experiment: oversampled linear combinations ------------------------------------
 
-def _random_lincomb_session(rng, max_players: int, max_len: int,
-                            encoding: EncodingSpec):
+def _random_lincomb_session(rng, max_players: int, max_len: int):
     k = int(rng.integers(2, max_players + 1))
     m = int(rng.integers(4, max_len + 1))
     parts = [rng.normal(size=m) for _ in range(k)]
@@ -639,8 +625,7 @@ def _random_lincomb_session(rng, max_players: int, max_len: int,
     if np.linalg.norm(combined) < 1e-6:
         heavy = int(np.argmax(np.abs(mu)))
         parts[heavy] = parts[heavy] + 1.0
-    session = open_session_blocks(k, [], [(i, v) for i, v in enumerate(parts)],
-                                  encoding)
+    session = open_session_blocks(k, [], [(i, v) for i, v in enumerate(parts)])
     coord_b_setup(session)
     return session, np.asarray(mu), parts
 
@@ -661,8 +646,7 @@ def run_oversampling(config: ExperimentConfig) -> Report:
     qualifying = 0
     per_trial = []
     for t, rng in enumerate(rngs):
-        session, mu, parts = _random_lincomb_session(rng, max_players, max_len,
-                                                     config.encoding)
+        session, mu, parts = _random_lincomb_session(rng, max_players, max_len)
         k = session.k
         combined = sum(c * v for c, v in zip(mu, parts))
         dominator = np.sqrt(k * sum(np.abs(c * v) ** 2 for c, v in zip(mu, parts)))

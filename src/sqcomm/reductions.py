@@ -45,9 +45,10 @@ from .sq_access import (
     sq_row,
     sq_sample,
     sq_sample_many,
+    _is_integer,
 )
 
-DENSE_MAX_N = 10        # largest n of the dense regression construction
+DENSE_MAX_N = 10        # largest n any construction takes (dense regression's)
 EVOLUTION_MAX_N = 8     # largest n of the Hamiltonian evolution construction
 GAP_C1, GAP_C2 = 1.0, 2.0   # the gap-Hamming band [c1 sqrt(d), c2 sqrt(d)]
 
@@ -63,8 +64,19 @@ class ZeroMatrix(ValueError):
 def _check_count(name: str, value, lo: int, what: str) -> None:
     """The one integer rule of the generators and the decision: `value` must
     be an integer (a numpy integer too, never a bool) >= lo, or ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+    if not _is_integer(value) or value < lo:
         raise ValueError(f"{what} {name} must be an integer >= {lo}, got {name} = {value!r}")
+
+
+def _check_sign_size(n) -> None:
+    """The size rule of the sign-function helpers: n must be an integer (a
+    non-integer or a bool gets `_check_count`'s ValueError) in
+    [0, DENSE_MAX_N], or BadDimension."""
+    if _is_integer(n) and n < 0:
+        raise BadDimension(f"n = {n} must be nonnegative")
+    _check_count("n", n, 0, "sign-function size")
+    if n > DENSE_MAX_N:
+        raise BadDimension(f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}")
 
 
 # --- set-disjointness instances -------------------------------------------------
@@ -93,15 +105,12 @@ class DisjointnessInstance:
         lo, hi = math.ceil(self.n / 4), math.floor(3 * self.n / 4)
         if not ((weights >= lo) & (weights <= hi)).all():
             raise PromiseViolation(f"weights {weights} outside [{lo}, {hi}]")
-        hits = [
-            (j, l)
-            for j in range(1, self.k)
-            for l in range(self.n)
-            if sets[0, l] == 1 and sets[j, l] == 1
-        ]
+        # the (player, coordinate) pairs that share a 1 with player 1, in
+        # player then coordinate order
+        hits = np.argwhere((sets[0] == 1) & (sets[1:] == 1))
         if len(hits) > 1:
             raise PromiseViolation(f"{len(hits)} intersecting pairs, promise allows 1")
-        truth = hits[0] if hits else None
+        truth = (int(hits[0, 0]) + 1, int(hits[0, 1])) if len(hits) else None
         if truth != self.intersection:
             raise PromiseViolation(f"recorded truth {self.intersection}, scan found {truth}")
 
@@ -109,38 +118,39 @@ class DisjointnessInstance:
 def gen_disjointness(k: int, n: int, want_intersection: bool,
                      rng: np.random.Generator) -> DisjointnessInstance:
     """Sample a promise-respecting instance; the intersecting pair, when
-    requested, is planted at a uniformly random (player, coordinate)."""
+    requested, is planted at a uniformly random (player, coordinate).
+
+    Every draw keeps the promise, so one draw suffices: player 1's weight lies
+    in [n/4, n/2], every other support is drawn outside player 1's (weight at
+    most 3n/4), and only the planted pair can intersect.
+    """
     _check_count("k", k, 2, "player count")
     _check_count("n", n, 8, "length")
     lo = math.ceil(n / 4)
-    while True:
-        sets = np.zeros((k, n), dtype=np.int64)
-        w1 = int(rng.integers(lo, n // 2 + 1))
-        if want_intersection:
-            j_star = int(rng.integers(1, k))
-            l_star = int(rng.integers(0, n))
-            rest = np.setdiff1d(np.arange(n), [l_star])
-            supp1 = np.append(rng.choice(rest, size=w1 - 1, replace=False), l_star)
+    sets = np.zeros((k, n), dtype=np.int64)
+    w1 = int(rng.integers(lo, n // 2 + 1))
+    if want_intersection:
+        j_star = int(rng.integers(1, k))
+        l_star = int(rng.integers(0, n))
+        rest = np.setdiff1d(np.arange(n), [l_star])
+        supp1 = np.append(rng.choice(rest, size=w1 - 1, replace=False), l_star)
+    else:
+        supp1 = rng.choice(n, size=w1, replace=False)
+    sets[0, supp1] = 1
+    outside = np.flatnonzero(sets[0] == 0)
+    for j in range(1, k):
+        wj = int(rng.integers(lo, outside.size + 1))
+        if want_intersection and j == j_star:
+            supp = np.append(rng.choice(outside, size=wj - 1, replace=False), l_star)
         else:
-            supp1 = rng.choice(n, size=w1, replace=False)
-        sets[0, supp1] = 1
-        outside = np.flatnonzero(sets[0] == 0)
-        for j in range(1, k):
-            wj = int(rng.integers(lo, outside.size + 1))
-            if want_intersection and j == j_star:
-                supp = np.append(rng.choice(outside, size=wj - 1, replace=False), l_star)
-            else:
-                supp = rng.choice(outside, size=wj, replace=False)
-            sets[j, supp] = 1
-        inst = DisjointnessInstance(
-            k=k, n=n, sets=sets,
-            intersection=(j_star, l_star) if want_intersection else None,
-        )
-        try:
-            inst.verify()
-        except PromiseViolation:
-            continue
-        return inst
+            supp = rng.choice(outside, size=wj, replace=False)
+        sets[j, supp] = 1
+    inst = DisjointnessInstance(
+        k=k, n=n, sets=sets,
+        intersection=(j_star, l_star) if want_intersection else None,
+    )
+    inst.verify()
+    return inst
 
 
 # --- sparse regression from disjointness ----------------------------------------
@@ -229,8 +239,7 @@ class FunctionPair:
 
 
 def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
-    if n < 0:
-        raise BadDimension(f"n = {n} must be nonnegative")
+    _check_sign_size(n)
     size = 2**n
     f = rng.choice((-1.0, 1.0), size=size)
     g = rng.choice((-1.0, 1.0), size=size)
@@ -240,6 +249,7 @@ def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
 def hadamard_matrix(n: int) -> np.ndarray:
     """Orthonormal 2^n x 2^n Hadamard matrix (Sylvester ordering), built by
     doubling [[1]] n times into [[H, H], [H, -H]]."""
+    _check_sign_size(n)
     h = np.ones((1, 1))
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])
@@ -664,8 +674,7 @@ def hamiltonian_conjugation_sweep(n: int, fs: np.ndarray) -> tuple[int, float]:
 
 def all_sign_vectors(n: int) -> np.ndarray:
     """Every +-1 vector of length 2^n, one per row (2^(2^n) rows)."""
-    if n < 0:
-        raise BadDimension(f"n = {n} must be nonnegative")
+    _check_sign_size(n)
     size = 2**n
     count = 2**size
     if count > 1 << 20:

@@ -36,10 +36,16 @@ class Timeout(RuntimeError):
     """Raised when rejection sampling exhausts its round budget."""
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, never a bool: the integer rule of every
+    index, count and player number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_index(i, n: int, what: str = "index") -> None:
     """The one index rule of every handle and request: `i` must be an integer
     (a numpy integer too, never a bool) in [0, n), or IndexOutOfRange."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+    if not _is_integer(i):
         raise IndexOutOfRange(f"{what} {i!r} is not an integer")
     if not 0 <= i < n:
         raise IndexOutOfRange(f"{what} {i} outside [0, {n})")

@@ -4,6 +4,7 @@ combinations, and transcript replay."""
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -258,6 +259,32 @@ def test_session_validation():
         open_session_blocks(2, [], [(0, [1.0, np.nan]), (1, [2.0, 3.0])])
     with pytest.raises(ValueError, match="finite"):
         open_session_blocks(2, [(None, [[1.0, np.inf]])], [])
+
+
+@pytest.mark.parametrize("k", [2.5, True, False, 0, -1, "2", None])
+def test_session_refuses_a_player_count_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=f"^player count k = {k!r} is not an integer >= 1$"):
+        open_session_blocks(k, [], [(0, [1.0])])
+    with pytest.raises(ValueError, match="^player count"):
+        Session(k, [], [(None, [1.0])])
+
+
+@pytest.mark.parametrize("owner", [1.5, "x", True, False, 2, -1, np.int64(3), [0]])
+def test_session_refuses_an_owner_that_is_not_a_player(owner):
+    # a float owner used to end in a bare KeyError, a string in a TypeError,
+    # and True became player 1
+    for a_blocks, b_blocks in (([], [(owner, [1.0])]), ([(owner, [[1.0]])], [])):
+        with pytest.raises(ValueError, match=rf"^owner {re.escape(repr(owner))} is not None"):
+            open_session_blocks(2, a_blocks, b_blocks)
+
+
+def test_session_takes_numpy_integer_counts_and_owners():
+    s = open_session_blocks(np.int64(2), [(np.int32(1), [[1.0, 2.0], [0.0, 1.0]])],
+                            [(np.int64(0), [3.0]), (comm_sim.PUBLIC, [4.0])])
+    assert s.k == 2 and type(s.k) is int
+    assert [bl.owner for bl in s.a_blocks] == [1]
+    assert [bl.owner for bl in s.b_blocks] == [0, comm_sim.PUBLIC]
+    assert all(type(bl.owner) is int for bl in s.a_blocks + s.b_blocks[:1])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -322,8 +323,6 @@ def test_parse_config_field_errors():
         parse_config(dict(base, experiment="bit_fit", params={"k": 65}))
     with pytest.raises(ConfigError, match="^params.m: must be a positive"):
         parse_config(dict(base, experiment="bit_fit", params={"m": -3}))
-    with pytest.raises(ConfigError, match="^encoding:"):
-        parse_config(dict(base, encoding={"scalar_bits": 4}))
     with pytest.raises(ConfigError, match="^extra: unknown field"):
         parse_config(dict(base, extra=2))
     with pytest.raises(ConfigError, match="^config: must be"):
@@ -341,8 +340,6 @@ def test_parse_config_field_errors():
         parse_config(dict(over, params={"max_player": 3}))
     with pytest.raises(ConfigError, match="^params.tolerance: unknown field"):
         parse_config(dict(over, params={"tolerance": 1.0}))
-    with pytest.raises(ConfigError, match="^encoding: opcode_bits"):
-        parse_config(dict(base, encoding={"opcode_bits": -50}))
     # sizes beyond k/m/n/d are checked at parse time, not inside the runner
     exact = {"experiment": "protocol_exactness", "seed": 1}
     with pytest.raises(ConfigError, match="^params.max_rows: 1000000000 exceeds cap 4096"):
@@ -407,16 +404,48 @@ def test_parse_config_rejects_negative_seed():
         run_suite("oracle", seed=-1)
 
 
-@pytest.mark.parametrize("encoding, message", [
-    ({"scalar_bits": "32"}, "^encoding: scalar_bits must be an integer"),
-    ({"opcode_bits": None}, "^encoding: opcode_bits must be an integer"),
-    ({"opcode_bits": 2.5}, "^encoding: opcode_bits must be an integer"),
-    ({"scalar_bits": True}, "^encoding: scalar_bits must be an integer"),
-    ({"opcode_bit": 8}, "^encoding.opcode_bit: unknown field"),
-])
-def test_parse_config_rejects_bad_encoding(encoding, message):
-    with pytest.raises(ConfigError, match=message):
-        parse_config({"experiment": "bit_fit", "seed": 1, "encoding": encoding})
+def test_config_has_no_encoding_section():
+    # bit widths belong to the session's EncodingSpec; a config holds only
+    # experiment, seed, trials and params, so an encoding key is refused, the
+    # default widths too
+    assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
+        "experiment", "seed", "trials", "params"]
+    for encoding in ({"scalar_bits": 32, "opcode_bits": 8}, {"scalar_bits": 64}, {}):
+        with pytest.raises(ConfigError, match="^encoding: unknown field$"):
+            parse_config({"experiment": "sparse_regression", "seed": 1,
+                          "encoding": encoding})
+    for fn in (harness.sweep_session, harness.bit_sweep, harness._random_partitioned_session,
+               harness._random_lincomb_session):
+        assert "encoding" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_bit_fit_refuses_trials_other_than_one():
+    # bit_fit runs one sweep and reports its T values as trials, so any other
+    # trials would be ignored
+    base = {"experiment": "bit_fit", "seed": 1}
+    for trials in (2, 500):
+        with pytest.raises(ConfigError, match=f"^trials: .* not {trials}$"):
+            parse_config(dict(base, trials=trials))
+    assert parse_config(dict(base, trials=1)) == parse_config(base)
+
+
+def test_bit_sweep_fits_at_the_session_widths():
+    # the fit's word size comes from the sessions it is given, not from a
+    # second argument
+    k, m, n = 2, 4, 3
+    encodings = {"default": EncodingSpec(), "wide": EncodingSpec(scalar_bits=64)}
+    fits = {}
+    for name, encoding in encodings.items():
+        totals, fit, got_k = harness.bit_sweep(
+            lambda rng: open_session_blocks(
+                k, [(0, rng.normal(size=(2, n)) + 5), (1, rng.normal(size=(2, n)) + 5)],
+                [(0, rng.normal(size=2) + 5), (1, rng.normal(size=2) + 5)], encoding),
+            harness._BIT_FIT_MIX, [5, 10, 15], 1)
+        assert got_k == k
+        assert fit["word_bits"] == encoding.scalar_bits + math.ceil(math.log2(m * n))
+        fits[name] = (totals, fit)
+    assert fits["wide"][1]["word_bits"] == 68
+    assert all(wide > default for wide, default in zip(fits["wide"][0], fits["default"][0]))
 
 
 def _within_bounds(spec, value) -> bool:
@@ -434,8 +463,7 @@ def _within_bounds(spec, value) -> bool:
                     for v in entries))
 
 
-_FIELDS = ([(name, "params", key) for name, entry in EXPERIMENTS.items() for key in entry.params]
-           + [("bit_fit", "encoding", key) for key in ("scalar_bits", "opcode_bits")])
+_FIELDS = [(name, "params", key) for name, entry in EXPERIMENTS.items() for key in entry.params]
 _SCALARS = (st.none() | st.booleans() | st.integers(-3, 70) | st.integers()
             | st.floats() | st.text(max_size=3))
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
@@ -451,12 +479,8 @@ def test_any_json_value_is_accepted_within_bounds_or_rejected(field, value):
     except ConfigError as err:
         assert str(err).startswith(f"{section}")
         return
-    if section == "encoding":
-        assert type(value) is int and value >= (8 if key == "scalar_bits" else 0)
-        assert getattr(cfg.encoding, key) == value
-    else:
-        assert _within_bounds(EXPERIMENTS[experiment].params[key], value)
-        assert cfg.params[key] == value
+    assert _within_bounds(EXPERIMENTS[experiment].params[key], value)
+    assert cfg.params[key] == value
 
 
 def test_config_round_trip():

@@ -1,5 +1,6 @@
-"""The README's library sketch runs as documented."""
+"""The README's library sketch runs as documented, and its config example parses."""
 
+import json
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import sqcomm
+from sqcomm import default_config, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +24,11 @@ def test_readme_library_sketch_runs():
     assert out.returncode == 0, out.stderr
     j, bits, total, law_sum = out.stdout.split()
     assert 0 <= int(j) < 24 and int(bits) <= int(total) and abs(float(law_sum) - 1.0) < 1e-12
+
+
+def test_readme_config_example_is_a_canonical_config():
+    # the example must parse under today's schema, so it changes with it
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    block = json.loads(blocks[0])
+    assert parse_config(block) == default_config(block["experiment"])

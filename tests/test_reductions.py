@@ -2,6 +2,7 @@
 forms and the exact oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -114,6 +115,74 @@ def test_generators_refuse_non_integer_counts():
         with pytest.raises(ValueError, match=f"got {name} = "):
             call()
     assert gen_disjointness(np.int64(3), np.int64(16), True, rng).k == 3
+
+
+def _scan_hits(inst):
+    """The (player, coordinate) pairs sharing a 1 with player 1, by the k*n scan."""
+    sets = np.asarray(inst.sets)
+    return [(j, l) for j in range(1, inst.k) for l in range(inst.n)
+            if sets[0, l] == 1 and sets[j, l] == 1]
+
+
+def _verify_outcome(inst):
+    try:
+        inst.verify()
+    except PromiseViolation as err:
+        return str(err)
+    return None
+
+
+def test_disjointness_verify_matches_the_scan():
+    rng = np.random.default_rng(12)
+    cases = []
+    for k in (2, 3, 5, 8):
+        for n in (8, 9, 17, 40):
+            for want in (False, True):
+                inst = gen_disjointness(k, n, want, rng)
+                hits = _scan_hits(inst)
+                assert inst.intersection == (hits[0] if hits else None) and len(hits) <= 1
+                assert _verify_outcome(inst) is None
+                cases.append(inst)
+    # hand-made violations: several hits, a hit at a later player than the
+    # recorded one, a recorded hit where there is none, and a missed hit
+    for trial in range(200):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(8, 24))
+        sets = np.zeros((k, n), dtype=np.int64)
+        for j in range(k):
+            sets[j, rng.choice(n, size=int(rng.integers(-(-n // 4), 3 * n // 4 + 1)),
+                               replace=False)] = 1
+        hits = _scan_hits(DisjointnessInstance(k, n, sets, None))
+        recorded = [None, (1, 0), hits[0] if hits else None, hits[-1] if hits else (k - 1, 3)]
+        cases += [DisjointnessInstance(k, n, sets, r) for r in recorded]
+    outcomes = Counter()
+    for inst in cases:
+        hits = _scan_hits(inst)
+        if len(hits) > 1:
+            want = f"{len(hits)} intersecting pairs, promise allows 1"
+        elif (hits[0] if hits else None) != inst.intersection:
+            want = f"recorded truth {inst.intersection}, scan found {hits[0] if hits else None}"
+        else:
+            want = None
+        assert _verify_outcome(inst) == want
+        outcomes[want.split()[1] if want else "ok"] += 1
+    assert outcomes["intersecting"] and outcomes["truth"] and outcomes["ok"]
+
+
+def test_gen_disjointness_draws_each_instance_once(monkeypatch):
+    # every draw keeps the promise, so a verifier failure is raised, not retried
+    calls = []
+    real = DisjointnessInstance.verify
+
+    def fail_once(inst):
+        calls.append(inst)
+        if len(calls) == 1:
+            raise PromiseViolation("planted")
+        real(inst)
+
+    monkeypatch.setattr(DisjointnessInstance, "verify", fail_once)
+    with pytest.raises(PromiseViolation, match="planted"):
+        gen_disjointness(3, 16, True, np.random.default_rng(0))
+    assert len(calls) == 1
 
 
 # --- sparse regression ---
@@ -230,6 +299,28 @@ def test_negative_n_is_a_bad_dimension():
         gen_function_pair(-1, np.random.default_rng(6))
     with pytest.raises(BadDimension, match="n = -1"):
         all_sign_vectors(-1)
+    with pytest.raises(BadDimension, match="n = -1"):
+        hadamard_matrix(-1)
+
+
+def test_sign_function_sizes_are_checked():
+    rng = np.random.default_rng(6)
+    helpers = {"gen_function_pair": lambda n: gen_function_pair(n, rng),
+               "all_sign_vectors": all_sign_vectors, "hadamard_matrix": hadamard_matrix}
+    for name, helper in helpers.items():
+        # a float used to end in numpy's bare TypeError, and a bool read as n = 1
+        for n in (2.0, True, False, "2", None):
+            with pytest.raises(ValueError, match=f"integer >= 0, got n = {n!r}$") as info:
+                helper(n)
+            assert not isinstance(info.value, BadDimension), name
+        helper(np.int64(1))     # a numpy integer is an integer
+    # above the largest n any construction takes: refused before anything is
+    # allocated (n = 40 asked numpy for 8 TiB)
+    for n in (reductions.DENSE_MAX_N + 1, 40):
+        for helper in helpers.values():
+            with pytest.raises(BadDimension, match=f"n = {n} exceeds"):
+                helper(n)
+    assert gen_function_pair(reductions.DENSE_MAX_N, rng).f.size == 2**reductions.DENSE_MAX_N
 
 
 # --- gap-Hamming instances ---
