@@ -14,8 +14,13 @@ scalar is an `Annotation` row of its own.  `Message` is only a read-only view,
 built on demand, two per exchange row.  A k-player fan-out is one batched
 exchange that records its k rows at once; live, a combination entry reads
 its k values from one (k, rows, cols) share stack, built on the first
-request.  A replay checks every row of an exchange before it consumes any,
-and `meter_report` is one pass over the rows.
+request.  A replay checks a whole exchange, every row of it, by indexing its
+queue, then consumes it; `meter_report` is one pass over the rows.
+
+Each side's index widths are fixed when the session opens, and its Frobenius
+total when its setup runs, so a stacked access does only the work that
+depends on its request.  A stacked access on a side the session does not
+hold is refused as that side's setup is, with `DimensionMismatch`.
 
 Two access families share a session:
 
@@ -60,7 +65,6 @@ import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -170,10 +174,6 @@ class BitMeter:
     def __init__(self):
         self.rows: list = []
         self.total_bits: int = 0
-
-    def record(self, rows, bits: int) -> None:
-        self.rows.extend(rows)
-        self.total_bits += bits
 
     @property
     def entries(self) -> tuple:
@@ -292,9 +292,10 @@ class _OwnerLaw:
 
 class _Side:
     """One stacked side of a session (vector b or matrix A): the owner views,
-    the layout-only routing tables, and the coordinator's setup knowledge."""
+    the layout-only routing tables, the index widths of its spaces (fixed
+    when the session opens), and the coordinator's setup knowledge."""
 
-    def __init__(self, name: str, k: int, blocks, rows: int):
+    def __init__(self, name: str, k: int, blocks, rows: int, encoding: EncodingSpec):
         self.name = name                    # "b" or "a", as in coord_b_setup
         self.noun = "vector" if name == "b" else "matrix"
         self.k = k
@@ -313,12 +314,13 @@ class _Side:
         # owner-local index -> global index; layout only, so a replay clone
         # keeps it after its private views are dropped
         self.globals = {o: v.globals for o, v in self.views.items()}
-        # routing table: block start -> (owner, index local to the owner's view)
+        # routing table: block start -> (owner, shift), where global index g
+        # of the block is index g + shift of the owner's view
         self.starts = [bl.offset for bl in blocks]
         self.route = []
         used = dict.fromkeys(self.views, 0)
         for bl in blocks:
-            self.route.append((bl.owner, used[bl.owner]))
+            self.route.append((bl.owner, used[bl.owner] - bl.offset))
             used[bl.owner] += len(bl.data)
         # rows per player share, when all k are equal and nonempty (the
         # precondition of linear-combination access)
@@ -326,21 +328,36 @@ class _Side:
         self.share_rows = shares.pop() if len(shares) == 1 and 0 not in shares else None
         self.share_mismatch = ("vector shares differ in length" if name == "b"
                                else "matrix shares differ in shape")
+        # index widths of the stacked rows, a share's rows and the columns;
+        # None where the side holds no such space
+        width = encoding.index_bits
+        self.row_bits = width(rows) if rows else None
+        self.share_bits = width(self.share_rows) if self.share_rows else None
+        self.col_bits = width(self.cols) if blocks else None
+        # a request naming a stacked row: one opcode and one row index
+        self.row_req = encoding.opcode_bits + self.row_bits if rows else None
         self.norms: np.ndarray | None = None    # filled by the one-time setup
         self.counts: list | None = None
         self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
+        self.frobenius: float | None = None      # sqrt of the total squared mass
         self._shares: np.ndarray | None = None   # see `shares`
         # one combination's exact phi: ((coefficient dtype, bytes, row), phi)
         self.phi_memo: tuple | None = None
 
+    def require_blocks(self) -> None:
+        if not self.blocks:
+            raise DimensionMismatch(f"session holds no {self.noun} blocks")
+
     def locate(self, g: int):
-        _check_index(g, self.rows)
-        t = bisect_right(self.starts, g) - 1
-        owner, local = self.route[t]
-        return owner, local + (g - self.starts[t])
+        if g.__class__ is not int or not 0 <= g < self.rows:
+            self.require_blocks()   # a side the session does not hold says so
+            _check_index(g, self.rows)
+        owner, shift = self.route[bisect_right(self.starts, g) - 1]
+        return owner, g + shift
 
     def require_setup(self) -> None:
         if self.norms is None:
+            self.require_blocks()
             raise NotSetup(f"run coord_{self.name}_setup first")
 
     def players(self) -> list:
@@ -379,8 +396,8 @@ class Session:
             raise DimensionMismatch(
                 f"stacked row counts disagree: A has {self.a_rows}, b has {self.m}"
             )
-        self._b = _Side("b", self.k, self.b_blocks, self.m)
-        self._a = _Side("a", self.k, self.a_blocks, self.a_rows)
+        self._b = _Side("b", self.k, self.b_blocks, self.m, self.encoding)
+        self._a = _Side("a", self.k, self.a_blocks, self.a_rows, self.encoding)
         self.n = self._a.cols
 
     # coordinator knowledge, filled by the one-time setups
@@ -406,63 +423,62 @@ class Session:
         exception is raised, and a replay raises the same type at the same
         point.
         """
-        replaying = self._replay_queue is not None
-        if replaying:
-            rows = self._peek(tuple, len(names))
-            for name, row in zip(names, rows):
-                want = (name, kind, phase, req_bits, resp_bits, args)
-                if row[:6] != want:
-                    raise RuntimeError(f"transcript mismatch: expected {want}, saw {row[:6]}")
-            self._consume(len(rows))
-            answers = [row[6] for row in rows]
-        else:
+        meter, queue = self.meter, self._replay_queue
+        if queue is None:
+            failure = None
             try:
                 answers = respond()
             except (ValueError, IndexError) as err:
-                answers = [err] * len(names)
-            rows = [(name, kind, phase, req_bits, resp_bits, args, answer)
-                    for name, answer in zip(names, answers)]
-        bits = len(rows) * (req_bits + resp_bits)
-        self.meter.record(rows, bits)
-        failure = answers[0]
-        if isinstance(failure, Exception):
-            raise type(failure)(*failure.args) if replaying else failure
+                answers, failure = [err] * len(names), err
+            rows = meter.rows
+            for t, name in enumerate(names):
+                rows.append((name, kind, phase, req_bits, resp_bits, args, answers[t]))
+        else:
+            # check the whole exchange by indexing the queue, then consume it
+            answers = []
+            for t, name in enumerate(names):
+                try:
+                    row = queue[t]
+                except IndexError:
+                    raise RuntimeError("replay transcript exhausted") from None
+                if not isinstance(row, tuple):
+                    raise RuntimeError("replay transcript out of order")
+                want = (name, kind, phase, req_bits, resp_bits, args)
+                if row[:6] != want:
+                    raise RuntimeError(f"transcript mismatch: expected {want}, saw {row[:6]}")
+                answers.append(row[6])
+            rows = meter.rows
+            for _ in names:
+                rows.append(queue.popleft())
+            failure = answers[0] if isinstance(answers[0], Exception) else None
+        bits = len(names) * (req_bits + resp_bits)
+        meter.total_bits += bits
+        if failure is not None:
+            raise failure if queue is None else type(failure)(*failure.args)
         return answers, bits
 
     def _annotate(self, kind: str, compute):
         """Record (or replay) a simulation-side scalar as a zero-bit entry; a
         Cancellation is recorded in its place and raised, live and replayed."""
-        replaying = self._replay_queue is not None
-        if replaying:
-            (entry,) = self._peek(Annotation, 1)
+        queue = self._replay_queue
+        if queue is not None:
+            if not queue:
+                raise RuntimeError("replay transcript exhausted")
+            entry = queue[0]
+            if not isinstance(entry, Annotation):
+                raise RuntimeError("replay transcript out of order")
             if entry.kind != kind:
                 raise RuntimeError(f"transcript mismatch: expected {kind}, saw {entry.kind}")
-            self._consume(1)
+            queue.popleft()
         else:
             try:
                 entry = Annotation(kind, compute())
             except Cancellation as err:
                 entry = Annotation(kind, err)
-        self.meter.record((entry,), 0)
+        self.meter.rows.append(entry)
         if isinstance(entry.value, Exception):
-            raise type(entry.value)(*entry.value.args) if replaying else entry.value
+            raise type(entry.value)(*entry.value.args) if queue is not None else entry.value
         return entry.value
-
-    def _peek(self, cls, count: int) -> list:
-        """The next `count` replay rows, each checked to be a `cls` (`tuple`
-        for an exchange row), left in the queue: a caller consumes them only
-        once they match its request, so a mismatched request leaves the
-        replay where it was."""
-        rows = list(islice(self._replay_queue, count))
-        if not all(isinstance(row, cls) for row in rows):
-            raise RuntimeError("replay transcript out of order")
-        if len(rows) < count:
-            raise RuntimeError("replay transcript exhausted")
-        return rows
-
-    def _consume(self, count: int) -> None:
-        for _ in range(count):
-            self._replay_queue.popleft()
 
     @property
     def replaying(self) -> bool:
@@ -529,14 +545,16 @@ def _split(request, kinds: dict, what: str):
     most arguments) before anything is metered or drawn; a bare string is a
     kind without arguments."""
     if isinstance(request, str):
-        request = (request,)
-    if not isinstance(request, (tuple, list)) or not request:
+        kind, args = request, ()
+    elif isinstance(request, (tuple, list)) and request:
+        kind, args = request[0], tuple(request[1:])
+    else:
         raise ValueError(f"a {what} request is a kind string or a (kind, *args) "
                          f"tuple, got {request!r}")
-    kind, args = request[0], tuple(request[1:])
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown {what} kind: {kind!r}")
-    lo, hi = kinds[kind]
+    try:
+        lo, hi = kinds[kind]
+    except (KeyError, TypeError):   # TypeError: an unhashable kind
+        raise ValueError(f"unknown {what} kind: {kind!r}") from None
     if not lo <= len(args) <= hi:
         count = lo if lo == hi else f"{lo} to {hi}"
         raise ValueError(f"{what} kind {kind!r} takes {count} arguments, got {len(args)}")
@@ -549,20 +567,21 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     """One-time norm/size broadcast for one side; returns bits charged.
 
     Every player answers (empty holdings answer zero), so the cost is exactly
-    k * (opcode_bits + scalar_bits + index_bits(rows)).
+    k * (opcode_bits + scalar_bits + index_bits(rows)).  The coordinator then
+    knows the side's total squared mass, so its Frobenius norm is fixed here.
     """
     if side.norms is not None:
         raise AlreadySetup(f"{side.noun} setup already ran on this session")
-    if not side.blocks:
-        raise DimensionMismatch(f"session holds no {side.noun} blocks")
+    side.require_blocks()
     enc = session.encoding
     values, bits = session._exchange(session.player_names, kind, "setup", enc.opcode_bits,
-                                     enc.scalar_bits + enc.index_bits(side.rows),
+                                     enc.scalar_bits + side.row_bits,
                                      lambda: [(v.norm, v.size) for v in side.players()])
     side.norms = np.asarray([float(norm) for norm, _ in values])
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
     side.owner_law = _OwnerLaw(np.append(side.norms**2, side.views[PUBLIC].norm**2))
+    side.frobenius = math.sqrt(float((side.norms**2).sum() + side.views[PUBLIC].norm**2))
     return bits
 
 
@@ -604,13 +623,13 @@ def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
         owner = owner_law.pick(rng)
         if owner == session.k:
             owner = PUBLIC
-    coin = _Coin(rng.random())
+    r = rng.random()
     view = side.views[owner]
     if owner == PUBLIC:
-        return owner, sq_sample(view.sample_law(row), coin), 0
+        return owner, sq_sample(view.sample_law(row), _Coin(r)), 0
     (local,), bits = session._exchange((session.player_names[owner],), kind, "access",
                                        req_bits, resp_bits,
-                                       lambda: [sq_sample(view.sample_law(row), coin)], args)
+                                       lambda: [sq_sample(view.sample_law(row), _Coin(r))], args)
     return owner, local, bits
 
 
@@ -623,28 +642,43 @@ def _stacked_sample(session: Session, side: _Side, kind: str, rng):
     """
     side.require_setup()
     _require_generator(rng, kind)
-    enc = session.encoding
-    owner, local, bits = _owner_draw(session, side, kind, rng, enc.opcode_bits,
-                                     enc.index_bits(side.rows), owner_law=side.owner_law)
-    return int(side.globals[owner][local]), bits
+    owner, local, bits = _owner_draw(session, side, kind, rng, session.encoding.opcode_bits,
+                                     side.row_bits, side.owner_law)
+    return side.globals[owner].item(local), bits
 
 
-def _owner_query(session: Session, side: _Side, kind: str, g: int, read, column=None):
-    """One scalar read off stacked row g (at `column` for a matrix entry) by the
-    row's owner; returns (value, bits).  Public rows are answered for free."""
-    owner, local = side.locate(g)
-    enc = session.encoding
-    req_bits = enc.opcode_bits + enc.index_bits(side.rows)
-    if column is not None:
-        _check_index(column, session.n, "column")
-        req_bits += enc.index_bits(session.n)
+def _row_norm(row) -> float:
+    """`float(np.linalg.norm(row))` of a 1-d float64 or complex128 row by
+    norm's own arithmetic, the square root of the row's dot products, without
+    its dispatch: the same float to the last bit."""
+    if row.dtype.kind == "c":
+        re, im = row.real, row.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(row.dot(row))
+
+
+def _read(data, i: int, column):
+    """Entry (i, column) of an owner's data as a Python scalar, or the norm of
+    its row i when `column` is None."""
+    return _row_norm(data[i]) if column is None else data.item(i, column)
+
+
+def _owner_query(session: Session, side: _Side, kind: str, args: tuple, column=None):
+    """One scalar read off stacked row args[0] by the row's owner: entry
+    (row, column), or the row's norm when `column` is None; returns (value,
+    bits).  The request carries `args`, and a second argument is a column
+    index, checked and charged.  Public rows are answered for free."""
+    owner, local = side.locate(args[0])
+    req_bits = side.row_req
+    if len(args) == 2:
+        _check_index(column, side.cols, "column")
+        req_bits += side.col_bits
     view = side.views[owner]
     if owner == PUBLIC:
-        return read(view.data[local]), 0
+        return _read(view.data, local, column), 0
     (value,), bits = session._exchange((session.player_names[owner],), kind, "access",
-                                       req_bits, enc.scalar_bits,
-                                       lambda: [read(view.data[local])],
-                                       (g,) if column is None else (g, column))
+                                       req_bits, session.encoding.scalar_bits,
+                                       lambda: [_read(view.data, local, column)], args)
     return value, bits
 
 
@@ -687,7 +721,7 @@ def coord_b_sample(session: Session, rng: np.random.Generator):
 
 def coord_b_query(session: Session, j: int):
     """Entry query against the stacked vector; returns (value, bits)."""
-    return _owner_query(session, session._b, "b_query", j, lambda row: row[0].item())
+    return _owner_query(session, session._b, "b_query", (j,), 0)
 
 
 # request kind -> (fewest, most) arguments, one table per dispatcher
@@ -703,30 +737,20 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
     """
     kind, args = _split(request, _MATRIX_KINDS, "matrix access")
     side = session._a
-    enc = session.encoding
-
-    if kind == "frobenius_query":
-        side.require_setup()
-        total = float((side.norms**2).sum() + side.views[PUBLIC].norm**2)
-        return math.sqrt(total), 0
-
+    if kind == "entry_query":
+        return _owner_query(session, side, "a_entry_query", args, args[1])
+    if kind == "row_norm_query":
+        return _owner_query(session, side, "a_row_norm_query", args)
     if kind == "row_norm_sample":
         return _stacked_sample(session, side, "a_row_norm_sample", rng)
-
     if kind == "row_sample":
         owner, local = side.locate(args[0])
         _require_generator(rng, "a_row_sample")
-        _, j, bits = _owner_draw(session, side, "a_row_sample", rng,
-                                 enc.opcode_bits + enc.index_bits(session.a_rows),
-                                 enc.index_bits(session.n), owner=owner, row=local, args=args)
+        _, j, bits = _owner_draw(session, side, "a_row_sample", rng, side.row_req,
+                                 side.col_bits, owner=owner, row=local, args=args)
         return j, bits
-
-    if kind == "entry_query":
-        return _owner_query(session, side, "a_entry_query", args[0],
-                            lambda row: row[args[1]].item(), column=args[1])
-
-    return _owner_query(session, side, "a_row_norm_query", args[0],
-                        lambda row: float(np.linalg.norm(row)))
+    side.require_setup()   # frobenius_query
+    return side.frobenius, 0
 
 
 # --- exact law enumeration ----------------------------------------------------
@@ -789,7 +813,7 @@ class _Combination:
         self.names = session.player_names
         enc = session.encoding
         self.opcode_bits, self.scalar_bits = enc.opcode_bits, enc.scalar_bits
-        self.row_bits, self.col_bits = enc.index_bits(self.rows), enc.index_bits(self.cols)
+        self.row_bits, self.col_bits = side.share_bits, side.col_bits
         self.row_req = self.opcode_bits + self.row_bits
         self.query_kind = f"lincomb_{side.name}_query"
         self.sample_kind = "lincomb_b_sample" if side.name == "b" else "lincomb_a_row_norm_sample"
@@ -867,7 +891,7 @@ class _Combination:
         """Fan out the norms of row i of every share; returns (norms, bits)."""
         return self.session._exchange(
             self.names, "lincomb_a_row_norm", "access", self.row_req, self.scalar_bits,
-            lambda: [float(np.linalg.norm(v.data[i])) for v in self.side.players()], (i,))
+            lambda: [_row_norm(v.data[i]) for v in self.side.players()], (i,))
 
     def draw(self, rng, law: _OwnerLaw | None = None, row=None):
         """One dominator draw, the one `_owner_draw`; returns (row, column,

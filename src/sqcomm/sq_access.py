@@ -45,7 +45,7 @@ def _is_integer(value) -> bool:
 def _check_index(i, n: int, what: str = "index") -> None:
     """The one index rule of every handle and request: `i` must be an integer
     (a numpy integer too, never a bool) in [0, n), or IndexOutOfRange."""
-    if not _is_integer(i):
+    if i.__class__ is not int and not _is_integer(i):
         raise IndexOutOfRange(f"{what} {i!r} is not an integer")
     if not 0 <= i < n:
         raise IndexOutOfRange(f"{what} {i} outside [0, {n})")
@@ -114,7 +114,7 @@ def sq_sample_at(v: SqVector, r: float) -> int:
     returned."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"uniform {r!r} outside [0, 1)")
-    u = r * v.cum[-1]
+    u = r * v.cum.item(-1)
     # the ndarray method skips np.searchsorted's Python-level dispatch
     idx = int(v.cum.searchsorted(u, side="right"))
     if idx >= v.n:

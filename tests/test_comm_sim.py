@@ -129,6 +129,31 @@ def test_setup_required_and_missing_blocks():
     with pytest.raises(DimensionMismatch):
         coord_a_setup(empty_a)
 
+    # every stacked access on a side the session does not hold is refused as
+    # its setup is, before anything is metered or drawn
+    coord_a_setup(empty_b)
+    coord_b_setup(empty_a)
+    missing = [
+        (empty_b, "vector", lambda s, rng: coord_b_sample(s, rng)),
+        (empty_b, "vector", lambda s, rng: coord_b_query(s, 0)),
+        (empty_a, "matrix", lambda s, rng: coord_a_access(s, "row_norm_sample", rng)),
+        (empty_a, "matrix", lambda s, rng: coord_a_access(s, "frobenius_query")),
+        (empty_a, "matrix", lambda s, rng: coord_a_access(s, ("row_sample", 0), rng)),
+        (empty_a, "matrix", lambda s, rng: coord_a_access(s, ("entry_query", 0, 0))),
+        (empty_a, "matrix", lambda s, rng: coord_a_access(s, ("row_norm_query", 0))),
+        # a combination of a missing side's shares is refused the same way
+        (empty_b, "vector", lambda s, rng: lincomb_b_access(s, [1.0, 1.0], ("query", 0))),
+        (empty_a, "matrix", lambda s, rng: lincomb_a_access(s, [1.0, 1.0], ("query", 0, 0))),
+    ]
+    for s, noun, access in missing:
+        rows, bits = list(s.meter.rows), s.meter.total_bits
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionMismatch, match=f"session holds no {noun} blocks"):
+            access(s, rng)
+        assert (s.meter.rows, s.meter.total_bits) == (rows, bits)
+        assert rng.bit_generator.state == state
+
 
 def test_b_query_costs_and_routing():
     s = open_session_blocks(
@@ -144,6 +169,16 @@ def test_b_query_costs_and_routing():
         coord_b_query(s, 6)
     with pytest.raises(IndexOutOfRange):
         coord_b_query(s, -1)
+
+
+def test_row_norm_is_numpy_norm_to_the_last_bit():
+    # a row-norm answer is the float np.linalg.norm gives, real or complex
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 64, 257):
+        rows = rng.standard_normal((20, n)) * 10.0 ** rng.integers(-100, 100, size=(20, 1))
+        for row in list(rows) + list(rows + 1j * rng.standard_normal((20, n))):
+            assert comm_sim._row_norm(row) == float(np.linalg.norm(row))
+    assert comm_sim._row_norm(np.zeros(3)) == 0.0
 
 
 def test_b_query_frozen_42_bits():
@@ -1358,6 +1393,42 @@ _SAMPLING_REQUESTS = [
 ]
 
 
+# each metered stacked kind: the recorded request, then a wrong one in its place
+_ONE_ROW_REQUESTS = {
+    "b_sample": (lambda s, rng: coord_b_sample(s, rng),
+                 lambda s, rng: coord_a_access(s, "row_norm_sample", rng)),
+    "b_query": (lambda s, rng: coord_b_query(s, 0), lambda s, rng: coord_b_query(s, 1)),
+    "row_norm_sample": (lambda s, rng: coord_a_access(s, "row_norm_sample", rng),
+                        lambda s, rng: coord_b_sample(s, rng)),
+    "row_sample": (lambda s, rng: coord_a_access(s, ("row_sample", 0), rng),
+                   lambda s, rng: coord_a_access(s, ("row_sample", 1), rng)),
+    "entry_query": (lambda s, rng: coord_a_access(s, ("entry_query", 0, 1)),
+                    lambda s, rng: coord_a_access(s, ("entry_query", 0, 0))),
+    "row_norm_query": (lambda s, rng: coord_a_access(s, ("row_norm_query", 0)),
+                       lambda s, rng: coord_a_access(s, ("row_norm_query", 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_ROW_REQUESTS))
+def test_replay_mismatch_consumes_nothing_for_each_stacked_kind(kind):
+    # one player holds every row, so each request is one metered exchange
+    right, wrong = _ONE_ROW_REQUESTS[kind]
+    live = open_session_blocks(2, [(1, [[1.0, 2.0], [3.0, 4.0]])], [(1, [1.0, 2.0])])
+    coord_b_setup(live)
+    coord_a_setup(live)
+    want = right(live, np.random.default_rng(5))
+    clone = make_replay_session(live)
+    coord_b_setup(clone)
+    coord_a_setup(clone)
+    rows, bits, left = list(clone.meter.rows), clone.meter.total_bits, len(clone._replay_queue)
+    with pytest.raises(RuntimeError, match="transcript mismatch"):
+        wrong(clone, np.random.default_rng(5))
+    assert (clone.meter.rows, clone.meter.total_bits) == (rows, bits)
+    assert len(clone._replay_queue) == left
+    assert right(clone, np.random.default_rng(5)) == want
+    assert meter_report(clone) == meter_report(live)
+
+
 @pytest.mark.parametrize("access,coeffs,request_", _SAMPLING_REQUESTS)
 def test_combination_sampling_checks_the_generator_first(access, coeffs, request_):
     # without a Generator a sampling request is refused before its phi is
@@ -1415,6 +1486,51 @@ def test_rejection_rounds_pinned_bit_for_bit(case):
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
     assert rng.bit_generator.state["state"]["state"] == state
     assert s.meter.total_bits == bits
+
+
+def _stacked_stream(session, rng):
+    """All seven stacked kinds over every row of `_mixed_session`: public
+    rows and public-owner draws are free, and row 1 is a zero row, so its
+    row draws fail (recorded, then raised) and show as "AllZero"."""
+    coord_b_setup(session)
+    coord_a_setup(session)
+    out = []
+
+    def attempt(access, *args):
+        try:
+            out.append(access(session, *args))
+        except AllZero as err:
+            out.append(type(err).__name__)
+
+    for rep in range(6):
+        attempt(coord_b_sample, rng)
+        attempt(coord_a_access, "row_norm_sample", rng)
+        for i in range(6):
+            attempt(coord_b_query, i)
+            attempt(coord_a_access, ("row_sample", i), rng)
+            attempt(coord_a_access, ("entry_query", i, (i + rep) % 3))
+            attempt(coord_a_access, ("row_norm_query", i))
+        attempt(coord_a_access, "frobenius_query")
+    return out
+
+
+def test_stacked_stream_pinned_bit_for_bit():
+    # SHA-256 over repr of every transcript row, the Generator's final state
+    # and the bit total, taken before the stacked access path was made lean
+    s = _mixed_session()
+    rng = np.random.default_rng(206)
+    out = _stacked_stream(s, rng)
+    rows = "".join(repr(row) for row in s.meter.rows)
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "6ebc635b768dea1c76d85fabf7604627ca28f1f5b64a6fcc73cc403a3fb52b70")
+    assert rng.bit_generator.state["state"]["state"] == 146909978881889780732333398197744566420
+    assert s.meter.total_bits == 4666
+    assert out.count("AllZero") == 6 and (1, 0) in out   # a failure and a free draw
+    clone = make_replay_session(s)
+    replay_rng = np.random.default_rng(206)
+    assert _stacked_stream(clone, replay_rng) == out
+    assert replay_rng.bit_generator.state == rng.bit_generator.state
+    assert meter_report(clone) == meter_report(s)   # every row consumed
 
 
 _complex_values = st.sampled_from([0.0, 1.0, -2.0, 0.5j, 1.0 - 1.0j])
