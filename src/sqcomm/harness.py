@@ -860,9 +860,8 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
     for t, rng in enumerate(rngs):
         truth = bool(rng.random() < 0.5)
         inst = reductions.gen_disjointness(2, n, truth, rng)
-        a_bits, b_bits = inst.sets[0], inst.sets[1]
-        pca = reductions.build_pca(a_bits, b_bits)
-        ts = top_singular(pca.matrix)
+        pca = reductions.build_pca(inst.sets[0], inst.sets[1])
+        ts = pca.factors.top()
         expected_sigma = math.sqrt(2.0) if truth else 1.0
         worst_sigma = _worst(worst_sigma, abs(ts.sigma - expected_sigma))
         hit, idx = reductions.decide_pca(pca, rng)
@@ -870,7 +869,7 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
         if truth and hit:
             pca_correct -= 0 if idx == pca.truth else 1
 
-        rec = reductions.build_recsys(a_bits, b_bits, level)
+        rec = reductions.build_recsys(pca, level)
         rank_wrong += not (rec.rank in (0, 1) and (rec.rank == 1) == truth)
         decision, coord = reductions.decide_recsys(rec, rng)
         recsys_correct += decision == truth

@@ -37,8 +37,35 @@ DEGENERACY_REL_GAP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
+class TopSingular:
+    sigma: float
+    vector: np.ndarray           # right singular vector, unit norm
+    degenerate: bool
+
+
+def _top_pair(s: np.ndarray, Vh: np.ndarray) -> TopSingular:
+    degenerate = s.size >= 2 and s[1] >= s[0] * (1 - DEGENERACY_REL_GAP)
+    return TopSingular(sigma=float(s[0]), vector=Vh[0].conj(), degenerate=bool(degenerate))
+
+
+def _truncate(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, delta: float) -> np.ndarray:
+    """Reconstruction from the singular triples with sigma >= delta (ties
+    included); the zero matrix when none is kept."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    keep = s >= delta
+    if not keep.any():
+        return np.zeros((U.shape[0], Vh.shape[1]), dtype=np.result_type(U, Vh))
+    return (U[:, keep] * s[keep]) @ Vh[keep]
+
+
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Thin SVD restricted to strictly positive singular values."""
+    """Thin SVD restricted to strictly positive singular values.
+
+    One factorization serves every derived quantity: `top()` and `truncate()`
+    read the factors instead of factorizing the matrix again.
+    """
 
     U: np.ndarray
     s: np.ndarray
@@ -47,6 +74,17 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         return self.s.size
+
+    def top(self) -> TopSingular:
+        """The top singular pair, flagged as `top_singular` flags it."""
+        if not self.rank:
+            raise BadDimension("rank 0: the zero matrix has no positive singular pair")
+        return _top_pair(self.s, self.Vh)
+
+    def truncate(self, delta: float) -> np.ndarray:
+        """`threshold_svd` of the factored matrix, for any delta above the
+        dropped singular values (each at most 1e-14 sigma_max)."""
+        return _truncate(self.U, self.s, self.Vh, delta)
 
 
 def svd_factors(A) -> SvdFactors:
@@ -120,22 +158,13 @@ def params(A, b) -> ProblemParams:
 
 
 def threshold_svd(A, delta: float) -> np.ndarray:
-    """Reconstruction from singular triples with sigma >= delta (ties included)."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    """Reconstruction from singular triples with sigma >= delta (ties
+    included).  A non-finite entry is refused: its LAPACK factors are nan,
+    which no level keeps, so it would read as the zero matrix."""
     arr = np.asarray(A)
-    U, s, Vh = np.linalg.svd(arr, full_matrices=False)
-    keep = s >= delta
-    if not keep.any():
-        return np.zeros_like(arr)
-    return (U[:, keep] * s[keep]) @ Vh[keep]
-
-
-@dataclass(frozen=True, eq=False)
-class TopSingular:
-    sigma: float
-    vector: np.ndarray           # right singular vector, unit norm
-    degenerate: bool
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return _truncate(*np.linalg.svd(arr, full_matrices=False), delta)
 
 
 def top_singular(A) -> TopSingular:
@@ -148,9 +177,8 @@ def top_singular(A) -> TopSingular:
     arr = np.asarray(A)
     if arr.size == 0:
         raise BadDimension(f"shape {arr.shape}: an empty matrix has no singular pair")
-    U, s, Vh = np.linalg.svd(arr, full_matrices=False)
-    degenerate = s.size >= 2 and s[1] >= s[0] * (1 - DEGENERACY_REL_GAP)
-    return TopSingular(sigma=float(s[0]), vector=Vh[0].conj(), degenerate=bool(degenerate))
+    _, s, Vh = np.linalg.svd(arr, full_matrices=False)
+    return _top_pair(s, Vh)
 
 
 def _check_hermitian(arr: np.ndarray) -> None:
@@ -158,15 +186,23 @@ def _check_hermitian(arr: np.ndarray) -> None:
         raise ValueError("expected a square matrix")
     if arr.shape[-1] > EXPM_MAX_DIM:
         raise ValueError(f"dimension {arr.shape[-1]} exceeds {EXPM_MAX_DIM}")
-    skew = np.linalg.norm(arr - np.swapaxes(arr.conj(), -1, -2), axis=(-2, -1))
-    if np.any(skew > EXPM_HERMITIAN_TOL):
+    with np.errstate(invalid="ignore"):     # inf - inf is a nan skew, refused below
+        skew = np.linalg.norm(arr - np.swapaxes(arr.conj(), -1, -2), axis=(-2, -1))
+    # written so that a nan skew fails too
+    if not np.all(skew <= EXPM_HERMITIAN_TOL):
         raise NotHermitian("matrix is not Hermitian within tolerance")
+
+
+def _check_time(t) -> None:
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got t = {t!r}")
 
 
 def expm_hermitian(A, t: float) -> np.ndarray:
     """Unitary e^{i A t} for Hermitian A (or each of a stack), by eigendecomposition."""
     arr = np.asarray(A)
     _check_hermitian(arr)
+    _check_time(t)
     w, V = np.linalg.eigh(arr)
     phases = np.exp(1j * w * t)
     return (V * phases[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
@@ -178,6 +214,7 @@ def expm_apply(A, t: float, v) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a square matrix")
     _check_hermitian(arr)
+    _check_time(t)
     vec = np.asarray(v)
     if vec.shape[0] != arr.shape[0]:
         raise ValueError("vector length does not match the matrix dimension")

@@ -14,8 +14,9 @@ The constructions map communication problems to linear-algebra tasks:
 * sign-correlation sampling again -> Hamiltonian evolution whose final state
   has the same law.
 
-Each builder returns the session plus closed-form expected values so tests can
-check the construction against the independent linear-algebra oracle.  The
+Each builder returns the session's layout plus closed-form expected values so
+tests can check the construction against the independent linear-algebra
+oracle; the session itself opens on the first read of `.session`.  The
 decision procedures are granted direct SQ access to oracle-computed solutions
 where the task's output is itself an SQ structure; that stand-in is the
 strongest case for any algorithm producing such output.
@@ -23,6 +24,7 @@ strongest case for any algorithm producing such output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +33,12 @@ import numpy as np
 from .comm_sim import Session, assemble_stacked, open_session_blocks
 from .linalg_oracle import (
     BadDimension,
+    SvdFactors,
     dsp_distribution,
     expm_apply,
     expm_hermitian,
     pinv_solve,
-    threshold_svd,
-    top_singular,
+    svd_factors,
 )
 from .sq_access import (
     AllZero,
@@ -79,6 +81,23 @@ def _check_sign_size(n) -> None:
         raise BadDimension(f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached operator read-only, so no caller can change it for the next."""
+    arr.flags.writeable = False
+    return arr
+
+
+class _OpensOnRead:
+    """A build whose session opens on the first read of `session`, from its
+    `layout` (the k, A blocks and b blocks given to `open_session_blocks`);
+    every later read returns that same session, and a build whose session is
+    never read opens none."""
+
+    @functools.cached_property
+    def session(self) -> Session:
+        return open_session_blocks(*self.layout)
+
+
 # --- set-disjointness instances -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -99,7 +118,7 @@ class DisjointnessInstance:
         sets = np.asarray(self.sets)
         if sets.shape != (self.k, self.n):
             raise PromiseViolation(f"shape {sets.shape} != ({self.k}, {self.n})")
-        if not np.isin(sets, (0, 1)).all():
+        if not ((sets == 0) | (sets == 1)).all():
             raise PromiseViolation("entries must be 0/1")
         weights = sets.sum(axis=1)
         lo, hi = math.ceil(self.n / 4), math.floor(3 * self.n / 4)
@@ -132,7 +151,7 @@ def gen_disjointness(k: int, n: int, want_intersection: bool,
     if want_intersection:
         j_star = int(rng.integers(1, k))
         l_star = int(rng.integers(0, n))
-        rest = np.setdiff1d(np.arange(n), [l_star])
+        rest = np.delete(np.arange(n), l_star)
         supp1 = np.append(rng.choice(rest, size=w1 - 1, replace=False), l_star)
     else:
         supp1 = rng.choice(n, size=w1, replace=False)
@@ -156,8 +175,8 @@ def gen_disjointness(k: int, n: int, want_intersection: bool,
 # --- sparse regression from disjointness ----------------------------------------
 
 @dataclass(frozen=True)
-class SparseRegressionBuild:
-    session: Session
+class SparseRegressionBuild(_OpensOnRead):
+    layout: tuple
     x_star: np.ndarray        # closed-form least-squares solution, length k
     beta_a: float
     beta_b: float
@@ -197,8 +216,7 @@ def build_regression_sparse(inst: DisjointnessInstance, beta_a: float = 1.0,
     for j in range(1, k):
         x_star[j] = n * float(t[0] @ t[j]) / (alpha[0] * alpha[j])
 
-    session = open_session_blocks(k, a_blocks, b_blocks)
-    return SparseRegressionBuild(session=session, x_star=x_star,
+    return SparseRegressionBuild(layout=(k, a_blocks, b_blocks), x_star=x_star,
                                  beta_a=beta_a, beta_b=beta_b)
 
 
@@ -248,17 +266,23 @@ def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
 
 def hadamard_matrix(n: int) -> np.ndarray:
     """Orthonormal 2^n x 2^n Hadamard matrix (Sylvester ordering), built by
-    doubling [[1]] n times into [[H, H], [H, -H]]."""
+    doubling [[1]] n times into [[H, H], [H, -H]]; built once per n and
+    returned read-only."""
     _check_sign_size(n)
+    return _hadamard(int(n))
+
+
+@functools.cache
+def _hadamard(n: int) -> np.ndarray:
     h = np.ones((1, 1))
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])
-    return h / math.sqrt(2**n)
+    return _read_only(h / math.sqrt(2**n))
 
 
 @dataclass(frozen=True)
-class DenseRegressionBuild:
-    session: Session
+class DenseRegressionBuild(_OpensOnRead):
+    layout: tuple
     matrix: np.ndarray        # signed Hadamard, held by player 1
     rhs: np.ndarray           # unit sign vector, held by player 2
     target_law: np.ndarray    # squared-correlation distribution
@@ -274,8 +298,7 @@ def build_regression_dense(pair: FunctionPair) -> DenseRegressionBuild:
     g = np.asarray(pair.g, dtype=np.float64)
     A = f[:, None] * hadamard_matrix(pair.n)
     b = g / math.sqrt(g.size)
-    session = open_session_blocks(2, [(0, A)], [(1, b)])
-    return DenseRegressionBuild(session=session, matrix=A, rhs=b,
+    return DenseRegressionBuild(layout=(2, [(0, A)], [(1, b)]), matrix=A, rhs=b,
                                 target_law=dsp_distribution(f, g))
 
 
@@ -391,8 +414,8 @@ def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator) -> GapH
 # --- clustering from gap-Hamming ---------------------------------------------------
 
 @dataclass(frozen=True)
-class ClusteringBuild:
-    session: Session
+class ClusteringBuild(_OpensOnRead):
+    layout: tuple
     alpha: float
     distance_sq: float        # exact ||p - centroid||^2 via direct arithmetic
     bta_sq: float             # exact ||b^T A||^2 from the assembled system
@@ -426,7 +449,6 @@ def build_clustering(inst: GapHammingInstance) -> ClusteringBuild:
     b_blocks = [(k, np.array([b_vals[0]]))] + [
         (i, np.array([b_vals[1 + i]])) for i in range(k)
     ]
-    session = open_session_blocks(k + 1, a_blocks, b_blocks)
 
     centroid = q.mean(axis=0)
     distance_sq = float(np.linalg.norm(p - centroid) ** 2)
@@ -434,7 +456,7 @@ def build_clustering(inst: GapHammingInstance) -> ClusteringBuild:
     b = np.asarray(b_vals)
     bta_sq = float(np.linalg.norm(b @ A) ** 2)
     return ClusteringBuild(
-        session=session,
+        layout=(k + 1, a_blocks, b_blocks),
         alpha=float(alpha),
         distance_sq=distance_sq,
         bta_sq=bta_sq,
@@ -454,10 +476,16 @@ def decide_clustering(build: ClusteringBuild) -> int:
 # --- PCA and thresholded projection from 2-party disjointness ----------------------
 
 @dataclass(frozen=True)
-class PcaBuild:
-    session: Session
+class PcaBuild(_OpensOnRead):
+    layout: tuple
     matrix: np.ndarray
     truth: int | None         # intersection coordinate or None
+
+    @functools.cached_property
+    def factors(self) -> SvdFactors:
+        """The one SVD of `matrix`: the PCA decision's top singular pair and
+        every truncation `build_recsys` takes are read from it."""
+        return svd_factors(self.matrix)
 
 
 def _check_bit_pair(a_bits, b_bits):
@@ -465,7 +493,7 @@ def _check_bit_pair(a_bits, b_bits):
     b = np.asarray(b_bits, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise PromiseViolation("bit strings must be 1-d and equal length")
-    if not (np.isin(a, (0, 1)).all() and np.isin(b, (0, 1)).all()):
+    if not (((a == 0) | (a == 1)).all() and ((b == 0) | (b == 1)).all()):
         raise PromiseViolation("entries must be 0/1")
     common = np.flatnonzero((a == 1) & (b == 1))
     if common.size > 1:
@@ -480,9 +508,9 @@ def build_pca(a_bits, b_bits) -> PcaBuild:
     """Stack the two diagonal 0/1 matrices; the top singular value is sqrt(2)
     exactly when the strings intersect and 1 otherwise."""
     a, b, truth = _check_bit_pair(a_bits, b_bits)
-    A = np.vstack([np.diag(a), np.diag(b)])
-    session = open_session_blocks(2, [(0, np.diag(a)), (1, np.diag(b))], [])
-    return PcaBuild(session=session, matrix=A, truth=truth)
+    a_blocks = [(0, np.diag(a)), (1, np.diag(b))]
+    return PcaBuild(layout=(2, a_blocks, []), matrix=np.vstack([d for _, d in a_blocks]),
+                    truth=truth)
 
 
 def decide_pca(build: PcaBuild, rng: np.random.Generator):
@@ -493,7 +521,7 @@ def decide_pca(build: PcaBuild, rng: np.random.Generator):
     """
     if not isinstance(rng, np.random.Generator):
         raise ValueError("decide_pca needs a numpy Generator")
-    ts = top_singular(build.matrix)
+    ts = build.factors.top()
     idx = int(sq_sample(build_sq_vector(ts.vector), rng))
     n = build.matrix.shape[1]
     a = np.real(np.diag(build.matrix[:n]))
@@ -502,26 +530,27 @@ def decide_pca(build: PcaBuild, rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class RecsysBuild:
-    session: Session
+class RecsysBuild(_OpensOnRead):
+    layout: tuple
     matrix: np.ndarray
     truncated: np.ndarray     # SVD truncation at the chosen level
     rank: int
     truth: int | None
 
 
-def build_recsys(a_bits, b_bits, level: float) -> RecsysBuild:
-    """Same stacked matrix, truncated at a level strictly between the two
-    possible top singular values; rank 1 certifies an intersection."""
+def build_recsys(pca: PcaBuild, level: float) -> RecsysBuild:
+    """The PCA build's stacked matrix, truncated at a level strictly between
+    the two possible top singular values; rank 1 certifies an intersection.
+
+    The truncation reads the PCA build's one SVD; the rank is `matrix_rank`
+    of the truncation, a route of its own.
+    """
     if not 1.0 < level < math.sqrt(2):
         raise ValueError("truncation level must lie in (1, sqrt(2))")
-    a, b, truth = _check_bit_pair(a_bits, b_bits)
-    A = np.vstack([np.diag(a), np.diag(b)])
-    truncated = threshold_svd(A, level)
+    truncated = pca.factors.truncate(level)
     rank = int(np.linalg.matrix_rank(truncated)) if truncated.any() else 0
-    session = open_session_blocks(2, [(0, np.diag(a)), (1, np.diag(b))], [])
-    return RecsysBuild(session=session, matrix=A, truncated=truncated,
-                       rank=rank, truth=truth)
+    return RecsysBuild(layout=pca.layout, matrix=pca.matrix, truncated=truncated,
+                       rank=rank, truth=pca.truth)
 
 
 def decide_recsys(build: RecsysBuild, rng: np.random.Generator):
@@ -539,32 +568,38 @@ def decide_recsys(build: RecsysBuild, rng: np.random.Generator):
 
 # --- Hamiltonian evolution from sign functions -------------------------------------
 
+@functools.cache
 def _mixing_generator(n: int) -> np.ndarray:
-    """(1/2n) * sum over positions of (I - H) acting on one qubit."""
+    """(1/2n) * sum over positions of (I - H) acting on one qubit; built once
+    per n and returned read-only."""
     size = 2**n
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
     gap = np.eye(2) - h1
     total = np.zeros((size, size))
     for j in range(n):
         total += np.kron(np.kron(np.eye(2**j), gap), np.eye(2 ** (n - j - 1)))
-    return total / (2.0 * n)
+    return _read_only(total / (2.0 * n))
 
 
 def _check_evolution_n(n: int) -> None:
     # n = 0 would divide the mixing generator by zero
-    if not 1 <= n <= EVOLUTION_MAX_N:
-        raise BadDimension(f"evolution construction needs 1 <= n <= {EVOLUTION_MAX_N}")
+    if not (_is_integer(n) and 1 <= n <= EVOLUTION_MAX_N):
+        raise BadDimension(f"evolution construction needs an integer 1 <= n <= "
+                           f"{EVOLUTION_MAX_N}, got n = {n!r}")
 
 
 def _sign_conjugate(fs: np.ndarray, X: np.ndarray) -> np.ndarray:
     """diag(f) @ X @ diag(f) for each row f of fs; exact, as each entry is
-    only multiplied by +-1."""
-    return fs[:, :, None] * X * fs[:, None, :]
+    only multiplied by +-1.  The column signs are applied in place, which
+    saves a second stack-sized temporary."""
+    out = fs[:, :, None] * X
+    out *= fs[:, None, :]
+    return out
 
 
 @dataclass(frozen=True)
-class HamiltonianBuild:
-    session: Session
+class HamiltonianBuild(_OpensOnRead):
+    layout: tuple
     hamiltonian: np.ndarray   # held by player 1
     state: np.ndarray         # unit start vector, held by player 2
     time: float               # evolution time n*pi
@@ -584,9 +619,8 @@ def build_hamiltonian(pair: FunctionPair) -> HamiltonianBuild:
     A = _sign_conjugate(f[None], _mixing_generator(n))[0]
     target = _sign_conjugate(f[None], hadamard_matrix(n))[0]
     v = g / math.sqrt(g.size)
-    session = open_session_blocks(2, [(0, A)], [(1, v)])
     return HamiltonianBuild(
-        session=session, hamiltonian=A, state=v, time=n * math.pi,
+        layout=(2, [(0, A)], [(1, v)]), hamiltonian=A, state=v, time=n * math.pi,
         target_unitary=target, target_law=dsp_distribution(f, g),
     )
 

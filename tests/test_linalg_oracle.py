@@ -129,6 +129,42 @@ def test_threshold_svd_rejects_a_nan_level():
             threshold_svd(np.eye(2), bad)
 
 
+def test_oracles_refuse_non_finite_input():
+    # a nan skew used to pass the Hermitian check, and an inf time or entry
+    # came back as a nan unitary or a zero truncation
+    for bad in (math.nan, math.inf):
+        H = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotHermitian):
+            expm_hermitian(H, 1.0)
+        with pytest.raises(NotHermitian):
+            expm_apply(H, 1.0, np.ones(2))
+        with pytest.raises(NotHermitian):
+            expm_hermitian(np.stack([np.eye(2), H]), 1.0)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            threshold_svd(H, 0.5)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            expm_hermitian(np.eye(2), t)
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            expm_apply(np.eye(2), t, np.ones(2))
+
+
+def test_svd_factors_serve_top_pair_and_truncation():
+    rng = np.random.default_rng(4)
+    for A in (np.diag([2.0, 1.2, 1.2, 0.5]), np.eye(3), rng.normal(size=(6, 4)),
+              np.vstack([np.diag([1.0, 0.0, 1.0]), np.diag([0.0, 0.0, 1.0])])):
+        f = svd_factors(A)
+        top, want = f.top(), top_singular(A)
+        assert (top.sigma, top.degenerate) == (want.sigma, want.degenerate)
+        assert top.vector.tobytes() == want.vector.tobytes()
+        for delta in (0.3, 1.2, 1.3, 5.0):
+            assert f.truncate(delta).tobytes() == threshold_svd(A, delta).tobytes()
+        with pytest.raises(ValueError, match="delta must be positive"):
+            f.truncate(math.nan)
+    with pytest.raises(BadDimension, match="rank 0"):
+        svd_factors(np.zeros((2, 2))).top()
+
+
 def test_empty_inputs_are_bad_dimensions():
     with pytest.raises(BadDimension, match="power of two"):
         dsp_distribution([], [])

@@ -1,6 +1,8 @@
 """Instance generators and the five constructions, checked against closed
 forms and the exact oracles."""
 
+import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -36,9 +38,11 @@ from sqcomm import (
     pinv_solve,
     top_singular,
 )
-from sqcomm import reductions
-from sqcomm.harness import _ROWS
+from sqcomm import Session, reductions
+from sqcomm.harness import _ROWS, parse_config, run
 from sqcomm.reductions import (
+    DENSE_MAX_N,
+    EVOLUTION_MAX_N,
     GAP_C1,
     GAP_C2,
     _band_targets,
@@ -86,6 +90,23 @@ def test_disjointness_verify_rejects():
         DisjointnessInstance(2, 8, good.sets, None).verify()
     with pytest.raises(PromiseViolation, match="shape"):
         DisjointnessInstance(3, 8, good.sets, (1, 3)).verify()
+
+
+def test_promise_checks_refuse_non_bits():
+    # the 0/1 test is two comparisons: 2, 0.5 and nan fail both, -0.0 == 0
+    for bad in (2.0, 0.5, np.nan):
+        sets = _frozen_intersecting().sets.astype(np.float64)
+        sets[0, 5] = bad
+        with pytest.raises(PromiseViolation, match="entries must be 0/1"):
+            DisjointnessInstance(2, 8, sets, (1, 3)).verify()
+        with pytest.raises(PromiseViolation, match="entries must be 0/1"):
+            build_pca([1.0, 0.0, bad], [0.0, 1.0, 0.0])
+        with pytest.raises(PromiseViolation, match="entries must be 0/1"):
+            build_pca([1.0, 0.0, 0.0], [0.0, 1.0, bad])
+    sets = _frozen_intersecting().sets.astype(np.float64)
+    sets[sets == 0] = -0.0
+    DisjointnessInstance(2, 8, sets, (1, 3)).verify()
+    assert build_pca([1.0, -0.0, 1.0], [-0.0, -0.0, 1.0]).truth == 2
 
 
 def test_gen_disjointness_honors_request():
@@ -501,17 +522,17 @@ def test_pca_random_instances():
 
 
 def test_recsys_rank_certifies():
-    build = build_recsys([1, 0, 1], [0, 0, 1], 1.2)
+    build = build_recsys(build_pca([1, 0, 1], [0, 0, 1]), 1.2)
     assert build.rank == 1 and build.truth == 2
     assert decide_recsys(build, np.random.default_rng(0)) == (True, 2)
 
-    empty = build_recsys([1, 0], [0, 1], 1.2)
+    empty = build_recsys(build_pca([1, 0], [0, 1]), 1.2)
     assert empty.rank == 0 and not empty.truncated.any()
     assert decide_recsys(empty, np.random.default_rng(0)) == (False, None)
 
     for level in (1.0, math.sqrt(2.0), 0.9, 1.5):
         with pytest.raises(ValueError):
-            build_recsys([1, 0, 1], [0, 0, 1], level=level)
+            build_recsys(build_pca([1, 0, 1], [0, 0, 1]), level=level)
 
 
 def test_recsys_random_instances():
@@ -519,7 +540,7 @@ def test_recsys_random_instances():
     for want in (False, True):
         for _ in range(20):
             inst = gen_disjointness(2, 16, want, rng)
-            build = build_recsys(inst.sets[0], inst.sets[1], 1.2)
+            build = build_recsys(build_pca(inst.sets[0], inst.sets[1]), 1.2)
             assert build.rank == (1 if want else 0)
             hit, idx = decide_recsys(build, rng)
             assert hit == want
@@ -661,3 +682,128 @@ def test_all_sign_vectors():
     assert len({tuple(r) for r in rows}) == 16
     with pytest.raises(BadDimension):
         all_sign_vectors(5)
+
+
+# --- constant operators built once, sessions opened on read, one SVD per trial ---
+
+
+def _kron_mixing_generator(n):
+    """The mixing generator as its kron sum, built afresh on every call."""
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    gap = np.eye(2) - h1
+    total = np.zeros((2**n, 2**n))
+    for j in range(n):
+        total += np.kron(np.kron(np.eye(2**j), gap), np.eye(2 ** (n - j - 1)))
+    return total / (2.0 * n)
+
+
+def test_constant_operators_are_built_once_and_read_only():
+    for n in range(DENSE_MAX_N + 1):
+        h = hadamard_matrix(n)
+        assert hadamard_matrix(np.int64(n)) is h
+        want = scipy.linalg.hadamard(2**n).astype(np.float64) / math.sqrt(2**n)
+        assert h.tobytes() == want.tobytes()
+    for n in range(1, EVOLUTION_MAX_N + 1):
+        g = _mixing_generator(n)
+        assert _mixing_generator(n) is g
+        assert g.dtype == np.float64 and g.tobytes() == _kron_mixing_generator(n).tobytes()
+    for op in (hadamard_matrix(3), _mixing_generator(3)):
+        before = op.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            op *= -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(op)[1, 1] = 5.0
+        assert op.tobytes() == before
+    # a float n is refused rather than served the integer n's operator
+    with pytest.raises(BadDimension, match="integer 1 <= n <= 8, got n = 3.0"):
+        hamiltonian_identity_errors_batch(3.0, np.ones((1, 8)))
+
+
+def _counted_opens(monkeypatch):
+    opened = []
+    real = reductions.open_session_blocks
+
+    def counting(*args):
+        opened.append(real(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(reductions, "open_session_blocks", counting)
+    return opened
+
+
+def _layout(session):
+    A, b = assemble_stacked(session)
+    return (session.k, [(bl.owner, bl.offset) for bl in session.a_blocks],
+            [(bl.owner, bl.offset) for bl in session.b_blocks], A, b)
+
+
+def test_sessions_open_only_when_read(monkeypatch):
+    opened = _counted_opens(monkeypatch)
+    rng = np.random.default_rng(21)
+    pair = gen_function_pair(3, rng)
+    inst = gen_gap_hamming(3, 16, -1, rng)
+    bits = gen_disjointness(2, 16, True, rng).sets
+    pca = build_pca(bits[0], bits[1])
+    builds = {"dense": build_regression_dense(pair), "clustering": build_clustering(inst),
+              "pca": pca, "recsys": build_recsys(pca, 1.2)}
+    assert opened == []
+    stacked = np.vstack([np.diag(bits[0]), np.diag(bits[1])]).astype(np.float64)
+    want = {
+        "dense": (2, [(0, 0)], [(1, 0)], builds["dense"].matrix, builds["dense"].rhs),
+        # the probe's block first, held by the extra player
+        "clustering": (4, [(3, 0), (0, 1), (1, 2), (2, 3)],
+                       [(3, 0), (0, 1), (1, 2), (2, 3)], None, None),
+        "pca": (2, [(0, 0), (1, 16)], [], stacked, None),
+        "recsys": (2, [(0, 0), (1, 16)], [], stacked, None),
+    }
+    for name, build in builds.items():
+        session = build.session
+        assert isinstance(session, Session) and opened[-1] is session, name
+        got = _layout(session)
+        assert got[:3] == want[name][:3], name
+        for have, expect in zip(got[3:], want[name][3:]):
+            if expect is not None:
+                assert have.tobytes() == expect.tobytes(), name
+        assert build.session is session
+    assert len(opened) == len(builds)
+    # a replaced build keeps its layout and opens a session of its own
+    other = dataclasses.replace(builds["recsys"], rank=2)
+    assert other.rank == 2 and len(opened) == len(builds)
+    assert other.session is not builds["recsys"].session
+    assert _layout(other.session)[:3] == want["recsys"][:3]
+
+
+def test_pca_recsys_takes_one_svd_per_trial(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    report = run(parse_config({"experiment": "pca_recsys", "seed": 3, "trials": 4,
+                               "params": {"n": 16, "level": 1.2}}))
+    assert report.all_passed
+    assert calls == [(32, 16)] * 4
+
+
+def test_pca_and_recsys_decisions_are_pinned():
+    # the seeded sweep's decisions, and the Generator state after it, as the
+    # three-SVD route gave them
+    rng = np.random.default_rng(2020)
+    out = []
+    for _ in range(40):
+        truth = bool(rng.random() < 0.5)
+        inst = gen_disjointness(2, 16, truth, rng)
+        pca = build_pca(inst.sets[0], inst.sets[1])
+        out.append(decide_pca(pca, rng))
+        out.append(decide_recsys(build_recsys(pca, 1.2), rng))
+    assert out[:6] == [(True, 8), (True, 8), (False, 4), (False, None), (False, 5),
+                       (False, None)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "23cceacf236b0c15d975fbc05c9bb70803015e94d03baec8db751b0cbb1e953d")
+    assert rng.bit_generator.state["state"]["state"] == (
+        216905922861797502519351827353305463275)
