@@ -1,0 +1,38 @@
+"""The input rules every boundary shares.  An integer is an int or a numpy
+integer, never a bool, and is handed on as a Python int; a finite real is a
+finite int or float, numpy's included, never a bool.  A boundary states its
+interval and the (exception class, message) it raises; the message is
+formatted with the refused value."""
+
+import math
+
+import numpy as np
+
+
+def integer(value):
+    """`value` as a Python int when it is an integer, else None."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return int(value) if ok else None
+
+
+def count(value, lo: int, hi, message: str, error=ValueError, below=None, above=None) -> int:
+    """`value` as a Python int when it is an integer in [lo, hi] (unbounded
+    above when hi is None), else raises error(message), formatted with the
+    value.  `below`, an (error, message) pair, replaces them for an integer
+    out of range, and `above` for one above hi."""
+    n = integer(value)
+    if n is not None and lo <= n and (hi is None or n <= hi):
+        return n
+    if n is not None:
+        error, message = (above if n >= lo and above else below) or (error, message)
+    raise error(message.format(value))
+
+
+def real(value, lo: float, hi: float, message: str, error=ValueError,
+         hi_closed: bool = False) -> None:
+    """Raises error(message) unless `value` is a finite real in the open
+    interval (lo, hi), or in (lo, hi] with `hi_closed`."""
+    finite = (math.isfinite(value) if isinstance(value, (float, np.floating))
+              else integer(value) is not None)
+    if not (finite and (lo < value < hi or (hi_closed and value == hi))):
+        raise error(message.format(value))

@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
 from .sq_access import (
     AllZero,
     SqVector,
@@ -76,7 +77,6 @@ from .sq_access import (
     sq_row,
     sq_sample,
     _check_index,
-    _is_integer,
     _norm_estimate,
     _rejection_loop,
 )
@@ -121,19 +121,16 @@ class EncodingSpec:
     opcode_bits: int = 8
 
     def __post_init__(self):
-        for name in ("scalar_bits", "opcode_bits"):
+        for name, lo, below in (("scalar_bits", 8, "scalar_bits must be at least 8"),
+                                ("opcode_bits", 0, "opcode_bits must be nonnegative")):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-        if self.scalar_bits < 8:
-            raise ValueError("scalar_bits must be at least 8")
-        if self.opcode_bits < 0:
-            raise ValueError("opcode_bits must be nonnegative")
+            object.__setattr__(self, name, _checks.count(
+                value, lo, None, f"{name} must be an integer, not {type(value).__name__}",
+                TypeError, (ValueError, below)))
 
     @staticmethod
     def index_bits(count: int) -> int:
-        if count < 1:
-            raise ValueError("index space must be nonempty")
+        count = _checks.count(count, 1, None, "index space size {!r} is not an integer >= 1")
         return math.ceil(math.log2(count)) if count > 1 else 0
 
 
@@ -207,11 +204,9 @@ def _stack_blocks(k: int, blocks, ndim: int):
     for owner, data in blocks:
         if owner is None or (isinstance(owner, str) and owner == PUBLIC):
             owner = PUBLIC
-        elif _is_integer(owner) and 0 <= owner < k:
-            owner = int(owner)
         else:
-            raise ValueError(f"owner {owner!r} is not None, {PUBLIC!r} or an integer "
-                             f"in [0, {k})")
+            owner = _checks.count(owner, 0, k - 1, f"owner {{!r}} is not None, {PUBLIC!r} "
+                                                   f"or an integer in [0, {k})")
         arr = np.asarray(data)
         arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
         if arr.ndim != ndim or arr.size == 0:
@@ -382,9 +377,7 @@ class Session:
     coordinator knowledge, and the metered transcript."""
 
     def __init__(self, k: int, a_blocks, b_blocks, encoding: EncodingSpec | None = None):
-        if not (_is_integer(k) and k >= 1):
-            raise ValueError(f"player count k = {k!r} is not an integer >= 1")
-        self.k = int(k)
+        self.k = _checks.count(k, 1, None, "player count k = {!r} is not an integer >= 1")
         self.encoding = encoding if encoding is not None else EncodingSpec()
         self.meter = BitMeter()
         self.player_names = tuple(f"P{t + 1}" for t in range(self.k))

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import comm_sim, reductions
+from . import _checks, comm_sim, reductions
 from .comm_sim import (
     DimensionMismatch,
     EncodingSpec,
@@ -113,8 +113,7 @@ def chi_square(counts, probs, significance: float = 0.001) -> ChiSquareResult:
     itself stays small it is merged into the smallest regular bucket.  With a
     single retained bucket the statistic is 0 and the test passes trivially.
     """
-    if not 0 < significance < 1:
-        raise ValueError(f"significance {significance!r} must lie in (0, 1)")
+    _checks.real(significance, 0, 1, "significance {!r} must lie in (0, 1)")
     counts = np.asarray(counts, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if counts.shape != probs.shape or counts.ndim != 1:
@@ -182,10 +181,6 @@ class ExperimentConfig:
 MAX_COUNT, _PLAYERS, _ROWS = 100000, 64, 4096
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Param:
     """One experiment param: its canonical value and the values it accepts.
@@ -215,14 +210,13 @@ class Experiment:
     check: Callable | None = None
 
 
-def _check_int(path: str, value, low: int, high: int, odd: bool = False) -> None:
-    if not _is_int(value) or value < low:
-        raise ConfigError(f"{path}: must be a positive integer" if low == 1
-                          else f"{path}: must be an integer >= {low}")
-    if value > high:
-        raise ConfigError(f"{path}: {value} exceeds cap {high}")
+def _check_int(path: str, value, low: int, high: int, odd: bool = False) -> int:
+    value = _checks.count(value, low, high, f"{path}: must be a positive integer" if low == 1
+                          else f"{path}: must be an integer >= {low}", ConfigError,
+                          above=(ConfigError, f"{path}: {{}} exceeds cap {high}"))
     if odd and value % 2 == 0:
         raise ConfigError(f"{path}: {value} is not odd")
+    return value
 
 
 def sweep_values(sweep) -> list:
@@ -231,9 +225,11 @@ def sweep_values(sweep) -> list:
     return list(range(start, stop + 1, step))
 
 
-def _check_param(path: str, spec: Param, value) -> None:
+def _check_param(path: str, spec: Param, value):
+    """The value of one supplied param, its integers as Python ints."""
     if spec.kind == "sweep":
-        if not (isinstance(value, list) and len(value) == 3 and all(map(_is_int, value))):
+        value = list(map(_checks.integer, value)) if isinstance(value, list) else []
+        if len(value) != 3 or None in value:
             raise ConfigError(f"{path}: must be [start, stop, step] integers")
         start, stop, step = value
         if start < spec.low or stop < start or step < 1:
@@ -241,16 +237,16 @@ def _check_param(path: str, spec: Param, value) -> None:
                               f"<= stop and step >= 1")
         if stop > spec.high:
             raise ConfigError(f"{path}: stop {stop} exceeds cap {spec.high}")
-    elif spec.kind == "real":
-        if not ((_is_int(value) or isinstance(value, float)) and spec.low < value < spec.high):
-            raise ConfigError(f"{path}: must be a number in the open interval "
-                              f"({_fmt(spec.low)}, {_fmt(spec.high)})")
-    else:
-        entries = value if spec.kind == "ints" else [value]
-        if not (isinstance(entries, list) and entries):
-            raise ConfigError(f"{path}: must be a list of one or more integers")
-        for entry in entries:
-            _check_int(path, entry, spec.low, spec.high, spec.odd)
+        return value
+    if spec.kind == "real":
+        _checks.real(value, spec.low, spec.high, f"{path}: must be a number in the open "
+                     f"interval ({_fmt(spec.low)}, {_fmt(spec.high)})", ConfigError)
+        return float(value)
+    entries = value if spec.kind == "ints" else [value]
+    if not (isinstance(entries, list) and entries):
+        raise ConfigError(f"{path}: must be a list of one or more integers")
+    entries = [_check_int(path, entry, spec.low, spec.high, spec.odd) for entry in entries]
+    return entries if spec.kind == "ints" else entries[0]
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -266,27 +262,24 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment: unknown name {name!r}")
     if "seed" not in obj:
         raise ConfigError("seed: required")
-    if not _is_int(obj["seed"]) or obj["seed"] < 0:     # numpy seeds are nonnegative
-        raise ConfigError("seed: must be an integer >= 0")
-    trials = obj.get("trials", 1)
-    _check_int("trials", trials, 1, MAX_COUNT)
+    seed = _check_int("seed", obj["seed"], 0, math.inf)   # numpy seeds are nonnegative
+    trials = _check_int("trials", obj.get("trials", 1), 1, MAX_COUNT)
     raw_params = obj.get("params", {})
     if not isinstance(raw_params, dict):
         raise ConfigError("params: must be an object")
     entry = EXPERIMENTS[name]
     specs = entry.params
+    params = {key: copy.deepcopy(spec.value) for key, spec in specs.items()}
     for key, value in raw_params.items():
         if key not in specs:
             raise ConfigError(f"params.{key}: unknown field")
-        _check_param(f"params.{key}", specs[key], value)
+        params[key] = _check_param(f"params.{key}", specs[key], value)
     unknown = set(obj) - {"experiment", "seed", "trials", "params"}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-    params = {key: copy.deepcopy(spec.value) for key, spec in specs.items()}
-    params.update(raw_params)
     if entry.check is not None:
         entry.check(params, trials)
-    return ExperimentConfig(experiment=name, seed=obj["seed"], trials=trials, params=params)
+    return ExperimentConfig(experiment=name, seed=seed, trials=trials, params=params)
 
 
 def load_config(path) -> ExperimentConfig:

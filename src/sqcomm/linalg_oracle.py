@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+
 
 class GammaUndefined(ValueError):
     """Raised when b = 0 leaves the residual ratio undefined."""
@@ -34,6 +36,7 @@ PINV_CUTOFF_REL = 1e-10          # singular values below cutoff * sigma_max are 
 EXPM_HERMITIAN_TOL = 1e-10
 EXPM_MAX_DIM = 4096
 DEGENERACY_REL_GAP = 1e-9
+_TIME = (-math.inf, math.inf, "evolution time must be finite and real, got t = {!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +196,11 @@ def _check_hermitian(arr: np.ndarray) -> None:
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
 
-def _check_time(t) -> None:
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got t = {t!r}")
-
-
 def expm_hermitian(A, t: float) -> np.ndarray:
     """Unitary e^{i A t} for Hermitian A (or each of a stack), by eigendecomposition."""
     arr = np.asarray(A)
     _check_hermitian(arr)
-    _check_time(t)
+    _checks.real(t, *_TIME)
     w, V = np.linalg.eigh(arr)
     phases = np.exp(1j * w * t)
     return (V * phases[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
@@ -214,7 +212,7 @@ def expm_apply(A, t: float, v) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a square matrix")
     _check_hermitian(arr)
-    _check_time(t)
+    _checks.real(t, *_TIME)
     vec = np.asarray(v)
     if vec.shape[0] != arr.shape[0]:
         raise ValueError("vector length does not match the matrix dimension")
@@ -227,8 +225,8 @@ def hadamard_apply(n: int, v) -> np.ndarray:
 
     Orthogonal involution: applying twice returns the input.
     """
-    if n < 0:
-        raise BadDimension("n must be nonnegative")
+    # no array holds 2^64 entries; a larger n would only build a huge 1 << n
+    n = _checks.count(n, 0, 63, "n must be an integer in [0, 63], got n = {!r}", BadDimension)
     size = 1 << n
     arr = np.asarray(v)
     if arr.ndim != 1 or arr.size != size:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .comm_sim import Session, assemble_stacked, open_session_blocks
 from .linalg_oracle import (
     BadDimension,
@@ -47,7 +48,6 @@ from .sq_access import (
     sq_row,
     sq_sample,
     sq_sample_many,
-    _is_integer,
 )
 
 DENSE_MAX_N = 10        # largest n any construction takes (dense regression's)
@@ -63,22 +63,13 @@ class ZeroMatrix(ValueError):
     """A construction degenerated to an all-zero matrix."""
 
 
-def _check_count(name: str, value, lo: int, what: str) -> None:
-    """The one integer rule of the generators and the decision: `value` must
-    be an integer (a numpy integer too, never a bool) >= lo, or ValueError."""
-    if not _is_integer(value) or value < lo:
-        raise ValueError(f"{what} {name} must be an integer >= {lo}, got {name} = {value!r}")
-
-
-def _check_sign_size(n) -> None:
-    """The size rule of the sign-function helpers: n must be an integer (a
-    non-integer or a bool gets `_check_count`'s ValueError) in
-    [0, DENSE_MAX_N], or BadDimension."""
-    if _is_integer(n) and n < 0:
-        raise BadDimension(f"n = {n} must be nonnegative")
-    _check_count("n", n, 0, "sign-function size")
-    if n > DENSE_MAX_N:
-        raise BadDimension(f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}")
+# the `_checks.count` rules of a sign-function size n and of the evolution's n
+# (at n = 0 its mixing generator would divide by zero)
+_SIGN_SIZE = (0, DENSE_MAX_N, "sign-function size n must be an integer >= 0, got n = {!r}",
+              ValueError, (BadDimension, "n = {} must be nonnegative"),
+              (BadDimension, f"n = {{}} exceeds DENSE_MAX_N = {DENSE_MAX_N}"))
+_EVOLUTION_N = (1, EVOLUTION_MAX_N, f"evolution construction needs an integer 1 <= n <= "
+                f"{EVOLUTION_MAX_N}, got n = {{!r}}", BadDimension)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -143,8 +134,8 @@ def gen_disjointness(k: int, n: int, want_intersection: bool,
     in [n/4, n/2], every other support is drawn outside player 1's (weight at
     most 3n/4), and only the planted pair can intersect.
     """
-    _check_count("k", k, 2, "player count")
-    _check_count("n", n, 8, "length")
+    k = _checks.count(k, 2, None, "player count k must be an integer >= 2, got k = {!r}")
+    n = _checks.count(n, 8, None, "length n must be an integer >= 8, got n = {!r}")
     lo = math.ceil(n / 4)
     sets = np.zeros((k, n), dtype=np.int64)
     w1 = int(rng.integers(lo, n // 2 + 1))
@@ -191,8 +182,8 @@ def build_regression_sparse(inst: DisjointnessInstance, beta_a: float = 1.0,
     matrix belongs to player j; every non-public block of the vector belongs
     to player 1.
     """
-    if beta_a <= 0 or beta_b <= 0:
-        raise ValueError("scale parameters must be positive")
+    for beta in (beta_a, beta_b):
+        _checks.real(beta, 0, math.inf, "scale parameters must be positive reals, got {!r}")
     inst.verify()
     k, n = inst.k, inst.n
     t = np.asarray(inst.sets, dtype=np.float64)
@@ -229,7 +220,8 @@ def decide_disjointness(build: SparseRegressionBuild, num_samples: int,
     exposed to the decision as an SQ vector; see the module docstring for why
     this stand-in is the strongest case.  A decision on no draws is refused.
     """
-    _check_count("num_samples", num_samples, 1, "sample count")
+    num_samples = _checks.count(num_samples, 1, None, "sample count num_samples must be an "
+                                "integer >= 1, got num_samples = {!r}")
     A, b = assemble_stacked(build.session)
     x = pinv_solve(A, b)
     draws = sq_sample_many(build_sq_vector(x), num_samples, rng)
@@ -257,7 +249,7 @@ class FunctionPair:
 
 
 def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
-    _check_sign_size(n)
+    n = _checks.count(n, *_SIGN_SIZE)
     size = 2**n
     f = rng.choice((-1.0, 1.0), size=size)
     g = rng.choice((-1.0, 1.0), size=size)
@@ -268,8 +260,7 @@ def hadamard_matrix(n: int) -> np.ndarray:
     """Orthonormal 2^n x 2^n Hadamard matrix (Sylvester ordering), built by
     doubling [[1]] n times into [[H, H], [H, -H]]; built once per n and
     returned read-only."""
-    _check_sign_size(n)
-    return _hadamard(int(n))
+    return _hadamard(_checks.count(n, *_SIGN_SIZE))
 
 
 @functools.cache
@@ -292,8 +283,6 @@ def build_regression_dense(pair: FunctionPair) -> DenseRegressionBuild:
     """Full-rank orthogonal system: sampling its solution reproduces the
     squared-correlation law of the two sign vectors."""
     pair.verify()
-    if pair.n > DENSE_MAX_N:
-        raise BadDimension(f"dense construction capped at n = {DENSE_MAX_N}")
     f = np.asarray(pair.f, dtype=np.float64)
     g = np.asarray(pair.g, dtype=np.float64)
     A = f[:, None] * hadamard_matrix(pair.n)
@@ -341,7 +330,7 @@ class GapHammingInstance:
         total = players.sum(axis=0)
         if not np.all(np.abs(total) == 1):
             raise PromiseViolation("player vectors must sum to a sign vector")
-        if self.sign not in (1, -1):
+        if _checks.integer(self.sign) not in (1, -1):
             raise PromiseViolation("sign must be +1 or -1")
         gap = self.gap
         root = math.sqrt(self.d)
@@ -384,12 +373,13 @@ def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator) -> GapH
     The probe is flipped one coordinate at a time (each flip moves the inner
     product by +-2) until it reaches a uniformly chosen value in the band.
     """
-    _check_count("k", k, 1, "player count")
+    k = _checks.count(k, 1, None, "player count k must be an integer >= 1, got k = {!r}")
     if k % 2 == 0:
         raise ValueError("player count must be odd and positive")
+    sign = _checks.integer(sign)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    _check_count("d", d, 1, "dimension")
+    d = _checks.count(d, 1, None, "dimension d must be an integer >= 1, got d = {!r}")
     targets = _band_targets(d)
     total = rng.choice((-1.0, 1.0), size=d)
     probe = rng.choice((-1.0, 1.0), size=d)
@@ -545,8 +535,7 @@ def build_recsys(pca: PcaBuild, level: float) -> RecsysBuild:
     The truncation reads the PCA build's one SVD; the rank is `matrix_rank`
     of the truncation, a route of its own.
     """
-    if not 1.0 < level < math.sqrt(2):
-        raise ValueError("truncation level must lie in (1, sqrt(2))")
+    _checks.real(level, 1, math.sqrt(2), "truncation level must lie in (1, sqrt(2)), got {!r}")
     truncated = pca.factors.truncate(level)
     rank = int(np.linalg.matrix_rank(truncated)) if truncated.any() else 0
     return RecsysBuild(layout=pca.layout, matrix=pca.matrix, truncated=truncated,
@@ -581,13 +570,6 @@ def _mixing_generator(n: int) -> np.ndarray:
     return _read_only(total / (2.0 * n))
 
 
-def _check_evolution_n(n: int) -> None:
-    # n = 0 would divide the mixing generator by zero
-    if not (_is_integer(n) and 1 <= n <= EVOLUTION_MAX_N):
-        raise BadDimension(f"evolution construction needs an integer 1 <= n <= "
-                           f"{EVOLUTION_MAX_N}, got n = {n!r}")
-
-
 def _sign_conjugate(fs: np.ndarray, X: np.ndarray) -> np.ndarray:
     """diag(f) @ X @ diag(f) for each row f of fs; exact, as each entry is
     only multiplied by +-1.  The column signs are applied in place, which
@@ -612,8 +594,7 @@ def build_hamiltonian(pair: FunctionPair) -> HamiltonianBuild:
     Hadamard conjugation; evolving the signed uniform state reproduces the
     squared-correlation law."""
     pair.verify()
-    _check_evolution_n(pair.n)
-    n = pair.n
+    n = _checks.count(pair.n, *_EVOLUTION_N)
     f = np.asarray(pair.f, dtype=np.float64)
     g = np.asarray(pair.g, dtype=np.float64)
     A = _sign_conjugate(f[None], _mixing_generator(n))[0]
@@ -638,16 +619,16 @@ def hamiltonian_evolved_law(build: HamiltonianBuild) -> np.ndarray:
     return p / p.sum()
 
 
-def _check_sign_stack(n: int, fs) -> np.ndarray:
-    """fs as a float stack of +-1 vectors of length 2^n, for an evolvable n."""
-    _check_evolution_n(n)
+def _check_sign_stack(n: int, fs) -> tuple[int, np.ndarray]:
+    """An evolvable n as an int, and fs as a float stack of +-1 rows of length 2^n."""
+    n = _checks.count(n, *_EVOLUTION_N)
     fs = np.asarray(fs, dtype=np.float64)
     size = 2**n
     if fs.ndim != 2 or fs.shape[1] != size:
         raise BadDimension(f"sign vectors must have length {size}")
     if not np.all(np.abs(fs) == 1):
         raise PromiseViolation("sign vector entries must be +1 or -1")
-    return fs
+    return n, fs
 
 
 # matrix entries per stack: the per-instance route evolves 8 sign vectors at a
@@ -668,7 +649,7 @@ def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
     Builds the shared generator once and evolves stacks of the signed ones
     through `expm_hermitian`; per-instance calls would crawl.
     """
-    fs = _check_sign_stack(n, fs)
+    n, fs = _check_sign_stack(n, fs)
     base = _mixing_generator(n)
     h = hadamard_matrix(n)
     t = n * math.pi
@@ -691,7 +672,7 @@ def hamiltonian_conjugation_sweep(n: int, fs: np.ndarray) -> tuple[int, float]:
     Returns (number of sign vectors whose generator or target differs, the
     shared residual).
     """
-    fs = _check_sign_stack(n, fs)
+    n, fs = _check_sign_stack(n, fs)
     base = _mixing_generator(n)
     h = hadamard_matrix(n)
     eye = np.eye(2**n)
@@ -708,7 +689,7 @@ def hamiltonian_conjugation_sweep(n: int, fs: np.ndarray) -> tuple[int, float]:
 
 def all_sign_vectors(n: int) -> np.ndarray:
     """Every +-1 vector of length 2^n, one per row (2^(2^n) rows)."""
-    _check_sign_size(n)
+    n = _checks.count(n, *_SIGN_SIZE)
     size = 2**n
     count = 2**size
     if count > 1 << 20:

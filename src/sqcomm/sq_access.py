@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
+
 
 class AllZero(ValueError):
     """Raised when an all-zero vector or matrix cannot carry an l2 sampling law."""
@@ -36,19 +38,12 @@ class Timeout(RuntimeError):
     """Raised when rejection sampling exhausts its round budget."""
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, never a bool: the integer rule of every
-    index, count and player number."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_index(i, n: int, what: str = "index") -> None:
     """The one index rule of every handle and request: `i` must be an integer
-    (a numpy integer too, never a bool) in [0, n), or IndexOutOfRange."""
-    if i.__class__ is not int and not _is_integer(i):
-        raise IndexOutOfRange(f"{what} {i!r} is not an integer")
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"{what} {i} outside [0, {n})")
+    in [0, n), or IndexOutOfRange; a Python int in range costs no call."""
+    if i.__class__ is not int or not 0 <= i < n:
+        _checks.count(i, 0, n - 1, f"{what} {{!r}} is not an integer", IndexOutOfRange,
+                      (IndexOutOfRange, f"{what} {{}} outside [0, {n})"))
 
 
 def _table(values, ndim: int):
@@ -131,6 +126,7 @@ def sq_sample(v: SqVector, rng: np.random.Generator) -> int:
 
 def sq_sample_many(v: SqVector, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized sq_sample: `size` iid draws as an int array."""
+    size = _checks.count(size, 0, None, "size must be an integer >= 0, got size = {!r}")
     u = rng.random(size) * v.cum[-1]
     idx = np.searchsorted(v.cum, u, side="right")
     bad = idx >= v.n
@@ -205,18 +201,18 @@ def rejection_round_cap(phi: float, delta: float) -> int:
     Per-round acceptance probability is exactly 1/phi, so
     (1 - 1/phi)^cap <= exp(-cap/phi) <= delta at cap = ceil(phi ln(1/delta)) + 1.
     """
+    _checks.real(phi, 0, math.inf, "phi must be finite and positive, got phi = {!r}")
+    _checks.real(delta, *_DELTA)
     return int(math.ceil(phi * math.log(1.0 / delta))) + 1
+
+
+_DELTA = (0, 1, "delta must lie in (0, 1), got delta = {!r}")   # a failure probability
 
 
 @dataclass(frozen=True)
 class RejectionSample:
     index: int
     rounds: int
-
-
-def _check_delta(delta: float) -> None:
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
 
 
 def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
@@ -228,7 +224,7 @@ def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
     is known to be valid, and its phi sets the round cap.  Returns (RejectionSample,
     bits); raises Timeout after the cap (probability <= delta).
     """
-    _check_delta(delta)
+    _checks.real(delta, *_DELTA)
     phi = get_phi()
     cap = rejection_round_cap(phi, delta)
     bits = 0
@@ -250,9 +246,8 @@ def _norm_estimate(one_round, dom_norm: float, get_phi, eps: float, delta: float
     bits).  The ratios lie in [0, 1] with mean 1/phi, so a Bernstein bound
     gives that failure probability.
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    _check_delta(delta)
+    _checks.real(eps, 0, 1, "eps must lie in (0, 1], got eps = {!r}", hi_closed=True)
+    _checks.real(delta, *_DELTA)
     n_draws = max(1, int(math.ceil(4.0 * get_phi() * math.log(1.0 / delta) / eps**2)))
     total, bits = 0.0, 0
     for _ in range(n_draws):

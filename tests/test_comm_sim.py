@@ -86,14 +86,24 @@ def test_index_bits_frozen():
     with pytest.raises(ValueError, match="opcode_bits"):
         EncodingSpec(opcode_bits=-50)
     assert EncodingSpec(opcode_bits=0).opcode_bits == 0
+    # 2.5 was served as 2 bits
+    for count in (2.5, True, 0, -1, "4", None):
+        with pytest.raises(ValueError, match=rf"^index space size {re.escape(repr(count))} "
+                                             rf"is not an integer >= 1$"):
+            bits(count)
+    assert bits(np.int64(5)) == 3
 
 
 def test_encoding_widths_must_be_integers():
-    for bad in ("32", None, 2.5, True, np.int64(8)):
+    for bad in ("32", None, 2.5, True):
         with pytest.raises(TypeError, match="scalar_bits must be an integer"):
             EncodingSpec(scalar_bits=bad)
         with pytest.raises(TypeError, match="opcode_bits must be an integer"):
             EncodingSpec(opcode_bits=bad)
+    # a numpy integer is an integer, stored as a Python int
+    spec = EncodingSpec(scalar_bits=np.int64(8), opcode_bits=np.int32(4))
+    assert (spec.scalar_bits, spec.opcode_bits) == (8, 4)
+    assert type(spec.scalar_bits) is int and type(spec.opcode_bits) is int
 
 
 def test_setup_costs_frozen():

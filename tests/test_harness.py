@@ -404,6 +404,20 @@ def test_parse_config_rejects_negative_seed():
         run_suite("oracle", seed=-1)
 
 
+def test_parse_config_stores_numpy_integers_as_ints():
+    # numpy integers follow the one integer rule of every boundary: accepted,
+    # and kept as Python ints, so a config equals its JSON round trip
+    cfg = parse_config({"experiment": "bit_fit", "seed": np.int64(5), "trials": np.int32(1),
+                        "params": {"k": np.int64(3), "t_sweep": [np.int64(5), 15, 5]}})
+    assert (cfg.seed, cfg.trials, cfg.params["k"], cfg.params["t_sweep"]) == (5, 1, 3, [5, 15, 5])
+    assert all(type(v) is int for v in (cfg.seed, cfg.trials, cfg.params["k"],
+                                        *cfg.params["t_sweep"]))
+    assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    clustering = parse_config({"experiment": "clustering", "seed": 1,
+                               "params": {"ks": [np.int64(3), 5]}})
+    assert [type(k) for k in clustering.params["ks"]] == [int, int]
+
+
 def test_config_has_no_encoding_section():
     # bit widths belong to the session's EncodingSpec; a config holds only
     # experiment, seed, trials and params, so an encoding key is refused, the

@@ -142,7 +142,8 @@ def test_oracles_refuse_non_finite_input():
             expm_hermitian(np.stack([np.eye(2), H]), 1.0)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             threshold_svd(H, 0.5)
-    for t in (math.inf, -math.inf, math.nan):
+    # and a bool time was served as t = 1
+    for t in (math.inf, -math.inf, math.nan, True):
         with pytest.raises(ValueError, match="evolution time must be finite"):
             expm_hermitian(np.eye(2), t)
         with pytest.raises(ValueError, match="evolution time must be finite"):
@@ -227,6 +228,16 @@ def test_hadamard_apply_involution_and_dense():
         np.testing.assert_allclose(hadamard_apply(n, got), v, atol=1e-12)
     with pytest.raises(BadDimension):
         hadamard_apply(2, np.ones(3))
+
+
+def test_hadamard_apply_takes_an_integer_n():
+    # True was served as n = 1, 2.0 ended in a bare TypeError from <<, and
+    # n = 10**9 built a 125 MB 1 << n before its message failed to format it
+    for n in (True, 2.0, -1, 64, 10**9, "2", None):
+        with pytest.raises(BadDimension, match=rf"integer in \[0, 63\], got n = {n!r}$"):
+            hadamard_apply(n, np.ones(2))
+    np.testing.assert_array_equal(hadamard_apply(np.int64(1), np.ones(2)),
+                                  hadamard_apply(1, np.ones(2)))
 
 
 def test_dsp_distribution_frozen():

@@ -243,6 +243,10 @@ def test_sparse_regression_validation():
         build_regression_sparse(_frozen_intersecting(), beta_a=0.0)
     with pytest.raises(ValueError):
         build_regression_sparse(_frozen_intersecting(), beta_b=-1.0)
+    # a nan or infinite scale was served
+    for beta in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="scale parameters"):
+            build_regression_sparse(_frozen_intersecting(), beta_a=beta)
 
 
 def test_decide_disjointness():
@@ -431,6 +435,17 @@ def test_gap_hamming_dimension_below_one_rejected():
     with pytest.raises(PromiseViolation, match="d = 0"):
         GapHammingInstance(1, 0, np.ones((1, 0)), np.ones(0), 1).verify()
     assert gen_gap_hamming(1, np.int64(16), 1, rng).d == 16
+
+
+def test_gap_hamming_sign_is_an_integer():
+    # True and 1.0 were both served as sign +1
+    rng = np.random.default_rng(10)
+    for sign in (True, False, 1.0, -1.0, 0, 2, "1", None):
+        with pytest.raises(ValueError, match="^sign must be [+]1 or -1$"):
+            gen_gap_hamming(3, 4, sign, rng)
+    inst = gen_gap_hamming(3, 4, np.int64(-1), rng)
+    assert inst.sign == -1 and type(inst.sign) is int
+    inst.verify()
 
 
 # --- clustering ---

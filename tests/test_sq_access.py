@@ -3,6 +3,7 @@ round cap.  The rejection loop and the norm estimator are tested through the
 linear-combination access that runs them, in test_comm_sim."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,28 @@ def test_rejection_round_cap_frozen():
     # ceil(2.5 * ln 1000) + 1 = ceil(17.269...) + 1 = 19
     assert rejection_round_cap(2.5, 1e-3) == 19
     assert rejection_round_cap(1.0, 0.5) == 1 + 1
+    assert rejection_round_cap(np.float64(2.5), np.float32(1e-3)) == 19
+    # phi = nan ended in a bare ValueError, inf in an OverflowError and
+    # delta = 0 in a ZeroDivisionError
+    for phi in (math.nan, math.inf, 0.0, -1.0, True, "2"):
+        with pytest.raises(ValueError, match=r"^phi must be finite and positive, got phi = "):
+            rejection_round_cap(phi, 0.5)
+    for delta in (0, 0.0, 1.0, math.nan, math.inf, False):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\), got delta = "):
+            rejection_round_cap(2.0, delta)
+
+
+def test_sq_sample_many_takes_a_count():
+    # 2.0 and True ended in numpy's bare TypeError, -1 in its "negative
+    # dimensions" ValueError
+    v = build_sq_vector([1.0, 2.0])
+    rng = np.random.default_rng(3)
+    for size in (2.0, True, -1, "3", None):
+        with pytest.raises(ValueError, match=f"^size must be an integer >= 0, got size = "
+                                             f"{re.escape(repr(size))}$"):
+            sq_sample_many(v, size, rng)
+    assert sq_sample_many(v, 0, rng).shape == (0,)
+    assert sq_sample_many(v, np.int64(3), rng).shape == (3,)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
