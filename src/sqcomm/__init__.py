@@ -79,6 +79,7 @@ from .comm_sim import (
     open_session,
     open_session_blocks,
     protocol_distribution,
+    stack_layout,
 )
 from .reductions import (
     ClusteringBuild,
@@ -90,6 +91,7 @@ from .reductions import (
     PcaBuild,
     PromiseViolation,
     RecsysBuild,
+    SingularSystem,
     SparseRegressionBuild,
     ZeroMatrix,
     build_clustering,

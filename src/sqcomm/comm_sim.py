@@ -220,6 +220,24 @@ def _stack_blocks(k: int, blocks, ndim: int):
     return out, off
 
 
+def _stack_layout(k: int, a_blocks, b_blocks):
+    """The player count and both sides' stacked blocks of a layout, checked as
+    a session opening checks them; returns (k, a blocks, A rows, b blocks, m)."""
+    k = _checks.count(k, 1, None, "player count k = {!r} is not an integer >= 1")
+    b, m = _stack_blocks(k, b_blocks, 1)
+    a, a_rows = _stack_blocks(k, a_blocks, 2)
+    if a and b and a_rows != m:
+        raise DimensionMismatch(f"stacked row counts disagree: A has {a_rows}, b has {m}")
+    return k, a, a_rows, b, m
+
+
+def _assembled(a_blocks, b_blocks):
+    """The stacked (A, b) of checked blocks; None for an absent side."""
+    A = np.vstack([bl.data for bl in a_blocks]) if a_blocks else None
+    b = np.concatenate([bl.data[:, 0] for bl in b_blocks]) if b_blocks else None
+    return A, b
+
+
 def _masses_bounded(data) -> bool:
     """True when every entry of `data` is finite and the total of its squared
     magnitudes cannot overflow: twice that total, taken by one BLAS dot, is
@@ -377,18 +395,13 @@ class Session:
     coordinator knowledge, and the metered transcript."""
 
     def __init__(self, k: int, a_blocks, b_blocks, encoding: EncodingSpec | None = None):
-        self.k = _checks.count(k, 1, None, "player count k = {!r} is not an integer >= 1")
+        self.k, self.a_blocks, self.a_rows, self.b_blocks, self.m = _stack_layout(
+            k, a_blocks, b_blocks)
         self.encoding = encoding if encoding is not None else EncodingSpec()
         self.meter = BitMeter()
         self.player_names = tuple(f"P{t + 1}" for t in range(self.k))
         self._replay_queue: deque | None = None
 
-        self.b_blocks, self.m = _stack_blocks(self.k, b_blocks, 1)
-        self.a_blocks, self.a_rows = _stack_blocks(self.k, a_blocks, 2)
-        if self.a_blocks and self.b_blocks and self.a_rows != self.m:
-            raise DimensionMismatch(
-                f"stacked row counts disagree: A has {self.a_rows}, b has {self.m}"
-            )
         self._b = _Side("b", self.k, self.b_blocks, self.m, self.encoding)
         self._a = _Side("a", self.k, self.a_blocks, self.a_rows, self.encoding)
         self.n = self._a.cols
@@ -521,9 +534,16 @@ def assemble_stacked(session: Session):
     NoPlayerData.
     """
     _require_player_data(session, "assemble_stacked")
-    A = np.vstack([bl.data for bl in session.a_blocks]) if session.a_blocks else None
-    b = np.concatenate([bl.data[:, 0] for bl in session.b_blocks]) if session.b_blocks else None
-    return A, b
+    return _assembled(session.a_blocks, session.b_blocks)
+
+
+def stack_layout(k: int, a_blocks, b_blocks):
+    """The stacked (A, b) that `assemble_stacked` gives for the session these
+    (owner, data) blocks would open, with the owners, shapes and row counts
+    checked as that opening checks them, but without opening it: no owner
+    views, norms or finiteness tests.  Simulation-side, like `assemble_stacked`."""
+    _, a, _, b, _ = _stack_layout(k, a_blocks, b_blocks)
+    return _assembled(a, b)
 
 
 def _require_player_data(session: Session, what: str) -> None:

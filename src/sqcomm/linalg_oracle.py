@@ -56,10 +56,17 @@ def _truncate(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, delta: float) -> np.
     included); the zero matrix when none is kept."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    keep = s >= delta
-    if not keep.any():
+    r = _leading(s, delta)
+    if not r:
         return np.zeros((U.shape[0], Vh.shape[1]), dtype=np.result_type(U, Vh))
-    return (U[:, keep] * s[keep]) @ Vh[keep]
+    return (U[:, :r] * s[:r]) @ Vh[:r]
+
+
+def _leading(s: np.ndarray, level: float) -> int:
+    """How many of the singular values s, sorted in descending order as LAPACK
+    returns them, are >= level: the kept triples are a prefix, so a slice
+    keeps them without a mask copy."""
+    return int(np.count_nonzero(s >= level))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +100,16 @@ class SvdFactors:
 def svd_factors(A) -> SvdFactors:
     arr = np.asarray(A)
     U, s, Vh = np.linalg.svd(arr, full_matrices=False)
-    keep = s > (s[0] * 1e-14 if s.size else 0.0)
-    return SvdFactors(U=U[:, keep], s=s[keep], Vh=Vh[keep])
+    r = int(np.count_nonzero(s > (s[0] * 1e-14 if s.size else 0.0)))
+    return SvdFactors(U=U[:, :r], s=s[:r], Vh=Vh[:r])
 
 
 def _pinv_factors(A):
     """The thin SVD factors (U, s, Vh) with s >= PINV_CUTOFF_REL * sigma_max;
     empty for the zero matrix."""
     f = svd_factors(A)
-    keep = f.s >= (f.s[0] * PINV_CUTOFF_REL if f.rank else 0.0)
-    return f.U[:, keep], f.s[keep], f.Vh[keep]
+    r = _leading(f.s, f.s[0] * PINV_CUTOFF_REL if f.rank else 0.0)
+    return f.U[:, :r], f.s[:r], f.Vh[:r]
 
 
 def pseudoinverse(A) -> np.ndarray:

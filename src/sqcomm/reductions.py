@@ -63,6 +63,10 @@ class ZeroMatrix(ValueError):
     """A construction degenerated to an all-zero matrix."""
 
 
+class SingularSystem(ValueError):
+    """A square system has no unique, finite and nonzero solution."""
+
+
 # the `_checks.count` rules of a sign-function size n and of the evolution's n
 # (at n = 0 its mixing generator would divide by zero)
 _SIGN_SIZE = (0, DENSE_MAX_N, "sign-function size n must be an integer >= 0, got n = {!r}",
@@ -292,10 +296,19 @@ def build_regression_dense(pair: FunctionPair) -> DenseRegressionBuild:
 
 
 def dense_solution_law(build: DenseRegressionBuild) -> np.ndarray:
-    """Exact l2 law of the oracle-computed solution (probability vector)."""
-    x = pinv_solve(build.matrix, build.rhs)
+    """Exact l2 law (a probability vector) of the solution x* = A^-1 b, solved
+    by LU (`np.linalg.solve`): a generic route that knows nothing of the
+    Hadamard construction.  A singular system raises SingularSystem, as does
+    a zero or non-finite solution, rather than returning a nan law."""
+    try:
+        x = np.linalg.solve(build.matrix, build.rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"dense system has no unique solution ({exc})") from None
     p = np.abs(x) ** 2
-    return p / p.sum()
+    total = p.sum()
+    if not (0.0 < total < math.inf):
+        raise SingularSystem(f"dense solution has squared norm {total}; no l2 law")
+    return p / total
 
 
 # --- gap-Hamming instances --------------------------------------------------------

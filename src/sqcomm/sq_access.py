@@ -195,15 +195,28 @@ def sq_row(m: SqMatrix, i: int) -> SqVector:
 
 # --- oversampled access: rejection and norm estimation ----------------------
 
+MAX_ROUNDS = 2**53   # largest round or draw budget; every integer up to it is exact as a float
+
+
+def _round_budget(rounds: float, what: str) -> int:
+    """ceil(rounds), a budget computed as a float; a ValueError when it is not
+    finite or exceeds MAX_ROUNDS, where a tiny eps or delta or a huge phi
+    would otherwise end in a bare arithmetic error or a budget no loop ends."""
+    if not rounds <= MAX_ROUNDS:          # written so that nan fails too
+        raise ValueError(f"{what} {rounds!r} is not finite or exceeds MAX_ROUNDS = 2**53")
+    return math.ceil(rounds)
+
+
 def rejection_round_cap(phi: float, delta: float) -> int:
     """Round budget guaranteeing failure probability <= delta.
 
     Per-round acceptance probability is exactly 1/phi, so
     (1 - 1/phi)^cap <= exp(-cap/phi) <= delta at cap = ceil(phi ln(1/delta)) + 1.
+    The ceiling is refused (ValueError) above MAX_ROUNDS.
     """
     _checks.real(phi, 0, math.inf, "phi must be finite and positive, got phi = {!r}")
     _checks.real(delta, *_DELTA)
-    return int(math.ceil(phi * math.log(1.0 / delta))) + 1
+    return _round_budget(phi * math.log(1.0 / delta), "rejection round cap") + 1
 
 
 _DELTA = (0, 1, "delta must lie in (0, 1), got delta = {!r}")   # a failure probability
@@ -221,7 +234,8 @@ def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
     one_round() draws a dominator index j and returns (j, |target_j|^2 /
     |dom_j|^2 or None where dom_j is zero, bits spent); each round with a
     ratio draws one accept uniform from rng.  get_phi() is called once delta
-    is known to be valid, and its phi sets the round cap.  Returns (RejectionSample,
+    is known to be valid, and its phi sets the round cap (a cap above
+    MAX_ROUNDS is refused before any round).  Returns (RejectionSample,
     bits); raises Timeout after the cap (probability <= delta).
     """
     _checks.real(delta, *_DELTA)
@@ -244,11 +258,15 @@ def _norm_estimate(one_round, dom_norm: float, get_phi, eps: float, delta: float
     once eps and delta are known to be valid.  Returns (dom_norm times the
     square root of the mean ratio over ceil(4 phi eps^-2 ln(1/delta)) rounds,
     bits).  The ratios lie in [0, 1] with mean 1/phi, so a Bernstein bound
-    gives that failure probability.
+    gives that failure probability.  A draw count above MAX_ROUNDS is
+    refused with a ValueError before any round.
     """
     _checks.real(eps, 0, 1, "eps must lie in (0, 1], got eps = {!r}", hi_closed=True)
     _checks.real(delta, *_DELTA)
-    n_draws = max(1, int(math.ceil(4.0 * get_phi() * math.log(1.0 / delta) / eps**2)))
+    phi = get_phi()
+    eps_sq = eps**2                       # 0.0 once eps is below about 1e-162
+    rounds = 4.0 * phi * math.log(1.0 / delta) / eps_sq if eps_sq else math.inf
+    n_draws = max(1, _round_budget(rounds, "norm estimate draw count"))
     total, bits = 0.0, 0
     for _ in range(n_draws):
         _, ratio, cost = one_round()

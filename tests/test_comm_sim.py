@@ -42,6 +42,7 @@ from sqcomm import (
     open_session_blocks,
     protocol_distribution,
     rejection_round_cap,
+    stack_layout,
 )
 
 
@@ -306,6 +307,26 @@ def test_session_validation():
         open_session_blocks(2, [(None, [[1.0, np.inf]])], [])
 
 
+def test_stack_layout_checks_a_layout_without_opening_it():
+    # the stacked (A, b) a layout's session would assemble, byte for byte,
+    # under the owner, shape and row-count checks of that session's opening
+    a_blocks = [(None, [[1.0, 2.0]]), (1, np.ones((2, 2), dtype=np.int64))]
+    b_blocks = [(0, [3.0]), (comm_sim.PUBLIC, [4.0, 5.0j])]
+    A, b = stack_layout(2, a_blocks, b_blocks)
+    want_A, want_b = assemble_stacked(open_session_blocks(2, a_blocks, b_blocks))
+    assert A.tobytes() == want_A.tobytes() and b.tobytes() == want_b.tobytes()
+    assert stack_layout(1, [], [(0, [1.0])])[0] is None
+    for k, a, b in ((2, [(0, np.ones((1, 2))), (1, np.ones((1, 3)))], []),
+                    (1, [(0, np.ones((2, 2)))], [(0, np.ones(3))]),
+                    (1, [], [(0, [])]), (1, [(0, np.ones(3))], [])):
+        with pytest.raises(DimensionMismatch):
+            stack_layout(k, a, b)
+    with pytest.raises(ValueError, match="^owner 5 is not None"):
+        stack_layout(2, [], [(5, [1.0])])
+    with pytest.raises(ValueError, match="^player count k = 0 "):
+        stack_layout(0, [], [(0, [1.0])])
+
+
 @pytest.mark.parametrize("k", [2.5, True, False, 0, -1, "2", None])
 def test_session_refuses_a_player_count_that_is_not_an_integer(k):
     with pytest.raises(ValueError, match=f"^player count k = {k!r} is not an integer >= 1$"):
@@ -525,6 +546,25 @@ def test_lincomb_bounds_validated():
             lincomb_a_access(s, [0.5, 1.0, -1.0],
                              ("sq_row_sample_via_rejection", 0, delta), rng)
     assert len(s.meter.entries) == entries
+
+
+def test_round_budgets_that_overflow_are_refused():
+    # eps = 1e-170 ended in a ZeroDivisionError (eps**2 is 0.0), eps = 1e-160
+    # and delta = 5e-324 in an OverflowError from ceil(inf); each is now a
+    # named ValueError, raised before any round is exchanged
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    before = meter_report(s)
+    rng = np.random.default_rng(0)
+    for request in (("norm_estimate", 1e-170, 0.1), ("norm_estimate", 1e-160, 0.1),
+                    ("sq_sample_via_rejection", 5e-324)):
+        with pytest.raises(ValueError, match=r" inf is not finite or exceeds MAX_ROUNDS"):
+            lincomb_b_access(s, [1.0, -0.5, 2.0], request, rng)
+    with pytest.raises(ValueError, match=r"^rejection round cap inf is not finite"):
+        lincomb_a_access(s, [0.5, 1.0, -1.0], ("sq_row_sample_via_rejection", 0, 5e-324), rng)
+    after = meter_report(s)
+    assert (after.n_messages, after.total_bits) == (before.n_messages, before.total_bits)
 
 
 def test_lincomb_matrix_access():

@@ -32,7 +32,7 @@ from sqcomm import (
     run_suite,
     tv_distance,
 )
-from sqcomm import cli, harness, open_session_blocks, reductions
+from sqcomm import cli, harness, open_session_blocks, params, reductions
 from sqcomm.cli import main as cli_main
 from sqcomm.harness import EXPERIMENTS, fit_bit_costs
 
@@ -675,3 +675,28 @@ def test_bit_fit_accesses_go_through_harness_globals(monkeypatch):
     # T = 5, 10 and 15: six cycles of the five-access mix
     assert calls == {"coord_b_setup": 3, "coord_a_setup": 3, "coord_b_sample": 6,
                      "coord_b_query": 6, "coord_a_access": 18}
+
+
+def test_dense_condition_routes_agree():
+    # 05 reads kappa and kappa_F from the singular values alone; `params`
+    # takes the full SVD with vectors; on the dense builds the two agree
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        build = reductions.build_regression_dense(reductions.gen_function_pair(n, rng))
+        pr = params(build.matrix, build.rhs)
+        kappa, kappa_F = harness._condition_numbers(build.matrix)
+        assert abs(kappa - pr.kappa) <= 1e-12 and abs(kappa_F - pr.kappa_F) <= 1e-12, n
+    # a singular matrix reads infinite, so 05's check fails instead of the run
+    assert harness._condition_numbers(np.zeros((3, 3))) == (math.inf, math.inf)
+
+
+def test_sparse_regression_opens_a_session_per_trial_only(monkeypatch):
+    # the closed-form instances are stacked from their layouts; only the
+    # metered decision trials open a session
+    opened = []
+    real = reductions.open_session_blocks
+    monkeypatch.setattr(reductions, "open_session_blocks",
+                        lambda *args: opened.append(args) or real(*args))
+    report = run(parse_config({"experiment": "sparse_regression", "seed": 3, "trials": 4,
+                               "params": {"k": 3, "n": 16, "closed_form_instances": 6}}))
+    assert report.all_passed and len(opened) == 4

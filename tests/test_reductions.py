@@ -16,6 +16,7 @@ from sqcomm import (
     FunctionPair,
     GapHammingInstance,
     PromiseViolation,
+    SingularSystem,
     ZeroMatrix,
     assemble_stacked,
     build_clustering,
@@ -288,6 +289,17 @@ def test_dense_regression_matches_transform_law():
             want = dsp_distribution(pair.f, pair.g)
             np.testing.assert_allclose(build.target_law, want, atol=1e-12)
             np.testing.assert_allclose(dense_solution_law(build), want, atol=1e-10)
+
+
+def test_dense_solution_law_refuses_a_singular_build():
+    # the zero matrix used to divide 0/0 into a nan law; a singular system,
+    # or a zero solution, now raises a named error
+    build = build_regression_dense(gen_function_pair(2, np.random.default_rng(4)))
+    for matrix in (np.zeros((4, 4)), np.ones((4, 4))):
+        with pytest.raises(SingularSystem, match="no unique solution"):
+            dense_solution_law(dataclasses.replace(build, matrix=matrix))
+    with pytest.raises(SingularSystem, match="squared norm 0.0; no l2 law"):
+        dense_solution_law(dataclasses.replace(build, rhs=np.zeros(4)))
 
 
 def test_dense_regression_layout_and_caps():

@@ -21,6 +21,7 @@ from sqcomm import (
     sq_sample_at,
     sq_sample_many,
 )
+from sqcomm.sq_access import MAX_ROUNDS
 
 
 def test_vector_handle_frozen_values():
@@ -186,6 +187,17 @@ def test_rejection_round_cap_frozen():
     for delta in (0, 0.0, 1.0, math.nan, math.inf, False):
         with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\), got delta = "):
             rejection_round_cap(2.0, delta)
+
+
+def test_rejection_round_cap_refuses_an_overflowing_budget():
+    # delta = 5e-324 ended in an OverflowError (1 / delta is inf), and a huge
+    # phi returned a cap with hundreds of digits, which no loop ever ends
+    for phi, delta in ((2.0, 5e-324), (1e306, 1e-3), (2.0**54, 0.5)):
+        with pytest.raises(ValueError,
+                           match=r"^rejection round cap .* exceeds MAX_ROUNDS = 2\*\*53$"):
+            rejection_round_cap(phi, delta)
+    cap = rejection_round_cap(2.0**52, 0.5)
+    assert cap == math.ceil(2.0**52 * math.log(2.0)) + 1 and cap <= MAX_ROUNDS
 
 
 def test_sq_sample_many_takes_a_count():
