@@ -2,7 +2,9 @@
 integer, never a bool, and is handed on as a Python int; a finite real is a
 finite int or float, numpy's included, never a bool.  A boundary states its
 interval and the (exception class, message) it raises; the message is
-formatted with the refused value."""
+formatted with the refused value.  A numeric array has an integer, float or
+complex dtype, never bool, string or object, and is handed on as float64 or
+complex128.  A random stream is a numpy Generator."""
 
 import math
 
@@ -36,3 +38,20 @@ def real(value, lo: float, hi: float, message: str, error=ValueError,
               else integer(value) is not None)
     if not (finite and (lo < value < hi or (hi_closed and value == hi))):
         raise error(message.format(value))
+
+
+def numeric(values, what: str) -> np.ndarray:
+    """`values` as a new float64 array, complex128 when complex; raises ValueError
+    naming `what` unless its dtype is an integer, float or complex kind, so a
+    bool, string or object array is refused instead of parsed."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iufc":
+        raise ValueError(f"{what} must be integer, real or complex numbers, "
+                         f"not dtype {arr.dtype}")
+    return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
+
+
+def generator(rng, who: str) -> None:
+    """Raises ValueError unless `rng` is a numpy Generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"{who} needs a numpy Generator")

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import comm_sim, reductions
-from .harness import (EXPERIMENTS, ConfigError, bit_sweep, fit_checks, load_config,
-                      parse_config, run, sweep_session, sweep_values)
+from .harness import (EXPERIMENTS, SWEEP_LAYOUTS, ConfigError, access_mix, bit_sweep,
+                      fit_checks, load_config, parse_config, run, sweep_values)
 from .verify import SUITES, run_suite, suite_passed
 
 
@@ -61,44 +60,13 @@ def _parse_sweep(text: str) -> list:
         raise SystemExit(f"--t-sweep wants A:B:S integers, got {text!r}") from err
 
 
-def _reduction_session(name: str, params: dict, rng):
-    if name == "generic":
-        return sweep_session(params["k"], params["m"], params["n"], rng)
-    if name == "sparse":
-        inst = reductions.gen_disjointness(8, 64, True, rng)
-        return reductions.build_regression_sparse(inst).session
-    if name == "dense":
-        return reductions.build_regression_dense(
-            reductions.gen_function_pair(6, rng)).session
-    if name == "clustering":
-        inst = reductions.gen_gap_hamming(5, 64, 1, rng)
-        return reductions.build_clustering(inst).session
-    if name == "pca":
-        inst = reductions.gen_disjointness(2, 64, True, rng)
-        return reductions.build_pca(inst.sets[0], inst.sets[1]).session
-    if name == "hamiltonian":
-        return reductions.build_hamiltonian(
-            reductions.gen_function_pair(6, rng)).session
-    raise SystemExit(f"unknown reduction {name!r}")
-
-
-def _access_mix(session) -> tuple:
-    """Five accesses with a layout-constant bit cost, picked from the layout."""
-    if not session.b_blocks:
-        return ("entry_query", "row_norm_query", "row_sample", "frobenius_query",
-                "row_norm_sample")
-    public_b = any(bl.owner == comm_sim.PUBLIC for bl in session.b_blocks)
-    return ("b_query", "entry_query", "row_norm_query", "row_sample",
-            "b_query_next" if public_b else "b_sample")
-
-
 def _cmd_fit_bits(args) -> int:
     config = parse_config({"experiment": "bit_fit", "seed": args.seed,
                            "params": {"t_sweep": _parse_sweep(args.t_sweep)}})
     t_values = sweep_values(config.params["t_sweep"])
-    totals, fit, k = bit_sweep(
-        lambda rng: _reduction_session(args.reduction, config.params, rng),
-        _access_mix, t_values, config.seed)
+    layout = SWEEP_LAYOUTS[args.reduction]
+    totals, fit, k = bit_sweep(lambda rng: layout(config.params, rng), access_mix,
+                               t_values, config.seed)
 
     print("t_accesses,total_bits")
     for t_accesses, total in zip(t_values, totals):
@@ -131,9 +99,7 @@ def main(argv=None) -> int:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_fit = sub.add_parser("fit-bits", help="sweep access counts and fit bit cost")
-    p_fit.add_argument("--reduction", required=True,
-                       choices=["generic", "sparse", "dense", "clustering",
-                                "pca", "hamiltonian"])
+    p_fit.add_argument("--reduction", required=True, choices=list(SWEEP_LAYOUTS))
     sweep = EXPERIMENTS["bit_fit"].params["t_sweep"].value
     p_fit.add_argument("--t-sweep", default=":".join(map(str, sweep)), metavar="A:B:S",
                        help="access counts start:stop:step (default %(default)s)")

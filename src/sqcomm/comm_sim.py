@@ -207,8 +207,7 @@ def _stack_blocks(k: int, blocks, ndim: int):
         else:
             owner = _checks.count(owner, 0, k - 1, f"owner {{!r}} is not None, {PUBLIC!r} "
                                                    f"or an integer in [0, {k})")
-        arr = np.asarray(data)
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+        arr = _checks.numeric(data, "block entries")
         if arr.ndim != ndim or arr.size == 0:
             noun = "vector" if ndim == 1 else "matrix"
             raise DimensionMismatch(f"{noun} blocks must be nonempty {ndim}-d")
@@ -598,13 +597,6 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     return bits
 
 
-def _require_generator(rng, kind: str) -> None:
-    """Every sampling request checks its Generator once, before anything is
-    metered or drawn."""
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"{kind} needs a numpy Generator")
-
-
 class _Coin:
     """The one uniform the coordinator drew for an owner's local draw, served
     as a one-draw stream: the owner samples with `sq_sample` as usual, which
@@ -630,7 +622,7 @@ def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
     owner's view, its own law or the law of its row `row`, at one more uniform
     from rng: public coin, drawn on every stage 2, live or replayed, so the
     coordinator's stream never depends on player data.  The public view draws
-    for free.  The caller has checked rng with `_require_generator`.
+    for free.  The caller has checked rng with `_checks.generator`.
     """
     if owner is None:
         owner = owner_law.pick(rng)
@@ -654,7 +646,7 @@ def _stacked_sample(session: Session, side: _Side, kind: str, rng):
     space through the public layout.
     """
     side.require_setup()
-    _require_generator(rng, kind)
+    _checks.generator(rng, kind)
     owner, local, bits = _owner_draw(session, side, kind, rng, session.encoding.opcode_bits,
                                      side.row_bits, side.owner_law)
     return side.globals[owner].item(local), bits
@@ -758,7 +750,7 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
         return _stacked_sample(session, side, "a_row_norm_sample", rng)
     if kind == "row_sample":
         owner, local = side.locate(args[0])
-        _require_generator(rng, "a_row_sample")
+        _checks.generator(rng, "a_row_sample")
         _, j, bits = _owner_draw(session, side, "a_row_sample", rng, side.row_req,
                                  side.col_bits, owner=owner, row=local, args=args)
         return j, bits
@@ -815,7 +807,7 @@ class _Combination:
         c = np.asarray(coeffs)
         if c.shape != (session.k,):
             raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
-        self.coeffs = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
+        self.coeffs = _checks.numeric(c, "coefficients")
         self.terms = self.coeffs.tolist()
         if not all(map(cmath.isfinite, self.terms)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
@@ -982,7 +974,7 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
                                          for c, r in zip(comb.coeffs, norms))), bits
 
     # every other kind samples
-    _require_generator(rng, kind)
+    _checks.generator(rng, kind)
     if kind in ("dominator_row_sample", "sq_row_sample_via_rejection"):
         # a column of row i: the law is fanned out per draw
         row, args, law = args[0], args[1:], None

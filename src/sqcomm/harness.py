@@ -576,6 +576,34 @@ def fit_checks(fit: dict, t_start: int, t_stop: int) -> list:
 _BIT_FIT_MIX = ("b_sample", "b_query", "row_norm_sample", "row_sample", "entry_query")
 
 
+def access_mix(session) -> tuple:
+    """Five accesses with a layout-constant bit cost, picked from the layout."""
+    if not session.b_blocks:
+        return ("entry_query", "row_norm_query", "row_sample", "frobenius_query",
+                "row_norm_sample")
+    public_b = any(bl.owner == comm_sim.PUBLIC for bl in session.b_blocks)
+    return ("b_query", "entry_query", "row_norm_query", "row_sample",
+            "b_query_next" if public_b else "b_sample")
+
+
+# The layouts `sqcomm fit-bits --reduction` sweeps under `access_mix`: name ->
+# session built from the bit_fit params and a Generator.  Only "generic" reads
+# the params; each reduction is built at a fixed size.
+SWEEP_LAYOUTS = {
+    "generic": lambda p, rng: sweep_session(p["k"], p["m"], p["n"], rng),
+    "sparse": lambda p, rng: reductions.build_regression_sparse(
+        reductions.gen_disjointness(8, 64, True, rng)).session,
+    "dense": lambda p, rng: reductions.build_regression_dense(
+        reductions.gen_function_pair(6, rng)).session,
+    "clustering": lambda p, rng: reductions.build_clustering(
+        reductions.gen_gap_hamming(5, 64, 1, rng)).session,
+    "pca": lambda p, rng: reductions.build_pca(
+        *reductions.gen_disjointness(2, 64, True, rng).sets).session,
+    "hamiltonian": lambda p, rng: reductions.build_hamiltonian(
+        reductions.gen_function_pair(6, rng)).session,
+}
+
+
 def _check_bit_fit(p: dict, trials: int) -> None:
     if trials != 1:     # one sweep, whose T values are the report's trials
         raise ConfigError(f"trials: bit_fit runs one sweep, so trials must be 1, not {trials}")
@@ -595,9 +623,8 @@ def run_bit_fit(config: ExperimentConfig) -> Report:
     p = config.params
     t_start, t_stop, _ = p["t_sweep"]
     t_values = sweep_values(p["t_sweep"])
-    totals, fit, _ = bit_sweep(
-        lambda rng: sweep_session(p["k"], p["m"], p["n"], rng),
-        _BIT_FIT_MIX, t_values, config.seed)
+    totals, fit, _ = bit_sweep(lambda rng: SWEEP_LAYOUTS["generic"](p, rng), _BIT_FIT_MIX,
+                               t_values, config.seed)
     per_trial = [{"t": t, "total_bits": total} for t, total in zip(t_values, totals)]
     return _report(config, fit_checks(fit, t_start, t_stop),
                    {"t_values": t_values, "totals": totals}, per_trial,

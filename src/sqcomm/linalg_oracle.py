@@ -97,8 +97,17 @@ class SvdFactors:
         return _truncate(self.U, self.s, self.Vh, delta)
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """`arr`, or ValueError when an entry is nan or infinite: LAPACK and the
+    transforms would hand such an entry back as nan factors or a nan result,
+    and a nan singular value reads as rank 0."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    return arr
+
+
 def svd_factors(A) -> SvdFactors:
-    arr = np.asarray(A)
+    arr = _finite(np.asarray(A), "matrix")
     U, s, Vh = np.linalg.svd(arr, full_matrices=False)
     r = int(np.count_nonzero(s > (s[0] * 1e-14 if s.size else 0.0)))
     return SvdFactors(U=U[:, :r], s=s[:r], Vh=Vh[:r])
@@ -129,7 +138,7 @@ def pinv_solve(A, b) -> np.ndarray:
     """Minimum-norm least-squares solution x* = pinv(A) b via the SVD route;
     zero for A = 0."""
     arr = np.asarray(A)
-    return _solve(arr, np.asarray(b), *_pinv_factors(arr))
+    return _solve(arr, _finite(np.asarray(b), "vector"), *_pinv_factors(arr))
 
 
 @dataclass(frozen=True)
@@ -148,7 +157,7 @@ class ProblemParams:
 
 def params(A, b) -> ProblemParams:
     arr = np.asarray(A)
-    vec = np.asarray(b)
+    vec = _finite(np.asarray(b), "vector")
     b_norm = float(np.linalg.norm(vec))
     if b_norm == 0.0:
         raise GammaUndefined("b = 0: residual ratio undefined")
@@ -171,9 +180,7 @@ def threshold_svd(A, delta: float) -> np.ndarray:
     """Reconstruction from singular triples with sigma >= delta (ties
     included).  A non-finite entry is refused: its LAPACK factors are nan,
     which no level keeps, so it would read as the zero matrix."""
-    arr = np.asarray(A)
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+    arr = _finite(np.asarray(A), "matrix")
     return _truncate(*np.linalg.svd(arr, full_matrices=False), delta)
 
 
@@ -214,15 +221,17 @@ def expm_hermitian(A, t: float) -> np.ndarray:
 
 
 def expm_apply(A, t: float, v) -> np.ndarray:
-    """Apply e^{i A t} to a vector. Preserves the l2 norm exactly up to rounding."""
+    """Apply e^{i A t} to one finite vector of A's dimension. Preserves the l2
+    norm exactly up to rounding."""
     arr = np.asarray(A)
     if arr.ndim != 2:
         raise ValueError("expected a square matrix")
     _check_hermitian(arr)
     _checks.real(t, *_TIME)
-    vec = np.asarray(v)
-    if vec.shape[0] != arr.shape[0]:
-        raise ValueError("vector length does not match the matrix dimension")
+    vec = _checks.numeric(v, "vector entries")
+    if vec.shape != arr.shape[:1]:
+        raise ValueError(f"expected one vector of length {arr.shape[0]}, got shape {vec.shape}")
+    _finite(vec, "vector")
     w, V = np.linalg.eigh(arr)
     return V @ (np.exp(1j * w * t) * (V.conj().T @ vec))
 
@@ -235,10 +244,10 @@ def hadamard_apply(n: int, v) -> np.ndarray:
     # no array holds 2^64 entries; a larger n would only build a huge 1 << n
     n = _checks.count(n, 0, 63, "n must be an integer in [0, 63], got n = {!r}", BadDimension)
     size = 1 << n
-    arr = np.asarray(v)
-    if arr.ndim != 1 or arr.size != size:
+    x = _checks.numeric(v, "vector entries")
+    if x.ndim != 1 or x.size != size:
         raise BadDimension(f"expected a vector of length 2^{n} = {size}")
-    x = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=True)
+    _finite(x, "vector")
     h = 1
     while h < size:
         x = x.reshape(-1, 2 * h)

@@ -140,6 +140,7 @@ def gen_disjointness(k: int, n: int, want_intersection: bool,
     """
     k = _checks.count(k, 2, None, "player count k must be an integer >= 2, got k = {!r}")
     n = _checks.count(n, 8, None, "length n must be an integer >= 8, got n = {!r}")
+    _checks.generator(rng, "gen_disjointness")
     lo = math.ceil(n / 4)
     sets = np.zeros((k, n), dtype=np.int64)
     w1 = int(rng.integers(lo, n // 2 + 1))
@@ -226,6 +227,7 @@ def decide_disjointness(build: SparseRegressionBuild, num_samples: int,
     """
     num_samples = _checks.count(num_samples, 1, None, "sample count num_samples must be an "
                                 "integer >= 1, got num_samples = {!r}")
+    _checks.generator(rng, "decide_disjointness")
     A, b = assemble_stacked(build.session)
     x = pinv_solve(A, b)
     draws = sq_sample_many(build_sq_vector(x), num_samples, rng)
@@ -254,6 +256,7 @@ class FunctionPair:
 
 def gen_function_pair(n: int, rng: np.random.Generator) -> FunctionPair:
     n = _checks.count(n, *_SIGN_SIZE)
+    _checks.generator(rng, "gen_function_pair")
     size = 2**n
     f = rng.choice((-1.0, 1.0), size=size)
     g = rng.choice((-1.0, 1.0), size=size)
@@ -393,6 +396,7 @@ def gen_gap_hamming(k: int, d: int, sign: int, rng: np.random.Generator) -> GapH
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     d = _checks.count(d, 1, None, "dimension d must be an integer >= 1, got d = {!r}")
+    _checks.generator(rng, "gen_gap_hamming")
     targets = _band_targets(d)
     total = rng.choice((-1.0, 1.0), size=d)
     probe = rng.choice((-1.0, 1.0), size=d)
@@ -522,8 +526,7 @@ def decide_pca(build: PcaBuild, rng: np.random.Generator):
 
     Returns (intersects, sampled index).
     """
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError("decide_pca needs a numpy Generator")
+    _checks.generator(rng, "decide_pca")
     ts = build.factors.top()
     idx = int(sq_sample(build_sq_vector(ts.vector), rng))
     n = build.matrix.shape[1]
@@ -559,6 +562,7 @@ def decide_recsys(build: RecsysBuild, rng: np.random.Generator):
     """Row-sample the truncated matrix: a successful draw certifies an
     intersection and the sampled column is its coordinate; an all-zero
     truncation surfaces as "disjoint"."""
+    _checks.generator(rng, "decide_recsys")
     try:
         sm = build_sq_matrix(build.truncated)
     except AllZero:

@@ -54,7 +54,7 @@ def _table(values, ndim: int):
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError("expected a nonempty 1-d vector" if ndim == 1
                          else "expected a nonempty 2-d matrix")
-    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+    arr = _checks.numeric(arr, "entries")
     weights = np.abs(arr) ** 2
     total = float(weights.sum())   # finite iff every entry is and nothing overflows
     if not math.isfinite(total):

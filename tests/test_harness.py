@@ -32,7 +32,7 @@ from sqcomm import (
     run_suite,
     tv_distance,
 )
-from sqcomm import cli, harness, open_session_blocks, params, reductions
+from sqcomm import harness, open_session_blocks, params, reductions
 from sqcomm.cli import main as cli_main
 from sqcomm.harness import EXPERIMENTS, fit_bit_costs
 
@@ -625,10 +625,13 @@ def test_bit_fit_sweep_covers_whole_cycles(sweep, message):
 def test_fit_bits_mixes_share_the_bit_fit_cycle():
     # one t_sweep rule serves `fit-bits` only while each of its mixes is as long
     b = np.ones(2)
-    for b_blocks in ([], [(0, b), (1, b)], [(0, b), (None, b)]):
-        session = open_session_blocks(2, [(0, np.ones((2, 2))), (1, np.ones((2, 2)))],
-                                      b_blocks)
-        assert len(cli._access_mix(session)) == len(harness._BIT_FIT_MIX)
+    sessions = [open_session_blocks(2, [(0, np.ones((2, 2))), (1, np.ones((2, 2)))], b_blocks)
+                for b_blocks in ([], [(0, b), (1, b)], [(0, b), (None, b)])]
+    bit_fit = default_config("bit_fit").params
+    sessions += [layout(bit_fit, np.random.default_rng(0))
+                 for layout in harness.SWEEP_LAYOUTS.values()]
+    for session in sessions:
+        assert len(harness.access_mix(session)) == len(harness._BIT_FIT_MIX)
 
 
 def test_cli_fit_bits_sweep_rule_matches_config():
@@ -650,6 +653,10 @@ _FIT_BITS_STDOUT = {
     "pca": "e4878e015c967d3102a946b3844971d28bd9e975d414f9f647cb19318c926cf6",
     "sparse": "5ae94ccbc43de86ea4cb48c418cca450c5c542be2ee48abc5dd6e050e5f9d5a5",
 }
+
+
+def test_every_sweep_layout_has_a_pinned_stdout():
+    assert set(_FIT_BITS_STDOUT) == set(harness.SWEEP_LAYOUTS)
 
 
 @pytest.mark.parametrize("reduction", sorted(_FIT_BITS_STDOUT))

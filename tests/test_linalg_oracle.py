@@ -150,6 +150,29 @@ def test_oracles_refuse_non_finite_input():
             expm_apply(np.eye(2), t, np.ones(2))
 
 
+def test_vector_routes_refuse_what_is_not_one_finite_vector():
+    # a matrix v came back as garbage, a 0-d v raised a bare IndexError, and a
+    # nan or inf entry came back as a nan state, solution or gamma
+    H = np.diag([1.0, 2.0])
+    for v in (np.eye(2), np.float64(1.0), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="expected one vector of length 2"):
+            expm_apply(H, 1.0, v)
+    with pytest.raises(ValueError, match="not dtype"):
+        expm_apply(H, 1.0, [True, False])
+    for bad in (math.nan, math.inf):
+        v = np.array([1.0, bad])
+        for route in (lambda: expm_apply(H, 1.0, v), lambda: hadamard_apply(1, v),
+                      lambda: pinv_solve(np.eye(2), v), lambda: params(np.eye(2), v)):
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                route()
+        # and a non-finite matrix read as rank 0: a zero pseudoinverse
+        A = np.array([[1.0, bad], [0.0, 1.0]])
+        for route in (svd_factors, pseudoinverse, lambda A: pinv_solve(A, np.ones(2)),
+                      lambda A: params(A, np.ones(2))):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                route(A)
+
+
 def test_svd_factors_serve_top_pair_and_truncation():
     rng = np.random.default_rng(4)
     for A in (np.diag([2.0, 1.2, 1.2, 0.5]), np.eye(3), rng.normal(size=(6, 4)),

@@ -525,6 +525,26 @@ def test_pca_frozen_disjoint():
             decide_pca(build, rng)
 
 
+@pytest.mark.parametrize("rng", [None, 7, np.random.RandomState(0)],
+                         ids=["None", "int", "RandomState"])
+def test_every_reduction_entry_point_needs_a_generator(rng):
+    # a non-Generator raised a bare AttributeError, was drawn from (a
+    # RandomState has `choice`), or went unread on an all-zero truncation
+    sparse = build_regression_sparse(gen_disjointness(3, 16, True, np.random.default_rng(0)))
+    pca = build_pca([1, 0], [0, 1])
+    calls = {
+        "gen_disjointness": lambda: gen_disjointness(3, 16, True, rng),
+        "gen_gap_hamming": lambda: gen_gap_hamming(3, 16, 1, rng),
+        "gen_function_pair": lambda: gen_function_pair(3, rng),
+        "decide_disjointness": lambda: decide_disjointness(sparse, 4, rng),
+        "decide_pca": lambda: decide_pca(pca, rng),
+        "decide_recsys": lambda: decide_recsys(build_recsys(pca, 1.2), rng),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} needs a numpy Generator$"):
+            call()
+
+
 def test_pca_bit_pair_validation():
     with pytest.raises(PromiseViolation):
         build_pca([1, 1], [1, 1])
