@@ -4,7 +4,8 @@ finite int or float, numpy's included, never a bool.  A boundary states its
 interval and the (exception class, message) it raises; the message is
 formatted with the refused value.  A numeric array has an integer, float or
 complex dtype, never bool, string or object, and is handed on as float64 or
-complex128.  A random stream is a numpy Generator."""
+complex128; a real array leaves out complex too, and is handed on as float64.
+A random stream is a numpy Generator."""
 
 import math
 
@@ -40,15 +41,27 @@ def real(value, lo: float, hi: float, message: str, error=ValueError,
         raise error(message.format(value))
 
 
+def numeric_kind(arr: np.ndarray, what: str, kinds: str = "iufc") -> np.ndarray:
+    """`arr` itself, not copied; raises ValueError naming `what` unless its
+    dtype is of one of `kinds` (integer, unsigned, float and complex by
+    default), so a bool, string or object array is refused instead of parsed."""
+    if arr.dtype.kind not in kinds:
+        numbers = "integer, real or complex" if "c" in kinds else "integer or real"
+        raise ValueError(f"{what} must be {numbers} numbers, not dtype {arr.dtype}")
+    return arr
+
+
 def numeric(values, what: str) -> np.ndarray:
-    """`values` as a new float64 array, complex128 when complex; raises ValueError
-    naming `what` unless its dtype is an integer, float or complex kind, so a
-    bool, string or object array is refused instead of parsed."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iufc":
-        raise ValueError(f"{what} must be integer, real or complex numbers, "
-                         f"not dtype {arr.dtype}")
+    """`values` as a new float64 array, complex128 when complex, under the
+    `numeric_kind` rule."""
+    arr = numeric_kind(np.asarray(values), what)
     return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
+
+
+def reals(values, what: str) -> np.ndarray:
+    """`values` as a float64 array, the same array when it already is one,
+    under the `numeric_kind` rule without complex."""
+    return np.asarray(numeric_kind(np.asarray(values), what, "iuf"), dtype=np.float64)
 
 
 def generator(rng, who: str) -> None:

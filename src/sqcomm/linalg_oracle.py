@@ -98,9 +98,11 @@ class SvdFactors:
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """`arr`, or ValueError when an entry is nan or infinite: LAPACK and the
-    transforms would hand such an entry back as nan factors or a nan result,
-    and a nan singular value reads as rank 0."""
+    """`arr`, not copied, or ValueError when it is not a numeric array or an
+    entry is nan or infinite: LAPACK and the transforms would hand such an
+    entry back as nan factors or a nan result, and a nan singular value reads
+    as rank 0."""
+    _checks.numeric_kind(arr, f"{what} entries")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite")
     return arr
@@ -191,7 +193,7 @@ def top_singular(A) -> TopSingular:
     DEGENERACY_REL_GAP; the returned vector is then one unit vector of the top
     space (any is acceptable).
     """
-    arr = np.asarray(A)
+    arr = _checks.numeric_kind(np.asarray(A), "matrix entries")
     if arr.size == 0:
         raise BadDimension(f"shape {arr.shape}: an empty matrix has no singular pair")
     _, s, Vh = np.linalg.svd(arr, full_matrices=False)
@@ -199,6 +201,7 @@ def top_singular(A) -> TopSingular:
 
 
 def _check_hermitian(arr: np.ndarray) -> None:
+    _checks.numeric_kind(arr, "matrix entries")
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError("expected a square matrix")
     if arr.shape[-1] > EXPM_MAX_DIM:
@@ -271,8 +274,8 @@ def dsp_distribution(f, g) -> np.ndarray:
     Computed through the Walsh-Hadamard transform of the pointwise product;
     sums to 1 by Parseval.
     """
-    f_arr = np.asarray(f, dtype=np.float64)
-    g_arr = np.asarray(g, dtype=np.float64)
+    f_arr = _checks.reals(f, "f entries")
+    g_arr = _checks.reals(g, "g entries")
     if f_arr.shape != g_arr.shape or f_arr.ndim != 1:
         raise BadDimension("f and g must be 1-d of equal length")
     size = f_arr.size

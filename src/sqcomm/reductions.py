@@ -496,8 +496,8 @@ class PcaBuild(_OpensOnRead):
 
 
 def _check_bit_pair(a_bits, b_bits):
-    a = np.asarray(a_bits, dtype=np.float64)
-    b = np.asarray(b_bits, dtype=np.float64)
+    a = _checks.reals(a_bits, "bit string entries")
+    b = _checks.reals(b_bits, "bit string entries")
     if a.ndim != 1 or a.shape != b.shape:
         raise PromiseViolation("bit strings must be 1-d and equal length")
     if not (((a == 0) | (a == 1)).all() and ((b == 0) | (b == 1)).all()):
@@ -639,7 +639,7 @@ def hamiltonian_evolved_law(build: HamiltonianBuild) -> np.ndarray:
 def _check_sign_stack(n: int, fs) -> tuple[int, np.ndarray]:
     """An evolvable n as an int, and fs as a float stack of +-1 rows of length 2^n."""
     n = _checks.count(n, *_EVOLUTION_N)
-    fs = np.asarray(fs, dtype=np.float64)
+    fs = _checks.reals(fs, "sign vector entries")
     size = 2**n
     if fs.ndim != 2 or fs.shape[1] != size:
         raise BadDimension(f"sign vectors must have length {size}")
@@ -648,9 +648,10 @@ def _check_sign_stack(n: int, fs) -> tuple[int, np.ndarray]:
     return n, fs
 
 
-# matrix entries per stack: the per-instance route evolves 8 sign vectors at a
-# time at n = 8, and the conjugation sweep checks 2048 at a time at n = 4
-_IDENTITY_BUDGET = 2048 * 16 * 16
+# matrix entries per stack: the per-instance route evolves 2 sign vectors at a
+# time at n = 8 and 32 at n = 6, and the conjugation sweep checks 512 at a
+# time at n = 4; a stack's complex temporaries then stay at a few MiB
+_IDENTITY_BUDGET = 512 * 16 * 16
 
 
 def _stacks(fs: np.ndarray):
@@ -663,8 +664,9 @@ def _stacks(fs: np.ndarray):
 def hamiltonian_identity_errors_batch(n: int, fs: np.ndarray) -> np.ndarray:
     """Identity-check errors, one per sign vector, each from its own evolution.
 
-    Builds the shared generator once and evolves stacks of the signed ones
-    through `expm_hermitian`; per-instance calls would crawl.
+    Builds the shared generator once and evolves the signed ones through
+    `expm_hermitian` in stacks of `_IDENTITY_BUDGET` matrix entries (2
+    matrices at n = 8); per-instance calls would crawl.
     """
     n, fs = _check_sign_stack(n, fs)
     base = _mixing_generator(n)
@@ -711,5 +713,11 @@ def all_sign_vectors(n: int) -> np.ndarray:
     count = 2**size
     if count > 1 << 20:
         raise BadDimension("exhaustive enumeration capped at 2^20 vectors")
-    bits = (np.arange(count)[:, None] >> np.arange(size)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+    # bit j of row i is (i >> j) & 1, held in the smallest integer dtype
+    # that counts the rows; the one float64 result is then shifted in place
+    index = np.min_scalar_type(count - 1)
+    bits = np.arange(count, dtype=index)[:, None] >> np.arange(size, dtype=index)
+    bits &= 1
+    out = bits * -2.0
+    out += 1.0
+    return out

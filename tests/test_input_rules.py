@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sqcomm
+from sqcomm import _checks
 from sqcomm import (
     build_sq_matrix,
     build_sq_vector,
@@ -106,3 +107,14 @@ def test_numeric_arrays_refuse_bool_string_and_object(bad):
     with pytest.raises(ValueError, match="^coefficients must be .* not dtype"):
         lincomb_a_access(s, bad, ("query", 0, 0))
     assert s.meter.total_bits == bits
+
+
+def test_kind_rules_hand_on_the_array_they_were_given():
+    # the oracle and sign-stack routes check their stacks without copying them
+    for arr in (np.ones((2, 3)), np.ones(3, dtype=np.int8), np.ones(2, dtype=complex)):
+        assert _checks.numeric_kind(arr, "entries") is arr
+    floats = np.ones((4, 2))
+    assert _checks.reals(floats, "entries") is floats
+    assert _checks.reals([1, -1], "entries").dtype == np.float64
+    with pytest.raises(ValueError, match="^entries must be integer or real numbers, not dtype"):
+        _checks.reals(np.ones(2, dtype=complex), "entries")

@@ -173,6 +173,23 @@ def test_vector_routes_refuse_what_is_not_one_finite_vector():
                 route(A)
 
 
+@pytest.mark.parametrize("dtype", [bool, "U3", object])
+def test_matrix_routes_refuse_bool_string_and_object(dtype):
+    # a bool identity was its own pseudoinverse, and a string matrix (SVD
+    # routes) or a bool one (evolution routes) ended in a bare numpy TypeError
+    A = np.eye(2, dtype=int).astype(dtype)
+    for route in (svd_factors, pseudoinverse, top_singular, lambda A: threshold_svd(A, 0.5),
+                  lambda A: pinv_solve(A, np.ones(2)), lambda A: params(A, np.ones(2)),
+                  lambda A: expm_hermitian(A, 1.0), lambda A: expm_hermitian(np.stack([A, A]), 1.0),
+                  lambda A: expm_apply(A, 1.0, np.ones(2))):
+        with pytest.raises(ValueError, match="^matrix entries must be .* not dtype"):
+            route(A)
+    b = np.ones(2, dtype=int).astype(dtype)
+    for route in (pinv_solve, params):
+        with pytest.raises(ValueError, match="^vector entries must be .* not dtype"):
+            route(np.eye(2), b)
+
+
 def test_svd_factors_serve_top_pair_and_truncation():
     rng = np.random.default_rng(4)
     for A in (np.diag([2.0, 1.2, 1.2, 0.5]), np.eye(3), rng.normal(size=(6, 4)),

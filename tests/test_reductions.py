@@ -4,6 +4,7 @@ forms and the exact oracles."""
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -638,14 +639,14 @@ def test_hamiltonian_batch_agrees_with_single():
 
 
 def test_hamiltonian_batch_stacks_follow_the_matrix_size(monkeypatch):
-    # a fixed budget of matrix entries per evolved stack: 2048 sign vectors at
-    # n = 4, 8 at n = 8; the errors do not depend on how the batch is cut
+    # a fixed budget of matrix entries per evolved stack: 512 sign vectors at
+    # n = 4, 2 at n = 8; the errors do not depend on how the batch is cut
     stacks = []
     evolve = reductions.expm_hermitian
     monkeypatch.setattr(reductions, "expm_hermitian",
                         lambda mats, t: stacks.append(len(mats)) or evolve(mats, t))
     rng = np.random.default_rng(17)
-    for n, count, want in ((4, 2049, [2048, 1]), (8, 20, [8, 8, 4])):
+    for n, count, want in ((4, 513, [512, 1]), (8, 20, [2] * 10)):
         stacks.clear()
         fs = rng.choice((-1.0, 1.0), size=(count, 2**n))
         errors = hamiltonian_identity_errors_batch(n, fs)
@@ -682,7 +683,7 @@ def test_conjugation_sweep_counts_wrongly_signed_vectors(monkeypatch):
     # a fault that signs with the wrong vector still yields a true conjugate,
     # so only the second route, matmul by diag(f), can see it
     fs = all_sign_vectors(4)
-    wrong = fs[[3, 2047, 2048, 65535]]      # across the first stack boundary
+    wrong = fs[[3, 511, 512, 65535]]        # across the first stack boundary
     stacks = []
     real = reductions._sign_conjugate
 
@@ -696,8 +697,42 @@ def test_conjugation_sweep_counts_wrongly_signed_vectors(monkeypatch):
     mismatches, residual = hamiltonian_conjugation_sweep(4, fs)
     assert mismatches == 4
     assert residual < 1e-13
-    # 65,536 vectors in stacks of 2048, each signed twice (generator, target)
-    assert stacks == [2048] * 64
+    # 65,536 vectors in stacks of 512, each signed twice (generator, target)
+    assert stacks == [512] * 256
+
+
+def test_sign_table_and_evolution_stacks_stay_small():
+    # all_sign_vectors(4) peaked at 24 MiB for its 8 MiB table, and 20 n = 8
+    # evolutions at 40 MiB, in stacks of 8 whose complex temporaries add up
+    fs = np.random.default_rng(19).choice((-1.0, 1.0), size=(20, 256))
+    hamiltonian_identity_errors_batch(8, fs[:1])     # builds the cached operators
+    for route in (lambda: all_sign_vectors(4), lambda: hamiltonian_identity_errors_batch(8, fs)):
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("dtype", ["U2", bool, object, complex])
+def test_sign_stacks_and_bit_pairs_refuse_what_is_not_real_numbers(dtype):
+    # each was parsed: ["1", "-1"] and [True, True] were evolved as sign
+    # vectors, ["1", "-1"] gave the law [0, 1], and ["1", "0"] built a PCA matrix
+    def bad(values):
+        return np.array(values).astype(dtype)
+
+    for route in (hamiltonian_identity_errors_batch, hamiltonian_conjugation_sweep):
+        with pytest.raises(ValueError, match="^sign vector entries must be .* not dtype"):
+            route(1, [bad([1, -1])])
+    with pytest.raises(ValueError, match="^f entries must be .* not dtype"):
+        dsp_distribution(bad([1, -1]), [1, 1])
+    with pytest.raises(ValueError, match="^g entries must be .* not dtype"):
+        dsp_distribution([1, 1], bad([1, -1]))
+    for a, b in ((bad([1, 0]), [0, 1]), ([1, 0], bad([0, 1]))):
+        with pytest.raises(ValueError, match="^bit string entries must be .* not dtype"):
+            build_pca(a, b)
 
 
 @pytest.mark.parametrize("route", [hamiltonian_identity_errors_batch,
