@@ -51,11 +51,17 @@ def numeric_kind(arr: np.ndarray, what: str, kinds: str = "iufc") -> np.ndarray:
     return arr
 
 
+def numeric_dtype(dtype: np.dtype) -> type:
+    """The dtype a numeric array of `dtype` is handed on as: complex128 when
+    complex, else float64."""
+    return np.complex128 if dtype.kind == "c" else np.float64
+
+
 def numeric(values, what: str) -> np.ndarray:
     """`values` as a new float64 array, complex128 when complex, under the
     `numeric_kind` rule."""
     arr = numeric_kind(np.asarray(values), what)
-    return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64)
+    return arr.astype(numeric_dtype(arr.dtype))
 
 
 def reals(values, what: str) -> np.ndarray:

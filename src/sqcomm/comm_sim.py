@@ -17,6 +17,15 @@ its k values from one (k, rows, cols) share stack, built on the first
 request.  A replay checks a whole exchange, every row of it, by indexing its
 queue, then consumes it; `meter_report` is one pass over the rows.
 
+Each player's data is held once.  Opening a session checks the caller's
+blocks without a copy and copies them once: each owner's blocks on a side,
+in stack order, become one read-only float64 array (complex128 when any of
+them is complex), each block is its rows of that array, and the owner's SQ
+handle keeps the array as its entries, adding only the squared magnitudes
+and their sums.  A caller's later writes to its arrays change nothing.  A
+replay clone holds the layout only: each private block keeps its owner and
+shape as a zero-stride view of one zero, which holds no bytes.
+
 Each side's index widths are fixed when the session opens, and its Frobenius
 total when its setup runs, so a stacked access does only the work that
 depends on its request.  A stacked access on a side the session does not
@@ -77,6 +86,7 @@ from .sq_access import (
     sq_row,
     sq_sample,
     _check_index,
+    _frozen,
     _norm_estimate,
     _rejection_loop,
 )
@@ -194,40 +204,72 @@ class BitMeter:
 class _Block:
     owner: object            # player index or PUBLIC
     offset: int              # global row offset
-    data: np.ndarray         # a 2-d matrix block; a vector block is one column
+    data: np.ndarray         # its rows of the owner's array; a vector block is one column
+
+
+def _one_stored_zero(arr: np.ndarray) -> bool:
+    """True when every entry of the nonempty 2-d `arr` is one stored zero:
+    each axis longer than one has stride 0, and that entry is 0."""
+    (rows, cols), (row_step, col_step) = arr.shape, arr.strides
+    return ((rows == 1 or not row_step) and (cols == 1 or not col_step)
+            and arr.item(0) == 0)
+
+
+def _owner_array(parts) -> np.ndarray:
+    """One owner's checked 2-d blocks, in stack order, as one new read-only
+    array: float64, or complex128 when any block is complex.  Blocks that
+    are zero-stride views of zero, as a replay clone's private blocks are,
+    hold no bytes and are not copied: the owner's array is then one such view
+    too."""
+    dtype = _checks.numeric_dtype(np.result_type(*parts))
+    if all(_one_stored_zero(p) for p in parts):
+        shape = (sum(len(p) for p in parts), parts[0].shape[1])
+        return np.broadcast_to(_frozen(np.zeros((), dtype)), shape)
+    return _frozen(np.concatenate(parts, dtype=dtype))
 
 
 def _stack_blocks(k: int, blocks, ndim: int):
     """Validate (owner, data) pairs and stack them in order, a vector block as
-    one column; returns (blocks, rows)."""
-    out, off = [], 0
+    one column; returns (blocks, rows, arrays), where `arrays` maps each
+    owner to its `_owner_array` and each block's data is its rows of that
+    array.  The caller's arrays are checked without a copy and copied once,
+    into the owner arrays."""
+    checked, parts = [], {}
     for owner, data in blocks:
         if owner is None or (isinstance(owner, str) and owner == PUBLIC):
             owner = PUBLIC
         else:
             owner = _checks.count(owner, 0, k - 1, f"owner {{!r}} is not None, {PUBLIC!r} "
                                                    f"or an integer in [0, {k})")
-        arr = _checks.numeric(data, "block entries")
+        arr = _checks.numeric_kind(np.asarray(data), "block entries")
         if arr.ndim != ndim or arr.size == 0:
             noun = "vector" if ndim == 1 else "matrix"
             raise DimensionMismatch(f"{noun} blocks must be nonempty {ndim}-d")
         arr = arr.reshape(arr.shape[0], -1)
-        if out and arr.shape[1] != out[0].data.shape[1]:
+        if checked and arr.shape[1] != checked[0][1].shape[1]:
             raise DimensionMismatch("matrix blocks disagree on column count")
-        out.append(_Block(owner, off, arr))
-        off += arr.shape[0]
-    return out, off
+        checked.append((owner, arr))
+        parts.setdefault(owner, []).append(arr)
+    arrays = {owner: _owner_array(mine) for owner, mine in parts.items()}
+    out, off, used = [], 0, dict.fromkeys(arrays, 0)
+    for owner, arr in checked:
+        start, rows = used[owner], len(arr)
+        out.append(_Block(owner, off, arrays[owner][start:start + rows]))
+        used[owner] += rows
+        off += rows
+    return out, off, arrays
 
 
 def _stack_layout(k: int, a_blocks, b_blocks):
     """The player count and both sides' stacked blocks of a layout, checked as
-    a session opening checks them; returns (k, a blocks, A rows, b blocks, m)."""
+    a session opening checks them; returns (k, a, b), each side the
+    (blocks, rows, arrays) of `_stack_blocks`."""
     k = _checks.count(k, 1, None, "player count k = {!r} is not an integer >= 1")
-    b, m = _stack_blocks(k, b_blocks, 1)
-    a, a_rows = _stack_blocks(k, a_blocks, 2)
-    if a and b and a_rows != m:
-        raise DimensionMismatch(f"stacked row counts disagree: A has {a_rows}, b has {m}")
-    return k, a, a_rows, b, m
+    b = _stack_blocks(k, b_blocks, 1)
+    a = _stack_blocks(k, a_blocks, 2)
+    if a[0] and b[0] and a[1] != b[1]:
+        raise DimensionMismatch(f"stacked row counts disagree: A has {a[1]}, b has {b[1]}")
+    return k, a, b
 
 
 def _assembled(a_blocks, b_blocks):
@@ -238,23 +280,25 @@ def _assembled(a_blocks, b_blocks):
 
 
 def _masses_bounded(data) -> bool:
-    """True when every entry of `data` is finite and the total of its squared
-    magnitudes cannot overflow: twice that total, taken by one BLAS dot, is
-    finite.  A cheap sufficient test; `_Side` falls back to the exact one,
-    building the handle, when it fails."""
-    return math.isfinite(2.0 * float(np.vdot(data, data).real))
+    """True when every entry of an owner array is finite and the total of its
+    squared magnitudes cannot overflow: its entries are one stored zero (a
+    dot product would copy them out), or twice that total, taken by one BLAS
+    dot, is finite.  A cheap sufficient test; `_Side` falls back to the exact
+    one, building the handle, when it fails."""
+    return _one_stored_zero(data) or math.isfinite(2.0 * float(np.vdot(data, data).real))
 
 
 class _OwnerView:
-    """One owner's stacked blocks on one side as one SQ matrix handle, built on
-    first use; stage 2 samples its row-norm vector (for a one-column vector
-    side, |b_j|), or the law of one of its rows."""
+    """One owner's stacked blocks on one side, its owner array `data` (None
+    when it holds none), as one SQ matrix handle that shares that array,
+    built on first use; stage 2 samples its row-norm vector (for a one-column
+    vector side, |b_j|), or the law of one of its rows."""
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, data):
         self.globals = np.concatenate(
             [np.arange(b.offset, b.offset + len(b.data)) for b in blocks]
         ) if blocks else np.zeros(0, dtype=np.int64)
-        self.data = np.concatenate([b.data for b in blocks]) if blocks else None
+        self.data = data
         self.size = int(self.globals.size)
 
     @functools.cached_property
@@ -307,7 +351,8 @@ class _Side:
     the layout-only routing tables, the index widths of its spaces (fixed
     when the session opens), and the coordinator's setup knowledge."""
 
-    def __init__(self, name: str, k: int, blocks, rows: int, encoding: EncodingSpec):
+    def __init__(self, name: str, k: int, blocks, rows: int, arrays: dict,
+                 encoding: EncodingSpec):
         self.name = name                    # "b" or "a", as in coord_b_setup
         self.noun = "vector" if name == "b" else "matrix"
         self.k = k
@@ -317,7 +362,7 @@ class _Side:
         owned = {o: [] for o in list(range(k)) + [PUBLIC]}
         for bl in blocks:
             owned[bl.owner].append(bl)
-        self.views = {o: _OwnerView(mine) for o, mine in owned.items()}
+        self.views = {o: _OwnerView(mine, arrays.get(o)) for o, mine in owned.items()}
         # the handles are built on first use; a nan or inf entry, or an
         # overflowing squared total, is still refused here, by the same build
         for view in self.views.values():
@@ -394,15 +439,16 @@ class Session:
     coordinator knowledge, and the metered transcript."""
 
     def __init__(self, k: int, a_blocks, b_blocks, encoding: EncodingSpec | None = None):
-        self.k, self.a_blocks, self.a_rows, self.b_blocks, self.m = _stack_layout(
-            k, a_blocks, b_blocks)
+        self.k, a, b = _stack_layout(k, a_blocks, b_blocks)
         self.encoding = encoding if encoding is not None else EncodingSpec()
         self.meter = BitMeter()
         self.player_names = tuple(f"P{t + 1}" for t in range(self.k))
         self._replay_queue: deque | None = None
 
-        self._b = _Side("b", self.k, self.b_blocks, self.m, self.encoding)
-        self._a = _Side("a", self.k, self.a_blocks, self.a_rows, self.encoding)
+        self._b = _Side("b", self.k, *b, self.encoding)
+        self._a = _Side("a", self.k, *a, self.encoding)
+        self.b_blocks, self.m = self._b.blocks, self._b.rows
+        self.a_blocks, self.a_rows = self._a.blocks, self._a.rows
         self.n = self._a.cols
 
     # coordinator knowledge, filled by the one-time setups
@@ -511,8 +557,9 @@ def make_replay_session(session: Session) -> Session:
     the recorded transcript.  Public blocks stay (the coordinator knows them);
     simulation-side reads of player data raise NoPlayerData."""
     def stripped(blocks):
-        return [(bl.owner, bl.data if bl.owner == PUBLIC else np.zeros_like(bl.data))
-                for bl in blocks]
+        # a private block keeps its owner and shape but holds no bytes
+        return [(bl.owner, bl.data if bl.owner == PUBLIC
+                 else np.broadcast_to(bl.data.dtype.type(0), bl.data.shape)) for bl in blocks]
 
     # b blocks are stored as one column; a session takes them as 1-d vectors
     clone = Session(session.k, stripped(session.a_blocks),
@@ -541,8 +588,8 @@ def stack_layout(k: int, a_blocks, b_blocks):
     (owner, data) blocks would open, with the owners, shapes and row counts
     checked as that opening checks them, but without opening it: no owner
     views, norms or finiteness tests.  Simulation-side, like `assemble_stacked`."""
-    _, a, _, b, _ = _stack_layout(k, a_blocks, b_blocks)
-    return _assembled(a, b)
+    _, a, b = _stack_layout(k, a_blocks, b_blocks)
+    return _assembled(a[0], b[0])
 
 
 def _require_player_data(session: Session, what: str) -> None:

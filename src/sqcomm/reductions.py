@@ -247,7 +247,7 @@ class FunctionPair:
     def verify(self) -> None:
         size = 2**self.n
         for name, arr in (("f", self.f), ("g", self.g)):
-            a = np.asarray(arr)
+            a = _checks.reals(arr, f"{name} entries")
             if a.shape != (size,):
                 raise PromiseViolation(f"{name} must have length {size}")
             if not np.all(np.abs(a) == 1):

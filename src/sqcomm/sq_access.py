@@ -11,9 +11,11 @@ estimator the target's norm from the mean acceptance ratio.  comm_sim's
 linear-combination access feeds both one dominator round at a time.
 
 Complex entries are supported throughout; real input stays real.  All handles
-are immutable after construction and hold no RNG state: every sampling operation
-takes a caller-owned numpy Generator, or (`sq_sample_at`) a uniform already
-drawn from one.
+are immutable after construction, their arrays read-only, and hold no RNG
+state.  A handle keeps a read-only float64 or complex128 input that no caller
+can write as it is, and copies anything else, so a caller's later writes never
+reach it.  Every sampling operation takes a caller-owned numpy Generator, or
+(`sq_sample_at`) a uniform already drawn from one.
 """
 
 from __future__ import annotations
@@ -46,22 +48,45 @@ def _check_index(i, n: int, what: str = "index") -> None:
                       (IndexOutOfRange, f"{what} {{}} outside [0, {n})"))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _unwritable(arr: np.ndarray) -> bool:
+    """True when neither `arr` nor any array it views is writeable, so no
+    caller can change its entries; a view of another buffer object counts as
+    writeable."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _table(values, ndim: int):
-    """A nonempty float64 (or complex128) copy of `values` with `ndim` axes,
-    its squared magnitudes and their total; raises ValueError on a nan or
-    infinite entry and when the total overflows."""
+    """A nonempty read-only float64 (or complex128) array of `values` with
+    `ndim` axes, its read-only squared magnitudes and their total; raises
+    ValueError on a nan or infinite entry and when the total overflows.  A
+    float64 or complex128 array that no caller can write is taken as it is;
+    anything else is copied."""
     arr = np.asarray(values)
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError("expected a nonempty 1-d vector" if ndim == 1
                          else "expected a nonempty 2-d matrix")
-    arr = _checks.numeric(arr, "entries")
-    weights = np.abs(arr) ** 2
+    arr = _checks.numeric_kind(arr, "entries")
+    dtype = _checks.numeric_dtype(arr.dtype)
+    if arr.dtype != dtype or not _unwritable(arr):
+        arr = _frozen(arr.astype(dtype))
+    weights = np.abs(arr)
+    np.square(weights, out=weights)   # the bytes of np.abs(arr) ** 2, without a temporary
     total = float(weights.sum())   # finite iff every entry is and nothing overflows
     if not math.isfinite(total):
         if not np.isfinite(arr).all():
             raise ValueError("entries must be finite (found nan or inf)")
         raise ValueError("squared magnitudes overflow: their total is not finite")
-    return arr, weights, total
+    return arr, _frozen(weights), total
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +113,7 @@ def build_sq_vector(values) -> SqVector:
         values=arr,
         norm=math.sqrt(total),
         weights=weights,
-        cum=np.cumsum(weights),
+        cum=_frozen(np.cumsum(weights)),
     )
 
 
@@ -175,11 +200,11 @@ def build_sq_matrix(matrix) -> SqMatrix:
     arr, weights, total = _table(matrix, 2)
     if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero matrix")
-    row_norms = np.sqrt(weights.sum(axis=1))
-    row_sq = row_norms**2         # build_sq_vector(row_norms)'s arithmetic, in one pass
+    row_norms = _frozen(np.sqrt(weights.sum(axis=1)))
+    row_sq = _frozen(row_norms**2)   # build_sq_vector(row_norms)'s arithmetic, in one pass
     row_norm_vector = SqVector(values=row_norms, norm=math.sqrt(float(row_sq.sum())),
-                               weights=row_sq, cum=np.cumsum(row_sq))
-    return SqMatrix(values=arr, weights=weights, cum=np.cumsum(weights, axis=1),
+                               weights=row_sq, cum=_frozen(np.cumsum(row_sq)))
+    return SqMatrix(values=arr, weights=weights, cum=_frozen(np.cumsum(weights, axis=1)),
                     row_norm_vector=row_norm_vector)
 
 

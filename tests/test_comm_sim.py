@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1349,6 +1350,98 @@ def test_transcript_memory_per_access():
     mu = [1.0, -0.5, 2.0, 0.25, 1.0, 1.0, -1.0, 0.5]
     assert _transcript_bytes(lambda: coord_b_sample(s, rng), 2000) <= 128
     assert _transcript_bytes(lambda: lincomb_b_access(s, mu, ("query", 5)), 500) <= 1280
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_later_writes_to_the_blocks_change_no_access(dtype):
+    # the session copies the caller's blocks once, when it opens
+    def opened(b, A):
+        cut = [slice(0, 2), slice(2, 3), slice(3, 4)]
+        return open_session_blocks(2, [(t % 2, A[c]) for t, c in enumerate(cut)],
+                                   [(t % 2, b[c]) for t, c in enumerate(cut)])
+
+    b = np.array([1, -2, 3, 4], dtype=dtype)
+    A = np.array([[1, 2], [3, 0], [-5, 6], [7, 8]], dtype=dtype)
+    s, twin = opened(b, A), opened(b.copy(), A.copy())
+    coord_b_setup(s)
+    b[:], A[:] = 0, 0
+    coord_a_setup(s)
+    coord_b_setup(twin)
+    coord_a_setup(twin)
+
+    def script(session):
+        rng = np.random.default_rng(3)
+        return ([coord_b_sample(session, rng) for _ in range(8)]
+                + [coord_b_query(session, j) for j in range(4)]
+                + [coord_a_access(session, req, rng) for req in (
+                    "row_norm_sample", ("row_sample", 2), ("entry_query", 3, 1),
+                    ("row_norm_query", 1), "frobenius_query")])
+
+    assert script(s) == script(twin)
+    np.testing.assert_array_equal(assemble_stacked(s)[0], assemble_stacked(twin)[0])
+
+
+def test_an_owner_holds_its_data_once():
+    # each owner's blocks are rows of one read-only array, which its handle keeps
+    live = _mixed_session()
+    mixed = open_session_blocks(1, [], [(0, [1.0, 2.0]), (0, [1j])])
+    for s in (live, mixed):
+        if s.b_blocks:
+            coord_b_setup(s)
+        if s.a_blocks:
+            coord_a_setup(s)
+        for side, blocks in ((s._b, s.b_blocks), (s._a, s.a_blocks)):
+            for owner, view in side.views.items():
+                mine = [bl.data for bl in blocks if bl.owner == owner]
+                if not mine:
+                    continue
+                assert not view.data.flags.writeable and view.data.flags.c_contiguous
+                assert all(np.shares_memory(d, view.data) for d in mine)
+                assert np.shares_memory(view.handle.values, view.data)
+    assert mixed._b.views[0].data.dtype == np.complex128
+    assert assemble_stacked(mixed)[1].tolist() == [1.0, 2.0, 1j]
+
+
+def test_replay_clone_private_blocks_hold_no_bytes():
+    live = _mixed_session()
+    clone = make_replay_session(live)
+    for mine, theirs in ((clone.b_blocks, live.b_blocks), (clone.a_blocks, live.a_blocks)):
+        for bl, was in zip(mine, theirs, strict=True):
+            assert (bl.owner, bl.offset, bl.data.shape) == (was.owner, was.offset, was.data.shape)
+            if bl.owner == comm_sim.PUBLIC:
+                np.testing.assert_array_equal(bl.data, was.data)
+            else:   # every entry is one stored zero
+                lo, hi = byte_bounds(bl.data)
+                assert hi - lo == bl.data.itemsize and not bl.data.any()
+
+
+def test_a_session_holds_its_data_about_three_times():
+    # the owner arrays, their squared magnitudes and the row sums of those;
+    # a session held about 5x its data (a copy per block, the owner view's
+    # concatenation and the handle's own copy) and a replay clone about 1x
+    g = np.random.default_rng(4)
+    k, rows, n = 8, 64, 64
+    A, b = g.standard_normal((2 * k * rows, n)), g.standard_normal(2 * k * rows)
+    cut = [slice(t * rows, (t + 1) * rows) for t in range(2 * k)]
+    a_blocks = [(t % k, A[c]) for t, c in enumerate(cut)]
+    b_blocks = [(t % k, b[c]) for t, c in enumerate(cut)]
+    data = A.nbytes + b.nbytes
+    tracemalloc.start()
+    try:
+        s = open_session_blocks(k, a_blocks, b_blocks)
+        coord_b_setup(s)
+        coord_a_setup(s)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        clone = make_replay_session(s)
+        coord_b_setup(clone)
+        coord_a_setup(clone)
+        clone_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # slack: per-row layout (global indices, row-norm laws) and Python objects
+    assert held < 3 * data + 2**18
+    assert clone_peak < data / 4
 
 
 def _rejection(result):

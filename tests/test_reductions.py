@@ -733,6 +733,11 @@ def test_sign_stacks_and_bit_pairs_refuse_what_is_not_real_numbers(dtype):
     for a, b in ((bad([1, 0]), [0, 1]), ([1, 0], bad([0, 1]))):
         with pytest.raises(ValueError, match="^bit string entries must be .* not dtype"):
             build_pca(a, b)
+    # [True, True] built a Hamiltonian; ["1", "-1"] ended in a bare UFuncTypeError
+    for name, f, g in (("f", bad([1, -1]), [1.0, -1.0]), ("g", [1.0, -1.0], bad([1, 1]))):
+        for route in (FunctionPair.verify, build_hamiltonian, build_regression_dense):
+            with pytest.raises(ValueError, match=f"^{name} entries must be .* not dtype"):
+                route(FunctionPair(n=1, f=f, g=g))
 
 
 @pytest.mark.parametrize("route", [hamiltonian_identity_errors_batch,

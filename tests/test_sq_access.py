@@ -227,3 +227,44 @@ def test_overflowing_squared_magnitudes_are_rejected():
     # squares near the top of the float range that still sum to a finite total
     v = build_sq_vector([1e154, 1e153])
     assert math.isfinite(v.norm) and exact_distribution(v).sum() == pytest.approx(1.0)
+
+
+def _handles(values):
+    """A vector handle on `values` and every handle of a matrix built on
+    them: the matrix, its row-norm vector and a row."""
+    m = build_sq_matrix(np.stack([values, values]))
+    return [build_sq_vector(values), m, m.row_norm_vector, sq_row(m, 1)]
+
+
+def test_handle_arrays_are_read_only():
+    # writing h.values[0] = 0.0 made sq_query read 0.0 while the law stayed [0.36, 0.64]
+    for h in _handles([3.0, 4.0]) + _handles([3.0, 4.0j]):
+        for name in ("values", "weights", "cum"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(h, name)[0] = 0.0
+    h = build_sq_vector([3.0, 4.0])
+    assert sq_query(h, 0) == 3.0
+    np.testing.assert_allclose(exact_distribution(h), [0.36, 0.64], atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.complex128])
+def test_later_writes_to_the_input_change_no_handle(dtype):
+    vec, mat = np.array([3, 4], dtype=dtype), np.array([[3, 4], [0, 5]], dtype=dtype)
+    v, m = build_sq_vector(vec), build_sq_matrix(mat)
+    # a read-only view of a buffer the caller can still write is copied too
+    frozen_view = vec[:]
+    frozen_view.flags.writeable = False
+    w = build_sq_vector(frozen_view)
+    vec[:], mat[:] = 0, 0
+    for h in (v, w):
+        assert [sq_query(h, i) for i in range(2)] == [3, 4]
+        np.testing.assert_allclose(exact_distribution(h), [0.36, 0.64], atol=1e-15)
+    assert sq_query(sq_row(m, 1), 1) == 5
+    assert m.row_norm_vector.norm == pytest.approx(50**0.5, abs=1e-12)
+
+
+def test_an_input_no_caller_can_write_is_kept_as_it_is():
+    for values in (np.array([3.0, 4.0]), np.array([[3.0, 4j]])):
+        values.flags.writeable = False
+        build = build_sq_vector if values.ndim == 1 else build_sq_matrix
+        assert build(values).values is values
