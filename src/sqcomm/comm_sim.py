@@ -13,8 +13,8 @@ response together, with the session's interned player name; a simulation-side
 scalar is an `Annotation` row of its own.  `Message` is only a read-only view,
 built on demand, two per exchange row.  A k-player fan-out is one batched
 exchange that records its k rows at once; live, a combination entry reads
-its k values from one (k, rows, cols) share stack, built on the first
-request.  A replay checks a whole exchange, every row of it, by indexing its
+each player's value from that player's owner array, with no copy of the
+shares.  A replay checks a whole exchange, every row of it, by indexing its
 queue, then consumes it; `meter_report` is one pass over the rows.
 
 Each player's data is held once.  Opening a session checks the caller's
@@ -383,8 +383,6 @@ class _Side:
         # precondition of linear-combination access)
         shares = {self.views[i].size for i in range(k)}
         self.share_rows = shares.pop() if len(shares) == 1 and 0 not in shares else None
-        self.share_mismatch = ("vector shares differ in length" if name == "b"
-                               else "matrix shares differ in shape")
         # index widths of the stacked rows, a share's rows and the columns;
         # None where the side holds no such space
         width = encoding.index_bits
@@ -397,7 +395,6 @@ class _Side:
         self.counts: list | None = None
         self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
         self.frobenius: float | None = None      # sqrt of the total squared mass
-        self._shares: np.ndarray | None = None   # see `shares`
         # one combination's exact phi: ((coefficient dtype, bytes, row), phi)
         self.phi_memo: tuple | None = None
 
@@ -421,17 +418,12 @@ class _Side:
         """The k player views, in player order."""
         return [self.views[t] for t in range(self.k)]
 
-    def shares(self) -> np.ndarray:
-        """The k equal-shape player shares as one (k, rows, cols) stack, built
-        on the first combination entry and kept (the data never changes).
-        Players that mix real and complex shares are stacked as Python
-        scalars, so each entry reads back as that player's own `.item()`."""
-        if self._shares is None:
-            data = [view.data for view in self.players()]
-            if len({d.dtype for d in data}) > 1:
-                data = [d.astype(object) for d in data]
-            self._shares = np.stack(data)
-        return self._shares
+    @functools.cached_property
+    def readers(self) -> list:
+        """Each player's entry reader, the bound `item` of its owner array,
+        in player order; bound on the first live combination entry, so a
+        replay, which reads no player data, never binds them."""
+        return [view.data.item for view in self.players()]
 
 
 class Session:
@@ -847,8 +839,9 @@ class _Combination:
     anything is metered, and prepares what every round of a request reuses:
     the coefficients as Python scalars, the message kinds, the bit widths and
     the player names.  The record then serves the metered requests and,
-    simulation-side, the exact phi and the exact dominator laws.  Only a
-    matrix is asked for row norms or a draw within a row."""
+    simulation-side, the exact phi and the exact dominator laws; a fanned-out
+    entry reads each player's owner array in place (`_Side.readers`), copying
+    no share.  Only a matrix is asked for row norms or a draw within a row."""
 
     def __init__(self, session: Session, side: _Side, coeffs):
         c = np.asarray(coeffs)
@@ -859,7 +852,8 @@ class _Combination:
         if not all(map(cmath.isfinite, self.terms)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         if side.share_rows is None:
-            raise DimensionMismatch(side.share_mismatch)
+            raise DimensionMismatch("vector shares differ in length" if side.name == "b"
+                                    else "matrix shares differ in shape")
         self.session, self.side = session, side
         self.rows, self.cols = side.share_rows, side.cols
         self.names = session.player_names
@@ -931,7 +925,7 @@ class _Combination:
         entry, squared dominator entry, bits)."""
         values, bits = self.session._exchange(
             self.names, self.query_kind, "access", self.row_req + self.col_bits,
-            self.scalar_bits, lambda: self.side.shares()[:, i, j].tolist(), (i, j))
+            self.scalar_bits, lambda: [read(i, j) for read in self.side.readers], (i, j))
         combined = dom_sq = 0
         for c, v in zip(self.terms, values):
             term = c * v

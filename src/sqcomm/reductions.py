@@ -48,6 +48,7 @@ from .sq_access import (
     sq_row,
     sq_sample,
     sq_sample_many,
+    _frozen,
 )
 
 DENSE_MAX_N = 10        # largest n any construction takes (dense regression's)
@@ -74,12 +75,6 @@ _SIGN_SIZE = (0, DENSE_MAX_N, "sign-function size n must be an integer >= 0, got
               (BadDimension, f"n = {{}} exceeds DENSE_MAX_N = {DENSE_MAX_N}"))
 _EVOLUTION_N = (1, EVOLUTION_MAX_N, f"evolution construction needs an integer 1 <= n <= "
                 f"{EVOLUTION_MAX_N}, got n = {{!r}}", BadDimension)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """Mark a cached operator read-only, so no caller can change it for the next."""
-    arr.flags.writeable = False
-    return arr
 
 
 class _OpensOnRead:
@@ -275,7 +270,7 @@ def _hadamard(n: int) -> np.ndarray:
     h = np.ones((1, 1))
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])
-    return _read_only(h / math.sqrt(2**n))
+    return _frozen(h / math.sqrt(2**n))
 
 
 @dataclass(frozen=True)
@@ -584,7 +579,7 @@ def _mixing_generator(n: int) -> np.ndarray:
     total = np.zeros((size, size))
     for j in range(n):
         total += np.kron(np.kron(np.eye(2**j), gap), np.eye(2 ** (n - j - 1)))
-    return _read_only(total / (2.0 * n))
+    return _frozen(total / (2.0 * n))
 
 
 def _sign_conjugate(fs: np.ndarray, X: np.ndarray) -> np.ndarray:

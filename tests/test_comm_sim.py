@@ -1444,6 +1444,29 @@ def test_a_session_holds_its_data_about_three_times():
     assert clone_peak < data / 4
 
 
+def test_a_combination_entry_copies_no_share():
+    # a fanned-out entry reads each player's owner array in place; a stack of
+    # the k shares would add about 1x that side's shares
+    g = np.random.default_rng(5)
+    k, rows, n = 8, 256, 64
+    s = open_session([(g.standard_normal((rows, n)), g.standard_normal(rows))
+                      for _ in range(k)])
+    coord_b_setup(s)
+    coord_a_setup(s)
+    for access, request, shares in (
+            (lincomb_a_access, ("query", 3, 5), k * rows * n * 8),
+            (lincomb_b_access, ("query", 3), k * rows * 8)):
+        tracemalloc.start()
+        try:
+            value, _ = access(s, [1.0] * k, request)
+            added = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        # slack: the k transcript rows, the request record and Python objects
+        assert added < shares / 10 + 2**12
+
+
 def _rejection(result):
     rs, bits = result
     return (rs.index, rs.rounds), bits
