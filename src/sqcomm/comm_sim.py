@@ -21,10 +21,12 @@ Each player's data is held once.  Opening a session checks the caller's
 blocks without a copy and copies them once: each owner's blocks on a side,
 in stack order, become one read-only float64 array (complex128 when any of
 them is complex), each block is its rows of that array, and the owner's SQ
-handle keeps the array as its entries, adding only the squared magnitudes
-and their sums.  A caller's later writes to its arrays change nothing.  A
-replay clone holds the layout only: each private block keeps its owner and
-shape as a zero-stride view of one zero, which holds no bytes.
+handle, built there and then, keeps the array as its entries, adding only
+the squared magnitudes and their sums; that build refuses a nan or inf entry
+or an overflowing squared total.  A caller's later writes to its arrays
+change nothing.  A replay clone holds the layout only: each private block
+keeps its owner and shape as a zero-stride view of one zero, which holds no
+bytes, and builds no handle.
 
 Each side's index widths are fixed when the session opens, and its Frobenius
 total when its setup runs, so a stacked access does only the work that
@@ -279,20 +281,12 @@ def _assembled(a_blocks, b_blocks):
     return A, b
 
 
-def _masses_bounded(data) -> bool:
-    """True when every entry of an owner array is finite and the total of its
-    squared magnitudes cannot overflow: its entries are one stored zero (a
-    dot product would copy them out), or twice that total, taken by one BLAS
-    dot, is finite.  A cheap sufficient test; `_Side` falls back to the exact
-    one, building the handle, when it fails."""
-    return _one_stored_zero(data) or math.isfinite(2.0 * float(np.vdot(data, data).real))
-
-
 class _OwnerView:
     """One owner's stacked blocks on one side, its owner array `data` (None
-    when it holds none), as one SQ matrix handle that shares that array,
-    built on first use; stage 2 samples its row-norm vector (for a one-column
-    vector side, |b_j|), or the law of one of its rows."""
+    when it holds none), and the SQ matrix handle that shares that array,
+    built when the session opens (None when the view holds no nonzero entry);
+    stage 2 samples its row-norm vector `law` (for a one-column vector side,
+    |b_j|), or the law of one of its rows."""
 
     def __init__(self, blocks, data):
         self.globals = np.concatenate(
@@ -300,21 +294,9 @@ class _OwnerView:
         ) if blocks else np.zeros(0, dtype=np.int64)
         self.data = data
         self.size = int(self.globals.size)
-
-    @functools.cached_property
-    def handle(self):
-        """The SQ matrix handle, or None when the view holds no nonzero entry."""
-        if self.data is None or not self.data.any():
-            return None
-        return build_sq_matrix(self.data)
-
-    @functools.cached_property
-    def law(self):
-        return None if self.handle is None else self.handle.row_norm_vector
-
-    @functools.cached_property
-    def norm(self) -> float:
-        return 0.0 if self.law is None else self.law.norm
+        self.handle = None if data is None or not data.any() else build_sq_matrix(data)
+        self.law = None if self.handle is None else self.handle.row_norm_vector
+        self.norm = 0.0 if self.law is None else self.law.norm
 
     def sample_law(self, row=None) -> SqVector:
         """The view's own law, or the law of one row of its matrix."""
@@ -363,11 +345,6 @@ class _Side:
         for bl in blocks:
             owned[bl.owner].append(bl)
         self.views = {o: _OwnerView(mine, arrays.get(o)) for o, mine in owned.items()}
-        # the handles are built on first use; a nan or inf entry, or an
-        # overflowing squared total, is still refused here, by the same build
-        for view in self.views.values():
-            if view.data is not None and not _masses_bounded(view.data):
-                view.handle
         # owner-local index -> global index; layout only, so a replay clone
         # keeps it after its private views are dropped
         self.globals = {o: v.globals for o, v in self.views.items()}
@@ -414,8 +391,10 @@ class _Side:
             self.require_blocks()
             raise NotSetup(f"run coord_{self.name}_setup first")
 
+    @functools.cached_property
     def players(self) -> list:
-        """The k player views, in player order."""
+        """The k player views, in player order; listed on first live use, so
+        a replay clone, whose private views are None, never lists them."""
         return [self.views[t] for t in range(self.k)]
 
     @functools.cached_property
@@ -423,7 +402,7 @@ class _Side:
         """Each player's entry reader, the bound `item` of its owner array,
         in player order; bound on the first live combination entry, so a
         replay, which reads no player data, never binds them."""
-        return [view.data.item for view in self.players()]
+        return [view.data.item for view in self.players]
 
 
 class Session:
@@ -627,7 +606,7 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     enc = session.encoding
     values, bits = session._exchange(session.player_names, kind, "setup", enc.opcode_bits,
                                      enc.scalar_bits + side.row_bits,
-                                     lambda: [(v.norm, v.size) for v in side.players()])
+                                     lambda: [(v.norm, v.size) for v in side.players])
     side.norms = np.asarray([float(norm) for norm, _ in values])
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
@@ -870,7 +849,7 @@ class _Combination:
         _require_player_data(self.session, "the exact phi or law of a combination")
         if row is not None:
             self.check_row(row)
-        views = self.side.players()
+        views = self.side.players
         shares = [v.data if row is None else v.data[row] for v in views]
         sq = ([v.norm**2 for v in views] if row is None
               else [float(np.linalg.norm(s) ** 2) for s in shares])
@@ -937,7 +916,7 @@ class _Combination:
         """Fan out the norms of row i of every share; returns (norms, bits)."""
         return self.session._exchange(
             self.names, "lincomb_a_row_norm", "access", self.row_req, self.scalar_bits,
-            lambda: [_row_norm(v.data[i]) for v in self.side.players()], (i,))
+            lambda: [_row_norm(v.data[i]) for v in self.side.players], (i,))
 
     def draw(self, rng, law: _OwnerLaw | None = None, row=None):
         """One dominator draw, the one `_owner_draw`; returns (row, column,

@@ -79,8 +79,8 @@ class TooFewSamples(ValueError):
 
 def tv_distance(p, q) -> float:
     """Total variation distance (half the l1 distance) between two laws."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p = _checks.reals(p, "p")
+    q = _checks.reals(q, "q")
     if p.shape != q.shape or p.ndim != 1:
         raise DimensionMismatch(f"shapes {p.shape} and {q.shape} differ")
     _check_law("p", p)
@@ -114,11 +114,13 @@ def chi_square(counts, probs, significance: float = 0.001) -> ChiSquareResult:
     single retained bucket the statistic is 0 and the test passes trivially.
     """
     _checks.real(significance, 0, 1, "significance {!r} must lie in (0, 1)")
-    counts = np.asarray(counts, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
+    counts = _checks.reals(counts, "counts")
+    probs = _checks.reals(probs, "probs")
     if counts.shape != probs.shape or counts.ndim != 1:
         raise DimensionMismatch("counts and probs must be equal-length 1-d")
     _check_law("probs", probs)
+    if not np.isfinite(counts).all():
+        raise ValueError("counts has a non-finite entry")
     if (counts < 0).any():
         raise ValueError("counts has a negative entry")
     total = counts.sum()
@@ -467,8 +469,9 @@ def run_protocol_exactness(config: ExperimentConfig) -> Report:
     worst = 0.0
     per_trial = []
     for t, rng in enumerate(rngs):
-        session = _random_partitioned_session(rng, max_k, max_rows, max_cols)
-        dev = _exactness_deviation(session, rng)
+        # a trial's session is freed before the next one opens and builds its handles
+        dev = _exactness_deviation(_random_partitioned_session(rng, max_k, max_rows, max_cols),
+                                   rng)
         worst = _worst(worst, dev)
         per_trial.append({"trial": t, "deviation": dev})
     checks = [_check("stacked_laws_match_centralized",
@@ -521,8 +524,9 @@ def bit_sweep(make_session, mix, t_values, seed: int):
     the sessions' own widths (`session.encoding`).  `mix` is a tuple of
     _ACCESSES names or a function of the session that returns one.  Returns
     (totals, fit, k)."""
-    totals = []
+    totals, session = [], None
     for t_accesses, rng in zip(t_values, _trial_rngs(seed, len(t_values))):
+        del session     # freed before the next session opens and builds its handles
         session = make_session(rng)
         if session.b_blocks:
             coord_b_setup(session)
@@ -897,9 +901,7 @@ def run_pca_recsys(config: ExperimentConfig) -> Report:
         expected_sigma = math.sqrt(2.0) if truth else 1.0
         worst_sigma = _worst(worst_sigma, abs(ts.sigma - expected_sigma))
         hit, idx = reductions.decide_pca(pca, rng)
-        pca_correct += hit == truth
-        if truth and hit:
-            pca_correct -= 0 if idx == pca.truth else 1
+        pca_correct += hit == truth and (not hit or idx == pca.truth)
 
         rec = reductions.build_recsys(pca, level)
         rank_wrong += not (rec.rank in (0, 1) and (rec.rank == 1) == truth)

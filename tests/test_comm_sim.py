@@ -367,7 +367,7 @@ def test_session_rejects_overflowing_masses():
         coord_b_setup(s)
 
 
-def test_owner_views_build_their_handles_on_first_use(monkeypatch):
+def test_owner_views_build_their_handles_when_the_session_opens(monkeypatch):
     builds = []
 
     def counting(matrix):
@@ -378,28 +378,31 @@ def test_owner_views_build_their_handles_on_first_use(monkeypatch):
     a_blocks = [(0, [[1.0, 2.0]]), (1, [[0.0, 3.0]]), (None, [[4.0, 0.0]]), (1, [[0.0, 0.0]])]
     b_blocks = [(0, [1.0, 2.0]), (1, [0.0]), (0, [5.0])]
     s = open_session_blocks(2, a_blocks, b_blocks)
-    assert builds == []
-    # the b setup reads player 0's view only: player 1's is all zero, and
-    # there is no public b block
-    coord_b_setup(s)
-    assert builds == [(3, 1)]
-    coord_a_setup(s)
+    # the b side first, then A, each in owner order; player 1's b view is
+    # all zero and never built, and there is no public b block
     assert builds == [(3, 1), (1, 2), (2, 2), (1, 2)]
-    # draws and queries reuse the handles
+    assert s._b.views[1].handle is None
+    # setups, draws and queries build nothing more
+    coord_b_setup(s)
+    coord_a_setup(s)
     rng = np.random.default_rng(0)
     for _ in range(5):
         coord_b_sample(s, rng)
+        coord_b_query(s, 0)
         coord_a_access(s, "row_norm_sample", rng)
         coord_a_access(s, ("row_sample", 0), rng)
+        coord_a_access(s, ("entry_query", 1, 1))
+        coord_a_access(s, ("row_norm_query", 1))
     assert len(builds) == 4
-    # a replay clone builds nothing for its private views
+    # a replay clone builds its public view only
     del builds[:]
     clone = make_replay_session(s)
+    assert builds == [(1, 2)]
     coord_b_setup(clone)
     coord_a_setup(clone)
     assert builds == [(1, 2)]
-    # a view whose squared total may overflow is built at open, and refused
-    # there only when the build refuses it
+    # a squared total near the float64 limit is built and kept; a non-finite
+    # entry is refused at open by the same build
     del builds[:]
     open_session_blocks(1, [], [(0, [1.3e154])])
     assert builds == [(1, 1)]

@@ -110,6 +110,23 @@ def test_chi_square_edge_cases():
             chi_square([90, 10], [0.5, 0.5], significance=significance)
 
 
+def test_statistics_refuse_input_they_cannot_serve():
+    # strings and bools used to be parsed as numbers: the first read PASS,
+    # the second a distance of 0.5
+    for call, what in ((lambda: chi_square(["10", "10", "10"], [0.3, 0.3, 0.4]), "counts"),
+                       (lambda: chi_square([10, 10, 10], ["0.3", "0.3", "0.4"]), "probs"),
+                       (lambda: chi_square([10 + 0j, 10, 10], [0.3, 0.3, 0.4]), "counts"),
+                       (lambda: tv_distance(["0.5", "0.5"], [0.5, 0.5]), "p"),
+                       (lambda: tv_distance([0.5, 0.5], [True, False]), "q")):
+        with pytest.raises(ValueError, match=f"^{what} must be integer or real numbers"):
+            call()
+    # an infinite count read statistic=nan, a nan one "no buckets retained"
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^counts has a non-finite entry$") as info:
+            chi_square([50.0, bad], [0.5, 0.5])
+        assert type(info.value) is ValueError
+
+
 def test_import_loads_no_scipy():
     # a fresh process: scipy is loaded only by chi_square's first call
     script = ("import sys, sqcomm, sqcomm.cli\n"
