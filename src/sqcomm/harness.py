@@ -519,25 +519,25 @@ _ACCESSES = {
 
 
 def bit_sweep(make_session, mix, t_values, seed: int):
-    """For each T, the bits of T accesses on a fresh session `make_session(rng)`
-    after its setups, step i making access mix[i % len(mix)]; then the fit at
-    the sessions' own widths (`session.encoding`).  `mix` is a tuple of
-    _ACCESSES names or a function of the session that returns one.  Returns
-    (totals, fit, k)."""
-    totals, session = [], None
-    for t_accesses, rng in zip(t_values, _trial_rngs(seed, len(t_values))):
-        del session     # freed before the next session opens and builds its handles
-        session = make_session(rng)
-        if session.b_blocks:
-            coord_b_setup(session)
-        if session.a_blocks:
-            coord_a_setup(session)
-        steps = [_ACCESSES[name] for name in (mix(session) if callable(mix) else mix)]
-        rows = [int(bl.offset + i) for bl in session.a_blocks if bl.owner != comm_sim.PUBLIC
-                for i in np.flatnonzero(np.abs(bl.data).sum(axis=1) > 0)]
-        b_idx = [bl.offset + j for bl in session.b_blocks if bl.owner != comm_sim.PUBLIC
-                 for j in range(len(bl.data))]
-        for i in range(t_accesses):
+    """The running bit totals of one session `make_session(rng)`, read after
+    its setups and first T accesses for each T of the ascending `t_values`,
+    step i making access mix[i % len(mix)]; then the fit at the session's
+    widths (`session.encoding`).  `mix` is a tuple of _ACCESSES names or a
+    function of the session that returns one.  Returns (totals, fit, k)."""
+    rng = _trial_rngs(seed, 1)[0]
+    session = make_session(rng)
+    if session.b_blocks:
+        coord_b_setup(session)
+    if session.a_blocks:
+        coord_a_setup(session)
+    steps = [_ACCESSES[name] for name in (mix(session) if callable(mix) else mix)]
+    rows = [int(bl.offset + i) for bl in session.a_blocks if bl.owner != comm_sim.PUBLIC
+            for i in np.flatnonzero(np.abs(bl.data).sum(axis=1) > 0)]
+    b_idx = [bl.offset + j for bl in session.b_blocks if bl.owner != comm_sim.PUBLIC
+             for j in range(len(bl.data))]
+    totals = []
+    for done, t_accesses in zip([0, *t_values], t_values):
+        for i in range(done, t_accesses):
             steps[i % len(steps)](session, rng, i, rows, b_idx)
         totals.append(session.meter.total_bits)
     fit = fit_bit_costs(session.k, t_values, totals, session.encoding,

@@ -123,10 +123,6 @@ def sq_query(v: SqVector, i: int):
     return v.values[i].item()
 
 
-def _last_nonzero(weights: np.ndarray) -> int:
-    return int(np.flatnonzero(weights)[-1])
-
-
 def sq_sample_at(v: SqVector, r: float) -> int:
     """The index a uniform r in [0, 1) selects under v's l2 law: the first i
     whose cumulative mass exceeds r times the total.  A uniform r gives index
@@ -139,7 +135,7 @@ def sq_sample_at(v: SqVector, r: float) -> int:
     idx = int(v.cum.searchsorted(u, side="right"))
     if idx >= v.n:
         # u rounded up onto the total mass; land in the last populated bucket
-        idx = _last_nonzero(v.weights)
+        idx = int(np.flatnonzero(v.weights)[-1])
     return idx
 
 
@@ -150,14 +146,10 @@ def sq_sample(v: SqVector, rng: np.random.Generator) -> int:
 
 
 def sq_sample_many(v: SqVector, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sq_sample: `size` iid draws as an int array."""
+    """`size` iid draws as an int array: the uniforms of one rng.random(size),
+    each mapped by sq_sample_at."""
     size = _checks.count(size, 0, None, "size must be an integer >= 0, got size = {!r}")
-    u = rng.random(size) * v.cum[-1]
-    idx = np.searchsorted(v.cum, u, side="right")
-    bad = idx >= v.n
-    if bad.any():
-        idx[bad] = _last_nonzero(v.weights)
-    return idx.astype(np.int64)
+    return np.array([sq_sample_at(v, r) for r in rng.random(size).tolist()], dtype=np.int64)
 
 
 def exact_distribution(v: SqVector) -> np.ndarray:

@@ -32,7 +32,7 @@ from sqcomm import (
     run_suite,
     tv_distance,
 )
-from sqcomm import harness, open_session_blocks, params, reductions
+from sqcomm import comm_sim, harness, open_session_blocks, params, reductions
 from sqcomm.cli import main as cli_main
 from sqcomm.harness import EXPERIMENTS, fit_bit_costs
 
@@ -479,6 +479,61 @@ def test_bit_sweep_fits_at_the_session_widths():
     assert all(wide > default for wide, default in zip(fits["wide"][0], fits["default"][0]))
 
 
+def _bit_sweep_fresh_sessions(make_session, mix, t_values, seed):
+    """bit_sweep's reference totals: for each T a fresh session from its own
+    child stream of the seed, set up, making T accesses."""
+    totals = []
+    for t_accesses, rng in zip(t_values, harness._trial_rngs(seed, len(t_values))):
+        session = make_session(rng)
+        if session.b_blocks:
+            harness.coord_b_setup(session)
+        if session.a_blocks:
+            harness.coord_a_setup(session)
+        steps = [harness._ACCESSES[name] for name in (mix(session) if callable(mix) else mix)]
+        rows = [int(bl.offset + i) for bl in session.a_blocks if bl.owner != comm_sim.PUBLIC
+                for i in np.flatnonzero(np.abs(bl.data).sum(axis=1) > 0)]
+        b_idx = [bl.offset + j for bl in session.b_blocks if bl.owner != comm_sim.PUBLIC
+                 for j in range(len(bl.data))]
+        for i in range(t_accesses):
+            steps[i % len(steps)](session, rng, i, rows, b_idx)
+        totals.append(session.meter.total_bits)
+    return totals
+
+
+@pytest.mark.parametrize("layout, mix", [
+    *[pytest.param(name, harness.access_mix, id=name) for name in harness.SWEEP_LAYOUTS],
+    pytest.param("generic", harness._BIT_FIT_MIX, id="generic-bit_fit_mix")])
+def test_bit_sweep_running_totals_match_fresh_sessions(layout, mix, monkeypatch):
+    # one session's running total after T accesses is the total of a fresh
+    # session making T accesses, since each access costs a constant of the layout
+    bit_fit = default_config("bit_fit").params
+    make_session = lambda rng: harness.SWEEP_LAYOUTS[layout](bit_fit, rng)
+    t_values, seed = [5, 10, 20], 3
+    expected = _bit_sweep_fresh_sessions(make_session, mix, t_values, seed)
+    setup_bits, access_bits = [], []    # access_bits: (kind, bits) in call order
+    for name in ("coord_b_setup", "coord_a_setup", "coord_b_sample", "coord_b_query",
+                 "coord_a_access"):
+        def recorded(session, *args, _name=name, _fn=getattr(harness, name)):
+            out = _fn(session, *args)
+            if _name.endswith("_setup"):
+                setup_bits.append(out)
+            else:
+                request = args[0] if _name == "coord_a_access" else _name
+                access_bits.append((request if isinstance(request, str) else request[0],
+                                    out[1]))
+            return out
+        monkeypatch.setattr(harness, name, recorded)
+    totals, _, _ = harness.bit_sweep(make_session, mix, t_values, seed)
+    assert totals == expected
+    costs = {}
+    for kind, bits in access_bits:
+        costs.setdefault(kind, set()).add(bits)
+    assert all(len(bits) == 1 for bits in costs.values()), costs
+    assert len(access_bits) == t_values[-1]
+    assert totals == [sum(setup_bits) + sum(bits for _, bits in access_bits[:t])
+                      for t in t_values]
+
+
 def _within_bounds(spec, value) -> bool:
     """The accepted values of one param, restated from its Param entry."""
     def is_int(v):
@@ -694,11 +749,17 @@ def test_bit_fit_accesses_go_through_harness_globals(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
+    opened = []
+    real = harness.open_session_blocks
+    monkeypatch.setattr(harness, "open_session_blocks",
+                        lambda *args: opened.append(args) or real(*args))
     run(parse_config({"experiment": "bit_fit", "seed": 1,
                       "params": {"k": 2, "m": 8, "n": 4, "t_sweep": [5, 15, 5]}}))
-    # T = 5, 10 and 15: six cycles of the five-access mix
-    assert calls == {"coord_b_setup": 3, "coord_a_setup": 3, "coord_b_sample": 6,
-                     "coord_b_query": 6, "coord_a_access": 18}
+    # T = 5, 10 and 15 read one session's running total: three cycles of the
+    # five-access mix after one pair of setups
+    assert len(opened) == 1
+    assert calls == {"coord_b_setup": 1, "coord_a_setup": 1, "coord_b_sample": 3,
+                     "coord_b_query": 3, "coord_a_access": 9}
 
 
 def test_dense_condition_routes_agree():
