@@ -45,27 +45,27 @@ Two access families share a session:
   side is its one-column case.
 
 Every sampling access of both families is one owner-mixture draw,
-`_owner_draw`: the coordinator picks an owner by squared norm and that owner
-makes one local l2 draw; `_mixture_law` gives its exact law.  Every rejection
-draw runs through the one rejection loop in `sq_access`, and every norm
-estimate through its one norm estimator, one round at a time.  A round is
-that owner draw of a dominator index, then one fan-out of the drawn entry,
-folded in player order with the coefficients the request prepared once as
-Python scalars; it does not re-check the indices it drew.  The exact phi that
-sets a request's round budget is memoised per side for the last coefficients
-and row, and still recorded as an annotation on every request.  Each
-dispatcher checks a request's kind and argument count against its own table
-(`_split`), and its indices and Generator, before anything is metered or
-drawn.  Each request records the indices it carries, so a replay checks them
-as well as kind and widths.
+`_owner_draw`: the coordinator picks an owner under an `SqVector` that
+sq_access's one builder (`_law`) makes of the owners' squared norms, and that
+owner makes one local l2 draw, both stages by `sq_sample_at`; `_mixture_law`
+gives its exact law from the same builder.  Every rejection draw runs through
+the one rejection loop in `sq_access`, and every norm estimate through its one
+norm estimator, one round at a time.  A round is that owner draw of a dominator
+index, then one fan-out of the drawn entry, folded in player order with the
+coefficients the request prepared once as Python scalars; it does not re-check
+the indices it drew.  The exact phi that sets a request's round budget is
+memoised per side for the last coefficients and row, and still recorded as an
+annotation on every request.  Each dispatcher checks a request's kind and
+argument count against its own table (`_split`), and its indices and Generator,
+before anything is metered or drawn.  Each request records the indices it
+carries, so a replay checks them as well as kind and widths.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
-the Generator passed to each operation.  The coordinator draws the owner pick
-and then one more uniform for the owner's local draw, which that owner maps
-through its own law (`sq_sample_at`); the uniform is never sent and costs no
-bits.  Each access thus consumes a fixed number of uniforms whatever the
-players hold, so a transcript replay (with player data deleted) reproduces
-every coordinator decision bit for bit.
+the Generator passed to each operation, one for the owner pick and one more
+for the owner's local draw, never sent and costing no bits.  Each access
+thus consumes a fixed number of uniforms whatever the players hold, so a
+transcript replay (with player data deleted) reproduces every coordinator
+decision bit for bit.
 """
 
 from __future__ import annotations
@@ -87,8 +87,10 @@ from .sq_access import (
     exact_distribution,
     sq_row,
     sq_sample,
+    sq_sample_at,
     _check_index,
     _frozen,
+    _law,
     _norm_estimate,
     _rejection_loop,
 )
@@ -305,29 +307,6 @@ class _OwnerView:
         return self.law if row is None else sq_row(self.handle, row)
 
 
-class _OwnerLaw:
-    """Stage 1 of an owner-mixture draw: owners chosen with probability
-    proportional to `weights`, with the total and cumulative sums computed
-    once, so each pick is one uniform and one bisect.  Raises ValueError when
-    the total overflows."""
-
-    def __init__(self, weights):
-        self.weights = weights
-        self.total = float(weights.sum())
-        if not math.isfinite(self.total):
-            raise ValueError("owner masses overflow: their total is not finite")
-        self.cum = weights.cumsum().tolist()
-
-    def pick(self, rng) -> int:
-        if self.total <= 0.0:
-            raise AllZero("no sampling mass anywhere")
-        owner = bisect_right(self.cum, rng.random() * self.total)
-        if owner >= len(self.cum):
-            # the uniform rounded up onto the total; take the last owner with mass
-            owner = int(np.flatnonzero(self.weights)[-1])
-        return owner
-
-
 class _Side:
     """One stacked side of a session (vector b or matrix A): the owner views,
     the layout-only routing tables, the index widths of its spaces (fixed
@@ -370,7 +349,7 @@ class _Side:
         self.row_req = encoding.opcode_bits + self.row_bits if rows else None
         self.norms: np.ndarray | None = None    # filled by the one-time setup
         self.counts: list | None = None
-        self.owner_law: _OwnerLaw | None = None  # stage 1 of a stacked draw
+        self.owner_law: SqVector | None = None   # stage 1 of a stacked draw
         self.frobenius: float | None = None      # sqrt of the total squared mass
         # one combination's exact phi: ((coefficient dtype, bytes, row), phi)
         self.phi_memo: tuple | None = None
@@ -610,7 +589,7 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     side.norms = np.asarray([float(norm) for norm, _ in values])
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
-    side.owner_law = _OwnerLaw(np.append(side.norms**2, side.views[PUBLIC].norm**2))
+    side.owner_law = _law(np.append(side.norms**2, side.views[PUBLIC].norm**2))
     side.frobenius = math.sqrt(float((side.norms**2).sum() + side.views[PUBLIC].norm**2))
     return bits
 
@@ -634,16 +613,18 @@ def _owner_draw(session: Session, side: _Side, kind: str, rng, req_bits: int,
                 resp_bits: int, owner_law=None, owner=None, row=None, args=()):
     """The coordinator's one sampling move; returns (owner, local index, bits).
 
-    Stage 1 picks an owner from `owner_law` (an `_OwnerLaw` with one squared
-    norm per player, plus a last entry for the public view when public blocks
-    take part), unless `owner` is given.  Stage 2 is one l2 draw from that
-    owner's view, its own law or the law of its row `row`, at one more uniform
-    from rng: public coin, drawn on every stage 2, live or replayed, so the
-    coordinator's stream never depends on player data.  The public view draws
-    for free.  The caller has checked rng with `_checks.generator`.
+    Stage 1 picks an owner from `owner_law` (a `_law` on one squared norm per
+    player, then the public view's when public blocks take part; a zero total
+    is refused), unless `owner` is given; stage 2 draws from that owner's
+    view, its own law or its row `row`'s.  Each maps one uniform from rng
+    through `sq_sample_at`; stage 2's is public coin, drawn live or replayed,
+    so the coordinator's stream never depends on player data.  The public view
+    draws for free.  The caller has checked rng with `_checks.generator`.
     """
     if owner is None:
-        owner = owner_law.pick(rng)
+        if owner_law.norm == 0.0:
+            raise AllZero("no sampling mass anywhere")
+        owner = sq_sample_at(owner_law, rng.random())
         if owner == session.k:
             owner = PUBLIC
     r = rng.random()
@@ -706,18 +687,17 @@ def _owner_query(session: Session, side: _Side, kind: str, args: tuple, column=N
 
 
 def _mixture_law(size: int, weights, views, empty: str, row=None, stacked=False) -> np.ndarray:
-    """Exact law of an owner mixture: the sum of (w / total) * exact_distribution
-    over the views' stage-2 laws, placed at each view's global indices when
-    `stacked`; the shares of a combination all index one space."""
-    weights = np.array(weights)
-    total = weights.sum()
-    if total <= 0:
+    """Exact law of an owner mixture: each owner's share of the `_law` on
+    `weights` times the exact law of its view's stage 2, placed at the view's
+    global indices when `stacked`; the shares of a combination index one space."""
+    owner_law = _law(np.array(weights))
+    if owner_law.norm == 0.0:
         raise AllZero(empty)
     p = np.zeros(size)
-    for w, view in zip(weights, views):
-        if w > 0:
+    for share, view in zip(exact_distribution(owner_law).tolist(), views):
+        if share > 0:
             p[view.globals if stacked else slice(None)] += (
-                (w / total) * exact_distribution(view.sample_law(row)))
+                share * exact_distribution(view.sample_law(row)))
     return p
 
 
@@ -863,7 +843,10 @@ class _Combination:
         if c_norm2 <= CANCELLATION_TOL**2:
             what = "combination" if row is None else f"combined row {row}"
             raise Cancellation(f"{what} cancels below tolerance")
-        return self.session.k * sum(abs(c) ** 2 * q for c, q in zip(self.terms, sq)) / c_norm2
+        phi = self.session.k * sum(abs(c) ** 2 * q for c, q in zip(self.terms, sq)) / c_norm2
+        if not math.isfinite(phi):
+            raise ValueError("share masses overflow: phi is not finite")
+        return phi
 
     def cached_phi(self, row=None) -> float:
         """`phi`, memoised on the side in one slot keyed by the coefficients'
@@ -918,7 +901,7 @@ class _Combination:
             self.names, "lincomb_a_row_norm", "access", self.row_req, self.scalar_bits,
             lambda: [_row_norm(v.data[i]) for v in self.side.players], (i,))
 
-    def draw(self, rng, law: _OwnerLaw | None = None, row=None):
+    def draw(self, rng, law: SqVector | None = None, row=None):
         """One dominator draw, the one `_owner_draw`; returns (row, column,
         bits).  Without `row`, a row under the row-norm law `law` (column 0);
         with it, a column of that row, the owner weighted by |c_t|^2 times the
@@ -928,13 +911,13 @@ class _Combination:
                                      self.opcode_bits, self.row_bits, owner_law=law)
             return i, 0, bits
         norms, bits = self.row_norms(row)
-        law = _OwnerLaw(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
+        law = _law(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
         _, j, cost = _owner_draw(self.session, self.side, "lincomb_a_row_sample", rng,
                                  self.row_req, self.col_bits, owner_law=law, row=row,
                                  args=(row,))
         return row, j, bits + cost
 
-    def rejection_round(self, rng, law: _OwnerLaw | None = None, row=None):
+    def rejection_round(self, rng, law: SqVector | None = None, row=None):
         """A dominator draw as in `draw`, then its entry fanned out; returns
         (the drawn index, |combined|^2 / dominator^2 or None where the
         dominator is zero, bits)."""
@@ -1001,7 +984,7 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
         comb.check_row(row)
     else:
         # a dominator row: one row-norm law per request
-        row, law = None, _OwnerLaw(comb.weights())
+        row, law = None, _law(comb.weights())
     if kind.startswith("dominator_"):
         i, j, bits = comb.draw(rng, law, row)
         return (i if row is None else j), bits

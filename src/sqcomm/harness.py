@@ -61,7 +61,6 @@ from .sq_access import (
     Timeout,
     build_sq_vector,
     exact_distribution,
-    rejection_round_cap,
 )
 
 SCHEMA_VERSION = 1
@@ -698,15 +697,14 @@ def run_oversampling(config: ExperimentConfig) -> Report:
         if phi <= _PHI_CAP:
             qualifying += 1
             phi_total += phi * rounds_draws
-            cap = rejection_round_cap(phi, comm_sim.DEFAULT_REJECTION_DELTA)
             spent = 0
             for _ in range(rounds_draws):
                 try:
                     sample, _bits = lincomb_b_access(
                         session, mu, "sq_sample_via_rejection", rng)
                     spent += sample.rounds
-                except Timeout:
-                    spent += cap      # the draw still consumed every round
+                except Timeout as err:
+                    spent += err.rounds   # the draw still consumed every round
             rounds_total += spent
             row["mean_rounds"] = spent / rounds_draws
         per_trial.append(row)

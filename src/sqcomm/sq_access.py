@@ -4,6 +4,9 @@ An SQ handle on a vector v supports three operations: query an entry, query the
 l2 norm, and draw an index i with probability |v_i|^2 / ||v||^2.  A matrix handle
 is one 2-D table (entries, squared magnitudes, per-row cumulative sums) plus an
 SQ handle on the vector of row norms; a row handle is a view into that table.
+Every l2 law is one `SqVector` from one builder, `_law`, drawn by one rule,
+`sq_sample_at`: a vector handle, a matrix's row-norm vector, and comm_sim's
+owner laws, which are known by their masses alone.
 
 Oversampled access draws from a dominating vector instead: the one rejection
 loop here recovers the target's law from those draws, and the one norm
@@ -21,6 +24,7 @@ reach it.  Every sampling operation takes a caller-owned numpy Generator, or
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +41,11 @@ class IndexOutOfRange(IndexError):
 
 
 class Timeout(RuntimeError):
-    """Raised when rejection sampling exhausts its round budget."""
+    """Raised when rejection sampling exhausts its round budget, `rounds`."""
+
+    def __init__(self, message: str, rounds: int):
+        super().__init__(message)
+        self.rounds = rounds
 
 
 def _check_index(i, n: int, what: str = "index") -> None:
@@ -91,16 +99,27 @@ def _table(values, ndim: int):
 
 @dataclass(frozen=True, eq=False)
 class SqVector:
-    """Immutable SQ handle: values, norm, and a cumulative-sum sampling table."""
+    """Immutable SQ handle: values (None for a law of masses alone), norm, cum table."""
 
-    values: np.ndarray
+    values: np.ndarray | None
     norm: float
     weights: np.ndarray          # exact bucket masses |v_i|^2
     cum: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.cum.size
+
+
+def _law(weights: np.ndarray, values=None) -> SqVector:
+    """The one l2 law builder: bucket masses `weights` (made read-only), their
+    cumulative table and norm sqrt(total); raises ValueError when that total
+    overflows.  A zero total is left to the caller."""
+    total = float(weights.sum())
+    if not math.isfinite(total):
+        raise ValueError("l2 masses overflow: their total is not finite")
+    return SqVector(values=values, norm=math.sqrt(total), weights=_frozen(weights),
+                    cum=_frozen(np.cumsum(weights)))
 
 
 def build_sq_vector(values) -> SqVector:
@@ -109,12 +128,7 @@ def build_sq_vector(values) -> SqVector:
     arr, weights, total = _table(values, 1)
     if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero vector")
-    return SqVector(
-        values=arr,
-        norm=math.sqrt(total),
-        weights=weights,
-        cum=_frozen(np.cumsum(weights)),
-    )
+    return _law(weights, arr)
 
 
 def sq_query(v: SqVector, i: int):
@@ -130,11 +144,10 @@ def sq_sample_at(v: SqVector, r: float) -> int:
     returned."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"uniform {r!r} outside [0, 1)")
-    u = r * v.cum.item(-1)
-    # the ndarray method skips np.searchsorted's Python-level dispatch
-    idx = int(v.cum.searchsorted(u, side="right"))
-    if idx >= v.n:
-        # u rounded up onto the total mass; land in the last populated bucket
+    cum = v.cum
+    idx = bisect_right(cum, r * cum.item(-1))
+    if idx >= cum.size:
+        # r * total rounded up onto the total mass; land in the last populated bucket
         idx = int(np.flatnonzero(v.weights)[-1])
     return idx
 
@@ -193,11 +206,8 @@ def build_sq_matrix(matrix) -> SqMatrix:
     if total == 0.0:
         raise AllZero("cannot build an l2 sampling law on the zero matrix")
     row_norms = _frozen(np.sqrt(weights.sum(axis=1)))
-    row_sq = _frozen(row_norms**2)   # build_sq_vector(row_norms)'s arithmetic, in one pass
-    row_norm_vector = SqVector(values=row_norms, norm=math.sqrt(float(row_sq.sum())),
-                               weights=row_sq, cum=_frozen(np.cumsum(row_sq)))
     return SqMatrix(values=arr, weights=weights, cum=_frozen(np.cumsum(weights, axis=1)),
-                    row_norm_vector=row_norm_vector)
+                    row_norm_vector=_law(row_norms**2, row_norms))
 
 
 def sq_row(m: SqMatrix, i: int) -> SqVector:
@@ -253,7 +263,7 @@ def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
     ratio draws one accept uniform from rng.  get_phi() is called once delta
     is known to be valid, and its phi sets the round cap (a cap above
     MAX_ROUNDS is refused before any round).  Returns (RejectionSample,
-    bits); raises Timeout after the cap (probability <= delta).
+    bits); raises Timeout, its `rounds` the cap, after it (probability <= delta).
     """
     _checks.real(delta, *_DELTA)
     phi = get_phi()
@@ -264,7 +274,7 @@ def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
         bits += cost
         if ratio is not None and rng.random() < ratio:
             return RejectionSample(index=j, rounds=rounds), bits
-    raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g}, delta={delta:g})")
+    raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g}, delta={delta:g})", cap)
 
 
 def _norm_estimate(one_round, dom_norm: float, get_phi, eps: float, delta: float):

@@ -367,6 +367,22 @@ def test_session_rejects_overflowing_masses():
         coord_b_setup(s)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exact_laws_and_phi_refuse_the_masses_setup_refuses():
+    # owner masses whose total overflows, as coord_b_setup refuses them:
+    # protocol_distribution returned an all-zero "law", and phi read nan
+    # (inf / inf), or inf when the shares partly cancel
+    s = open_session_blocks(2, [], [(0, [1.3e154]), (1, [1.3e154])])
+    for access in ("b_sample", ("lincomb_b_dominator", [1.0, 1.0])):
+        with pytest.raises(ValueError, match="overflow"):
+            protocol_distribution(s, access)
+    with pytest.raises(ValueError, match="overflow"):
+        lincomb_b_phi(s, [1.0, 1.0])
+    s = open_session_blocks(2, [], [(0, [1.3e154]), (1, [-0.65e154])])
+    with pytest.raises(ValueError, match="overflow"):
+        lincomb_b_phi(s, [1.0, 1.0])
+
+
 def test_owner_views_build_their_handles_when_the_session_opens(monkeypatch):
     builds = []
 
@@ -526,9 +542,10 @@ def test_lincomb_rejection_times_out_at_the_cap():
         try:
             lincomb_b_access(s, [1.0, -1.0], ("sq_sample_via_rejection", 0.9),
                              np.random.default_rng(seed))
-        except Timeout:
+        except Timeout as err:
             timeouts += 1
             assert _sample_requests(s) == cap
+            assert err.rounds == cap
     assert timeouts > 0
 
 

@@ -2,8 +2,11 @@
 round cap.  The rejection loop and the norm estimator are tested through the
 linear-combination access that runs them, in test_comm_sim."""
 
+import ast
 import math
 import re
+from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from sqcomm import (
     sq_sample_at,
     sq_sample_many,
 )
-from sqcomm.sq_access import MAX_ROUNDS
+from sqcomm.sq_access import MAX_ROUNDS, _law
 
 
 def test_vector_handle_frozen_values():
@@ -268,3 +271,78 @@ def test_an_input_no_caller_can_write_is_kept_as_it_is():
         values.flags.writeable = False
         build = build_sq_vector if values.ndim == 1 else build_sq_matrix
         assert build(values).values is values
+
+
+def _owner_law_pick(w, cum, total, r):
+    """The stage-1 owner pick as the coordinator made it before every owner
+    law became a `_law` drawn by `sq_sample_at`: a bisect over `cum`, the list
+    `w.cumsum().tolist()`, at r times `total`, the pairwise `float(w.sum())`,
+    and the last owner with mass when the search runs off the end."""
+    owner = bisect_right(cum, r * total)
+    return owner if owner < len(cum) else int(np.flatnonzero(w)[-1])
+
+
+def test_owner_picks_by_sq_sample_at_match_the_old_stage_one_rule():
+    rng = np.random.default_rng(30)
+    edges = [0.0, float(np.nextafter(1.0, 0.0))]
+    checked = 0
+    for _ in range(2000):
+        w = rng.random(int(rng.integers(2, 66))) * 10.0 ** rng.uniform(-150, 150)
+        w[rng.random(w.size) < 0.2] = 0.0
+        if not w.any():
+            w[-1] = 1.0
+        law, cum, total = _law(w), w.cumsum().tolist(), float(w.sum())
+        bounds, last = set(cum), law.cum.item(-1)
+        for r in rng.random(50).tolist():
+            # the old rule scales r by the pairwise total, sq_sample_at by the
+            # table's last entry; these can differ in the last bit, and where
+            # one lands exactly on a cumulative boundary the two searches may
+            # fall on either side of it, so such uniforms are not compared
+            if r * total != r * last and (r * total in bounds or r * last in bounds):
+                continue
+            assert sq_sample_at(law, r) == _owner_law_pick(w, cum, total, r), (w, r)
+            checked += 1
+        for r in edges:   # always compared, a scaled edge landing on the total included
+            assert sq_sample_at(law, r) == _owner_law_pick(w, cum, total, r), (w, r)
+    assert checked >= 0.99 * 2000 * 50
+
+
+def test_bisect_right_agrees_with_searchsorted_on_handle_tables():
+    rng = np.random.default_rng(31)
+    for size in [1, 2, 3, 5, 17, 64, 255, 256, 1000, 4096]:
+        values = rng.standard_normal(size)
+        values[rng.random(size) < 0.3] = 0.0
+        values[0] = 0.0 if size > 1 else 1.0
+        cum = build_sq_vector(values if values.any() else np.ones(size)).cum
+        # points inside the table, its own entries (leading zeros included) and both ends
+        points = ((rng.random(64) * cum[-1]).tolist() + cum[::max(1, size // 64)].tolist()
+                  + [0.0, cum.item(-1)])
+        for u in points:
+            assert bisect_right(cum, u) == int(cum.searchsorted(u, side="right"))
+
+
+_SEARCHES_ALLOWED = {("sq_access", "sq_sample_at"), ("comm_sim", "_Side.locate")}
+
+
+def test_only_sq_sample_at_searches_a_cumulative_table():
+    # one draw rule: every l2 law is drawn by sq_access.sq_sample_at; the only
+    # other search, comm_sim._Side.locate, routes a global index to its block
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name.startswith("bisect") or name == "searchsorted":
+                    found.add((module, inner))
+            visit(child, module, inner)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "sqcomm"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    assert ("sq_access", "sq_sample_at") in found
+    assert found <= _SEARCHES_ALLOWED, found - _SEARCHES_ALLOWED
