@@ -24,9 +24,10 @@ them is complex), each block is its rows of that array, and the owner's SQ
 handle, built there and then, keeps the array as its entries, adding only
 the squared magnitudes and their sums; that build refuses a nan or inf entry
 or an overflowing squared total.  A caller's later writes to its arrays
-change nothing.  A replay clone holds the layout only: each private block
-keeps its owner and shape as a zero-stride view of one zero, which holds no
-bytes, and builds no handle.
+change nothing.  A replay clone opens by the same step from the live
+session's checked layout: each private block keeps its owner, offset, start
+and shape, its owner view holds no array and builds no handle, and the public
+owner array is the live one, shared.
 
 Each side's index widths are fixed when the session opens, and its Frobenius
 total when its setup runs, so a stacked access does only the work that
@@ -75,7 +76,7 @@ import functools
 import math
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -208,27 +209,14 @@ class BitMeter:
 class _Block:
     owner: object            # player index or PUBLIC
     offset: int              # global row offset
+    start: int               # the row of the owner's array where the block begins
     data: np.ndarray         # its rows of the owner's array; a vector block is one column
-
-
-def _one_stored_zero(arr: np.ndarray) -> bool:
-    """True when every entry of the nonempty 2-d `arr` is one stored zero:
-    each axis longer than one has stride 0, and that entry is 0."""
-    (rows, cols), (row_step, col_step) = arr.shape, arr.strides
-    return ((rows == 1 or not row_step) and (cols == 1 or not col_step)
-            and arr.item(0) == 0)
 
 
 def _owner_array(parts) -> np.ndarray:
     """One owner's checked 2-d blocks, in stack order, as one new read-only
-    array: float64, or complex128 when any block is complex.  Blocks that
-    are zero-stride views of zero, as a replay clone's private blocks are,
-    hold no bytes and are not copied: the owner's array is then one such view
-    too."""
+    array: float64, or complex128 when any block is complex."""
     dtype = _checks.numeric_dtype(np.result_type(*parts))
-    if all(_one_stored_zero(p) for p in parts):
-        shape = (sum(len(p) for p in parts), parts[0].shape[1])
-        return np.broadcast_to(_frozen(np.zeros((), dtype)), shape)
     return _frozen(np.concatenate(parts, dtype=dtype))
 
 
@@ -258,7 +246,7 @@ def _stack_blocks(k: int, blocks, ndim: int):
     out, off, used = [], 0, dict.fromkeys(arrays, 0)
     for owner, arr in checked:
         start, rows = used[owner], len(arr)
-        out.append(_Block(owner, off, arrays[owner][start:start + rows]))
+        out.append(_Block(owner, off, start, arrays[owner][start:start + rows]))
         used[owner] += rows
         off += rows
     return out, off, arrays
@@ -285,10 +273,11 @@ def _assembled(a_blocks, b_blocks):
 
 class _OwnerView:
     """One owner's stacked blocks on one side, its owner array `data` (None
-    when it holds none), and the SQ matrix handle that shares that array,
-    built when the session opens (None when the view holds no nonzero entry);
-    stage 2 samples its row-norm vector `law` (for a one-column vector side,
-    |b_j|), or the law of one of its rows."""
+    when it holds no block or the session is a replay clone), and the SQ
+    matrix handle that shares that array, built when the session opens (None
+    when the view holds no nonzero entry); stage 2 samples its row-norm
+    vector `law` (for a one-column vector side, |b_j|), or the law of one of
+    its rows."""
 
     def __init__(self, blocks, data):
         self.globals = np.concatenate(
@@ -316,7 +305,6 @@ class _Side:
                  encoding: EncodingSpec):
         self.name = name                    # "b" or "a", as in coord_b_setup
         self.noun = "vector" if name == "b" else "matrix"
-        self.k = k
         self.blocks = blocks
         self.rows = rows
         self.cols = blocks[0].data.shape[1] if blocks else None
@@ -324,20 +312,14 @@ class _Side:
         for bl in blocks:
             owned[bl.owner].append(bl)
         self.views = {o: _OwnerView(mine, arrays.get(o)) for o, mine in owned.items()}
-        # owner-local index -> global index; layout only, so a replay clone
-        # keeps it after its private views are dropped
-        self.globals = {o: v.globals for o, v in self.views.items()}
-        # routing table: block start -> (owner, shift), where global index g
+        self.players = [self.views[t] for t in range(k)]
+        # routing table: block offset -> (owner, shift), where global index g
         # of the block is index g + shift of the owner's view
         self.starts = [bl.offset for bl in blocks]
-        self.route = []
-        used = dict.fromkeys(self.views, 0)
-        for bl in blocks:
-            self.route.append((bl.owner, used[bl.owner] - bl.offset))
-            used[bl.owner] += len(bl.data)
+        self.route = [(bl.owner, bl.start - bl.offset) for bl in blocks]
         # rows per player share, when all k are equal and nonempty (the
         # precondition of linear-combination access)
-        shares = {self.views[i].size for i in range(k)}
+        shares = {view.size for view in self.players}
         self.share_rows = shares.pop() if len(shares) == 1 and 0 not in shares else None
         # index widths of the stacked rows, a share's rows and the columns;
         # None where the side holds no such space
@@ -371,16 +353,10 @@ class _Side:
             raise NotSetup(f"run coord_{self.name}_setup first")
 
     @functools.cached_property
-    def players(self) -> list:
-        """The k player views, in player order; listed on first live use, so
-        a replay clone, whose private views are None, never lists them."""
-        return [self.views[t] for t in range(self.k)]
-
-    @functools.cached_property
     def readers(self) -> list:
         """Each player's entry reader, the bound `item` of its owner array,
-        in player order; bound on the first live combination entry, so a
-        replay, which reads no player data, never binds them."""
+        in player order; bound on the first live combination entry, since a
+        replay clone holds no owner array to bind."""
         return [view.data.item for view in self.players]
 
 
@@ -389,7 +365,12 @@ class Session:
     coordinator knowledge, and the metered transcript."""
 
     def __init__(self, k: int, a_blocks, b_blocks, encoding: EncodingSpec | None = None):
-        self.k, a, b = _stack_layout(k, a_blocks, b_blocks)
+        self._open(*_stack_layout(k, a_blocks, b_blocks), encoding)
+
+    def _open(self, k: int, a, b, encoding: EncodingSpec | None) -> None:
+        """Open on checked sides, each the (blocks, rows, arrays) of
+        `_stack_blocks`; an owner with no array gets a view with no data."""
+        self.k = k
         self.encoding = encoding if encoding is not None else EncodingSpec()
         self.meter = BitMeter()
         self.player_names = tuple(f"P{t + 1}" for t in range(self.k))
@@ -505,19 +486,19 @@ def open_session_blocks(k: int, a_blocks, b_blocks, encoding: EncodingSpec | Non
 def make_replay_session(session: Session) -> Session:
     """Clone the session layout with private data deleted; responses come from
     the recorded transcript.  Public blocks stay (the coordinator knows them);
-    simulation-side reads of player data raise NoPlayerData."""
-    def stripped(blocks):
-        # a private block keeps its owner and shape but holds no bytes
-        return [(bl.owner, bl.data if bl.owner == PUBLIC
-                 else np.broadcast_to(bl.data.dtype.type(0), bl.data.shape)) for bl in blocks]
+    simulation-side reads of player data raise NoPlayerData.
 
-    # b blocks are stored as one column; a session takes them as 1-d vectors
-    clone = Session(session.k, stripped(session.a_blocks),
-                    [(o, d[:, 0]) for o, d in stripped(session.b_blocks)], session.encoding)
-    # drop the private views entirely; only the layout and public data remain
-    for side in (clone._b, clone._a):
-        for o in range(clone.k):
-            side.views[o] = None
+    The clone opens by the session's own step on the live, already checked
+    layout: a private block keeps its owner, offset, start and shape as a
+    zero-stride view of one zero, which holds no bytes, and the public owner
+    array is the live one, shared."""
+    def layout(side):
+        blocks = [bl if bl.owner == PUBLIC else replace(
+            bl, data=np.broadcast_to(bl.data.dtype.type(0), bl.data.shape)) for bl in side.blocks]
+        return blocks, side.rows, {PUBLIC: side.views[PUBLIC].data}
+
+    clone = Session.__new__(Session)
+    clone._open(session.k, layout(session._a), layout(session._b), session.encoding)
     clone._replay_queue = deque(session.meter.rows)
     return clone
 
@@ -648,7 +629,7 @@ def _stacked_sample(session: Session, side: _Side, kind: str, rng):
     _checks.generator(rng, kind)
     owner, local, bits = _owner_draw(session, side, kind, rng, session.encoding.opcode_bits,
                                      side.row_bits, side.owner_law)
-    return side.globals[owner].item(local), bits
+    return side.views[owner].globals.item(local), bits
 
 
 def _row_norm(row) -> float:
@@ -775,6 +756,7 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
 
     if kind in ("b_sample", "row_norm_sample"):
         side = session._b if kind == "b_sample" else session._a
+        side.require_blocks()
         views = list(side.views.values())
         return _mixture_law(side.rows, [v.norm**2 for v in views], views,
                             f"stacked {side.noun} is identically zero", stacked=True)
@@ -810,6 +792,7 @@ class _Combination:
         self.terms = self.coeffs.tolist()
         if not all(map(cmath.isfinite, self.terms)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
+        side.require_blocks()
         if side.share_rows is None:
             raise DimensionMismatch("vector shares differ in length" if side.name == "b"
                                     else "matrix shares differ in shape")

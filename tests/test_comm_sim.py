@@ -167,6 +167,23 @@ def test_setup_required_and_missing_blocks():
         assert rng.bit_generator.state == state
 
 
+def test_exact_laws_and_phi_on_a_missing_side_refuse_as_its_access_does():
+    # protocol_distribution said AllZero, and a combination's phi and law that
+    # shares "differ", on a side that holds no blocks at all
+    no_a = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [3.0])])
+    no_b = open_session_blocks(2, [(0, [[1.0, 2.0]]), (1, [[3.0, 0.0]])], [])
+    missing = [
+        (no_a, "matrix", lambda s: protocol_distribution(s, "row_norm_sample")),
+        (no_b, "vector", lambda s: protocol_distribution(s, "b_sample")),
+        (no_b, "vector", lambda s: lincomb_b_phi(s, [1, 1])),
+        (no_b, "vector", lambda s: protocol_distribution(s, ("lincomb_b_dominator", [1, 1]))),
+        (no_a, "matrix", lambda s: lincomb_a_phi(s, [1, 1])),
+    ]
+    for s, noun, call in missing:
+        with pytest.raises(DimensionMismatch, match=f"session holds no {noun} blocks"):
+            call(s)
+
+
 def test_b_query_costs_and_routing():
     s = open_session_blocks(
         2, [], [(0, [5.0, 6.0]), (None, [7.0]), (1, [8.0, 9.0, 10.0])]
@@ -1433,6 +1450,29 @@ def test_replay_clone_private_blocks_hold_no_bytes():
             else:   # every entry is one stored zero
                 lo, hi = byte_bounds(bl.data)
                 assert hi - lo == bl.data.itemsize and not bl.data.any()
+
+
+def test_replay_clone_shares_the_live_public_array():
+    live = _mixed_session()
+    clone = make_replay_session(live)
+    for side, was in ((clone._b, live._b), (clone._a, live._a)):
+        assert np.shares_memory(side.views[comm_sim.PUBLIC].data, was.views[comm_sim.PUBLIC].data)
+        assert all(view.data is None and view.handle is None for view in side.players)
+
+
+def test_replay_clone_opens_without_checking_blocks_again(monkeypatch):
+    # a clone opens on the live session's checked layout, not down the path
+    # of the caller's blocks
+    live = _mixed_session()
+    want = _scripted_run(live, seed=41)
+
+    def refuse(*args):
+        raise AssertionError("a replay clone stacked its blocks again")
+
+    monkeypatch.setattr(comm_sim, "_stack_blocks", refuse)
+    clone = make_replay_session(live)
+    assert _scripted_run(clone, seed=41) == want
+    assert meter_report(clone) == meter_report(live)
 
 
 def test_a_session_holds_its_data_about_three_times():
