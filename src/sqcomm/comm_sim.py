@@ -34,6 +34,12 @@ total when its setup runs, so a stacked access does only the work that
 depends on its request.  A stacked access on a side the session does not
 hold is refused as that side's setup is, with `DimensionMismatch`.
 
+One norm rule: every norm the coordinator serves is read off the masses its
+draws use, so sq_access's handle builder alone decides how a norm of player
+data is computed.  A row norm is the owner handle's row-norm law value
+(`_OwnerView.row_norm`), ||A||_F the stage-1 owner law's norm, and a
+dominator's norm, whole or of one row, sqrt(k sum) of its draw's owner weights.
+
 Two access families share a session:
 
 * stacked access - the coordinator composes a player-choice stage with a local
@@ -289,6 +295,11 @@ class _OwnerView:
         self.law = None if self.handle is None else self.handle.row_norm_vector
         self.norm = 0.0 if self.law is None else self.law.norm
 
+    def row_norm(self, i: int) -> float:
+        """The norm of row i, the square root of its mass in `law` (0.0 when
+        the view holds no nonzero entry)."""
+        return 0.0 if self.law is None else self.law.values.item(i)
+
     def sample_law(self, row=None) -> SqVector:
         """The view's own law, or the law of one row of its matrix."""
         if self.handle is None:
@@ -331,8 +342,7 @@ class _Side:
         self.row_req = encoding.opcode_bits + self.row_bits if rows else None
         self.norms: np.ndarray | None = None    # filled by the one-time setup
         self.counts: list | None = None
-        self.owner_law: SqVector | None = None   # stage 1 of a stacked draw
-        self.frobenius: float | None = None      # sqrt of the total squared mass
+        self.owner_law: SqVector | None = None   # stage 1 of a stacked draw; norm ||side||_F
         # one combination's exact phi: ((coefficient dtype, bytes, row), phi)
         self.phi_memo: tuple | None = None
 
@@ -558,7 +568,7 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
 
     Every player answers (empty holdings answer zero), so the cost is exactly
     k * (opcode_bits + scalar_bits + index_bits(rows)).  The coordinator then
-    knows the side's total squared mass, so its Frobenius norm is fixed here.
+    knows the side's masses; the norm of their owner law is its Frobenius norm.
     """
     if side.norms is not None:
         raise AlreadySetup(f"{side.noun} setup already ran on this session")
@@ -571,7 +581,6 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
     side.owner_law = _law(np.append(side.norms**2, side.views[PUBLIC].norm**2))
-    side.frobenius = math.sqrt(float((side.norms**2).sum() + side.views[PUBLIC].norm**2))
     return bits
 
 
@@ -632,38 +641,26 @@ def _stacked_sample(session: Session, side: _Side, kind: str, rng):
     return side.views[owner].globals.item(local), bits
 
 
-def _row_norm(row) -> float:
-    """`float(np.linalg.norm(row))` of a 1-d float64 or complex128 row by
-    norm's own arithmetic, the square root of the row's dot products, without
-    its dispatch: the same float to the last bit."""
-    if row.dtype.kind == "c":
-        re, im = row.real, row.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(row.dot(row))
-
-
-def _read(data, i: int, column):
-    """Entry (i, column) of an owner's data as a Python scalar, or the norm of
-    its row i when `column` is None."""
-    return _row_norm(data[i]) if column is None else data.item(i, column)
-
-
 def _owner_query(session: Session, side: _Side, kind: str, args: tuple, column=None):
     """One scalar read off stacked row args[0] by the row's owner: entry
-    (row, column), or the row's norm when `column` is None; returns (value,
-    bits).  The request carries `args`, and a second argument is a column
-    index, checked and charged.  Public rows are answered for free."""
+    (row, column), or its `_OwnerView.row_norm` when `column` is None; returns
+    (value, bits).  The request carries `args`, and a second argument is a
+    column index, checked and charged.  Public rows are answered for free."""
     owner, local = side.locate(args[0])
     req_bits = side.row_req
     if len(args) == 2:
         _check_index(column, side.cols, "column")
         req_bits += side.col_bits
     view = side.views[owner]
+
+    def read():   # runs only live for a private owner, whose data a replay lacks
+        return view.row_norm(local) if column is None else view.data.item(local, column)
+
     if owner == PUBLIC:
-        return _read(view.data, local, column), 0
+        return read(), 0
     (value,), bits = session._exchange((session.player_names[owner],), kind, "access",
                                        req_bits, session.encoding.scalar_bits,
-                                       lambda: [_read(view.data, local, column)], args)
+                                       lambda: [read()], args)
     return value, bits
 
 
@@ -734,7 +731,7 @@ def coord_a_access(session: Session, request, rng: np.random.Generator | None = 
                                  side.col_bits, owner=owner, row=local, args=args)
         return j, bits
     side.require_setup()   # frobenius_query
-    return side.frobenius, 0
+    return side.owner_law.norm, 0
 
 
 # --- exact law enumeration ----------------------------------------------------
@@ -814,8 +811,7 @@ class _Combination:
             self.check_row(row)
         views = self.side.players
         shares = [v.data if row is None else v.data[row] for v in views]
-        sq = ([v.norm**2 for v in views] if row is None
-              else [float(np.linalg.norm(s) ** 2) for s in shares])
+        sq = [(v.norm if row is None else v.row_norm(row)) ** 2 for v in views]
         return views, shares, sq
 
     def phi(self, row=None) -> float:
@@ -850,13 +846,15 @@ class _Combination:
         return _mixture_law(size, [abs(c) ** 2 * q for c, q in zip(self.terms, sq)], views,
                             empty, row=row)
 
-    def weights(self) -> np.ndarray:
-        """Owner weights of the dominator's row-norm law, known to the
-        coordinator at no cost: |c_t|^2 * (setup norm of share t)^2."""
-        return np.abs(self.coeffs) ** 2 * self.side.norms**2
+    def weights(self, norms) -> np.ndarray:
+        """Owner weights of a dominator draw, |c_t|^2 * norms[t]^2: with the
+        setup norms, those of its row-norm law, known at no cost; with the
+        fanned-out norms of the shares' row i, those of a column of row i."""
+        return np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2
 
-    def dominator_norm(self) -> float:
-        return math.sqrt(self.session.k * float(self.weights().sum()))
+    def dominator_norm(self, norms) -> float:
+        """sqrt(k sum(weights(norms))): the dominator's norm, or its row's."""
+        return math.sqrt(self.session.k * float(self.weights(norms).sum()))
 
     def check_row(self, i) -> None:
         _check_index(i, self.rows, "row")
@@ -882,7 +880,7 @@ class _Combination:
         """Fan out the norms of row i of every share; returns (norms, bits)."""
         return self.session._exchange(
             self.names, "lincomb_a_row_norm", "access", self.row_req, self.scalar_bits,
-            lambda: [_row_norm(v.data[i]) for v in self.side.players], (i,))
+            lambda: [v.row_norm(i) for v in self.side.players], (i,))
 
     def draw(self, rng, law: SqVector | None = None, row=None):
         """One dominator draw, the one `_owner_draw`; returns (row, column,
@@ -894,7 +892,7 @@ class _Combination:
                                      self.opcode_bits, self.row_bits, owner_law=law)
             return i, 0, bits
         norms, bits = self.row_norms(row)
-        law = _law(np.abs(self.coeffs) ** 2 * np.asarray(norms) ** 2)
+        law = _law(self.weights(norms))
         _, j, cost = _owner_draw(self.session, self.side, "lincomb_a_row_sample", rng,
                                  self.row_req, self.col_bits, owner_law=law, row=row,
                                  args=(row,))
@@ -951,13 +949,12 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
         return (combined if kind == "query" else math.sqrt(dom_sq)), bits
 
     if kind in ("dominator_norm", "dominator_fro_norm"):
-        return comb.dominator_norm(), 0
+        return comb.dominator_norm(side.norms), 0
 
     if kind == "dominator_row_norm_query":
         comb.check_row(args[0])
         norms, bits = comb.row_norms(args[0])
-        return math.sqrt(session.k * sum(abs(c) ** 2 * r**2
-                                         for c, r in zip(comb.coeffs, norms))), bits
+        return comb.dominator_norm(norms), bits
 
     # every other kind samples
     _checks.generator(rng, kind)
@@ -967,7 +964,7 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
         comb.check_row(row)
     else:
         # a dominator row: one row-norm law per request
-        row, law = None, _law(comb.weights())
+        row, law = None, _law(comb.weights(side.norms))
     if kind.startswith("dominator_"):
         i, j, bits = comb.draw(rng, law, row)
         return (i if row is None else j), bits
@@ -976,7 +973,7 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
     phi = functools.partial(session._annotate, "phi_b" if row is None else "phi_row",
                             functools.partial(comb.cached_phi, row))
     if kind == "norm_estimate":
-        return _norm_estimate(one_round, comb.dominator_norm(), phi, *args)
+        return _norm_estimate(one_round, comb.dominator_norm(side.norms), phi, *args)
     return _rejection_loop(one_round, phi, args[0] if args else DEFAULT_REJECTION_DELTA, rng)
 
 

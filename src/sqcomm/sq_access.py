@@ -160,8 +160,10 @@ def sq_sample(v: SqVector, rng: np.random.Generator) -> int:
 
 def sq_sample_many(v: SqVector, size: int, rng: np.random.Generator) -> np.ndarray:
     """`size` iid draws as an int array: the uniforms of one rng.random(size),
-    each mapped by sq_sample_at."""
+    each mapped by sq_sample_at.  Raises ValueError unless `rng` is a numpy
+    Generator."""
     size = _checks.count(size, 0, None, "size must be an integer >= 0, got size = {!r}")
+    _checks.generator(rng, "sq_sample_many")
     return np.array([sq_sample_at(v, r) for r in rng.random(size).tolist()], dtype=np.int64)
 
 

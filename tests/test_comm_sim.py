@@ -1,11 +1,13 @@
 """Coordinator protocol: bit accounting, routing, exact laws, linear
 combinations, and transcript replay."""
 
+import ast
 import dataclasses
 import hashlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,14 +202,113 @@ def test_b_query_costs_and_routing():
         coord_b_query(s, -1)
 
 
-def test_row_norm_is_numpy_norm_to_the_last_bit():
-    # a row-norm answer is the float np.linalg.norm gives, real or complex
+def test_row_norm_answers_are_numpy_norm_within_1e_15():
+    # a row-norm answer, from a player or a public block, real or complex, is
+    # within 1e-15 relative of np.linalg.norm (it is read off the owner's
+    # row-norm law, not summed again)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 7, 64, 257):
         rows = rng.standard_normal((20, n)) * 10.0 ** rng.integers(-100, 100, size=(20, 1))
-        for row in list(rows) + list(rows + 1j * rng.standard_normal((20, n))):
-            assert comm_sim._row_norm(row) == float(np.linalg.norm(row))
-    assert comm_sim._row_norm(np.zeros(3)) == 0.0
+        for block in (rows, rows + 1j * rng.standard_normal((20, n))):
+            s = open_session_blocks(1, [(0, block), (None, block)], [])
+            for g in range(40):
+                answer, _ = coord_a_access(s, ("row_norm_query", g))
+                want = float(np.linalg.norm(block[g % 20]))
+                assert type(answer) is float and abs(answer - want) <= 1e-15 * want
+    # a zero row, and every row of an owner holding no nonzero entry, answer 0.0
+    s = open_session_blocks(2, [(0, [[0.0, 0.0, 0.0]]), (1, [[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])],
+                            [])
+    assert [coord_a_access(s, ("row_norm_query", g))[0] for g in range(3)] == [0.0, 0.0, 3.0]
+
+
+def test_comm_sim_sums_no_norm_of_its_own():
+    # one norm rule: comm_sim reads every norm it serves off the masses its
+    # draws use, so it takes no dot product, and np.linalg.norm only in the
+    # exact phi of a combination
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                name = ast.unparse(child.func)
+                if child.func.attr == "dot" or name == "np.linalg.norm":
+                    found.add((name, inner))
+            visit(child, inner)
+
+    visit(ast.parse(Path(comm_sim.__file__).read_text()), "")
+    assert found == {("np.linalg.norm", "_Combination.phi")}, found
+
+
+def _shares(rng, k, rows, cols, complex_):
+    # k shares whose rows span many magnitudes, complex when asked
+    out = []
+    for _ in range(k):
+        share = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-5, 5, size=(rows, 1))
+        out.append(share + 1j * rng.standard_normal((rows, cols)) if complex_ else share)
+    return out
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_row_norm_answers_are_the_row_norm_law_to_the_last_bit(complex_):
+    # one norm rule: a row_norm_query answer squared is its row's mass in the
+    # owner's row-norm law, bit for bit, and the combination's fan-out of a
+    # row's norms answers the same floats
+    k, rows = 4, 128
+    shares = _shares(np.random.default_rng(32), k, rows, 64, complex_)
+    s = open_session_blocks(k, list(enumerate(shares)), [])
+    coord_a_setup(s)
+    masses = [build_sq_matrix(share).row_norm_vector.weights for share in shares]
+    answers = np.zeros((k, rows))
+    for t in range(k):
+        for i in range(rows):
+            answers[t, i], _ = coord_a_access(s, ("row_norm_query", t * rows + i))
+    np.testing.assert_array_equal(np.square(answers), masses)
+    lam = [1.0, -0.5, 2.0, 0.25]
+    for i in range(rows):
+        lincomb_a_access(s, lam, ("dominator_row_norm_query", i))
+        fanned = [row[6] for row in s.meter.rows[-k:]]
+        assert fanned == answers[:, i].tolist()
+
+
+def test_frobenius_query_is_the_owner_law_norm():
+    # ||A||_F is the norm of the stage-1 owner law the draws use, not a second
+    # sum; seven players and a public block make eight masses, which numpy
+    # sums in another grouping than (players) + public
+    rng = np.random.default_rng(33)
+    for _ in range(400):
+        blocks = [(t, rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-3, 3))
+                  for t in range(7)] + [(None, rng.standard_normal((1, 3)))]
+        s = open_session_blocks(7, blocks, [])
+        coord_a_setup(s)
+        fro, bits = coord_a_access(s, "frobenius_query")
+        assert (fro, bits) == (s._a.owner_law.norm, 0)
+        want = float(np.linalg.norm(assemble_stacked(s)[0]))
+        assert abs(fro - want) <= 1e-15 * want
+
+
+def test_dominator_row_norm_is_the_row_draws_weights(monkeypatch):
+    # at k = 8 a row's dominator norm is sqrt(k sum) of the very weights the
+    # draw of a column of that row uses
+    k, rows = 8, 50
+    rng = np.random.default_rng(34)
+    s = open_session_blocks(k, list(enumerate(_shares(rng, k, rows, 4, False))), [])
+    coord_a_setup(s)
+    drawn = []
+    real = comm_sim._owner_draw
+
+    def spy(*args, **kwargs):
+        drawn.append(kwargs["owner_law"].weights)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(comm_sim, "_owner_draw", spy)
+    for t in range(400):
+        lam = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2, size=k)
+        norm, _ = lincomb_a_access(s, lam, ("dominator_row_norm_query", t % rows))
+        lincomb_a_access(s, lam, ("dominator_row_sample", t % rows), rng)
+        assert norm == math.sqrt(k * float(drawn[-1].sum()))
 
 
 def test_b_query_frozen_42_bits():

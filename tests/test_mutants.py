@@ -10,8 +10,10 @@ check fails "survives"; a byte change alone is not a catch.
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqcomm import comm_sim, reductions
@@ -43,10 +45,62 @@ def _clustering_threshold_plus_0_9_margin(patch):
         dataclasses.replace(build, threshold=build.threshold + 0.9 * build.margin)))
 
 
+def _rejection_round_next_index(patch):
+    # a rejection round returns the index after the one it drew (wrapping),
+    # with the drawn index's ratio
+    real = comm_sim._Combination.rejection_round
+
+    def shifted(self, rng, law=None, row=None):
+        index, ratio, bits = real(self, rng, law, row)
+        return (index + 1) % (self.rows if row is None else self.cols), ratio, bits
+
+    patch.setattr(comm_sim._Combination, "rejection_round", shifted)
+
+
+def _accept_test_sqrt_ratio(patch):
+    # the rejection loop accepts with probability sqrt(ratio); the norm
+    # estimator still averages the ratios themselves
+    real = comm_sim._rejection_loop
+
+    def loop(one_round, get_phi, delta, rng):
+        def sqrt_round():
+            index, ratio, bits = one_round()
+            return index, None if ratio is None else math.sqrt(ratio), bits
+        return real(sqrt_round, get_phi, delta, rng)
+
+    patch.setattr(comm_sim, "_rejection_loop", loop)
+
+
+def _stage_one_law_drops_public_mass(patch):
+    # the stage-1 owner law a setup builds gives the public view zero mass
+    real = comm_sim._setup
+
+    def setup(session, side, kind):
+        bits = real(session, side, kind)
+        side.owner_law = comm_sim._law(np.append(side.norms**2, 0.0))
+        return bits
+
+    patch.setattr(comm_sim, "_setup", setup)
+
+
+def _exchange_records_no_args(patch):
+    # every exchange records, and a replay compares, no request indices
+    real = comm_sim.Session._exchange
+
+    def exchange(self, names, kind, phase, req_bits, resp_bits, respond, args=()):
+        return real(self, names, kind, phase, req_bits, resp_bits, respond)
+
+    patch.setattr(comm_sim.Session, "_exchange", exchange)
+
+
 FAULTS = {
     "stage_one_pick_power_1_5": _stage_one_pick_power,
     "b_sample_response_one_bit_wider": _b_sample_response_one_bit_wider,
     "clustering_threshold_plus_0_9_margin": _clustering_threshold_plus_0_9_margin,
+    "rejection_round_returns_next_index": _rejection_round_next_index,
+    "accept_test_sqrt_ratio": _accept_test_sqrt_ratio,
+    "stage_one_law_drops_public_mass": _stage_one_law_drops_public_mass,
+    "exchange_records_no_args": _exchange_records_no_args,
 }
 
 

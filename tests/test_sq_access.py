@@ -216,6 +216,14 @@ def test_sq_sample_many_takes_a_count():
     assert sq_sample_many(v, np.int64(3), rng).shape == (3,)
 
 
+def test_sq_sample_many_takes_a_generator():
+    # None ended in a bare AttributeError, and a RandomState was drawn from
+    v = build_sq_vector([1.0, 2.0])
+    for rng in (None, np.random.RandomState(3), 3):
+        with pytest.raises(ValueError, match="^sq_sample_many needs a numpy Generator$"):
+            sq_sample_many(v, 3, rng)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_squared_magnitudes_are_rejected():
     # every entry is finite, but |v_i|^2 or their total is not
