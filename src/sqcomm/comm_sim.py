@@ -20,14 +20,15 @@ queue, then consumes it; `meter_report` is one pass over the rows.
 Each player's data is held once.  Opening a session checks the caller's
 blocks without a copy and copies them once: each owner's blocks on a side,
 in stack order, become one read-only float64 array (complex128 when any of
-them is complex), each block is its rows of that array, and the owner's SQ
-handle, built there and then, keeps the array as its entries, adding only
-the squared magnitudes and their sums; that build refuses a nan or inf entry
-or an overflowing squared total.  A caller's later writes to its arrays
-change nothing.  A replay clone opens by the same step from the live
-session's checked layout: each private block keeps its owner, offset, start
-and shape, its owner view holds no array and builds no handle, and the public
-owner array is the live one, shared.
+them is complex), each block is its rows of that array, and the owner's l2
+law is built there and then: a matrix owner's SQ handle keeps the array as
+its entries, adding the squared magnitudes and their sums, and a vector
+owner's law holds only its column's masses and their cumulative sums; both
+refuse a nan or inf entry or an overflowing squared total.  A caller's later
+writes to its arrays change nothing.  A replay clone opens by the same step
+from the live session's checked layout: each private block keeps its owner,
+offset, start and shape, its owner view holds no array and builds no law,
+and the public owner view is the live one, shared.
 
 Each side's index widths are fixed when the session opens, and its Frobenius
 total when its setup runs, so a stacked access does only the work that
@@ -48,8 +49,8 @@ Two access families share a session:
   coordinator serves queries by fanning out to all k players and serves samples
   through a dominating vector (oversampled access + rejection).  One record,
   `_Combination`, serves vector and matrix requests, the exact phi and the
-  exact dominator laws: a vector share is stored as one column, so the vector
-  side is its one-column case.
+  exact dominator laws; a vector share is one column of its owner array, so
+  the record reads entry (j, 0).
 
 Every sampling access of both families is one owner-mixture draw,
 `_owner_draw`: the coordinator picks an owner under an `SqVector` that
@@ -57,15 +58,17 @@ sq_access's one builder (`_law`) makes of the owners' squared norms, and that
 owner makes one local l2 draw, both stages by `sq_sample_at`; `_mixture_law`
 gives its exact law from the same builder.  Every rejection draw runs through
 the one rejection loop in `sq_access`, and every norm estimate through its one
-norm estimator, one round at a time.  A round is that owner draw of a dominator
-index, then one fan-out of the drawn entry, folded in player order with the
-coefficients the request prepared once as Python scalars; it does not re-check
-the indices it drew.  The exact phi that sets a request's round budget is
-memoised per side for the last coefficients and row, and still recorded as an
-annotation on every request.  Each dispatcher checks a request's kind and
-argument count against its own table (`_split`), and its indices and Generator,
-before anything is metered or drawn.  Each request records the indices it
-carries, so a replay checks them as well as kind and widths.
+norm estimator, one round at a time.  A round is that owner draw of a
+dominator index, then one fan-out of the drawn entry, folded in player order
+with the coefficients the record prepared once as Python scalars; it does not
+re-check the indices it drew.  Each side keeps its last record in one slot,
+keyed by the checked coefficients' dtype and bytes, with its dominator
+row-norm law and the exact phi of the last row asked, built once for all the
+requests of one combination; the phi is still recorded as an annotation on
+each.  Each dispatcher checks a request's kind and argument count against its
+own table (`_split`), and its indices and Generator, before anything is
+metered or drawn.  Each request records the indices it carries, so a replay
+checks them as well as kind and widths.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
 the Generator passed to each operation, one for the owner pick and one more
@@ -80,6 +83,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import weakref
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
@@ -98,6 +102,7 @@ from .sq_access import (
     _check_index,
     _frozen,
     _law,
+    _table,
     _norm_estimate,
     _rejection_loop,
 )
@@ -279,30 +284,33 @@ def _assembled(a_blocks, b_blocks):
 
 class _OwnerView:
     """One owner's stacked blocks on one side, its owner array `data` (None
-    when it holds no block or the session is a replay clone), and the SQ
-    matrix handle that shares that array, built when the session opens (None
-    when the view holds no nonzero entry); stage 2 samples its row-norm
-    vector `law` (for a one-column vector side, |b_j|), or the law of one of
-    its rows."""
+    when it holds no block or the session is a replay clone) and the l2 `law`
+    stage 2 samples, or one of whose rows it samples, built when the session
+    opens (None when the view holds no nonzero entry): a matrix view's
+    row-norm law of the SQ `handle` that shares its array, a vector view's
+    masses alone, |b_j|^2 rooted and squared again as a row norm's are."""
 
-    def __init__(self, blocks, data):
+    def __init__(self, blocks, data, vector: bool):
         self.globals = np.concatenate(
             [np.arange(b.offset, b.offset + len(b.data)) for b in blocks]
         ) if blocks else np.zeros(0, dtype=np.int64)
-        self.data = data
+        self.data, self.handle, self.law = data, None, None
         self.size = int(self.globals.size)
-        self.handle = None if data is None or not data.any() else build_sq_matrix(data)
-        self.law = None if self.handle is None else self.handle.row_norm_vector
+        if data is not None and data.any():
+            if vector:
+                self.law = _law(np.sqrt(_table(data[:, 0], 1)[1]) ** 2)
+            else:
+                self.handle = build_sq_matrix(data)
+                self.law = self.handle.row_norm_vector
         self.norm = 0.0 if self.law is None else self.law.norm
 
     def row_norm(self, i: int) -> float:
-        """The norm of row i, the square root of its mass in `law` (0.0 when
-        the view holds no nonzero entry)."""
+        """Row i's norm, the root of its mass in `law` (0.0 with no nonzero entry)."""
         return 0.0 if self.law is None else self.law.values.item(i)
 
     def sample_law(self, row=None) -> SqVector:
         """The view's own law, or the law of one row of its matrix."""
-        if self.handle is None:
+        if self.law is None:
             raise AllZero("the owner's blocks are identically zero")
         return self.law if row is None else sq_row(self.handle, row)
 
@@ -310,7 +318,7 @@ class _OwnerView:
 class _Side:
     """One stacked side of a session (vector b or matrix A): the owner views,
     the layout-only routing tables, the index widths of its spaces (fixed
-    when the session opens), and the coordinator's setup knowledge."""
+    when it opens), the coordinator's setup knowledge and the combination slot."""
 
     def __init__(self, name: str, k: int, blocks, rows: int, arrays: dict,
                  encoding: EncodingSpec):
@@ -322,7 +330,7 @@ class _Side:
         owned = {o: [] for o in list(range(k)) + [PUBLIC]}
         for bl in blocks:
             owned[bl.owner].append(bl)
-        self.views = {o: _OwnerView(mine, arrays.get(o)) for o, mine in owned.items()}
+        self.views = {o: _OwnerView(mine, arrays.get(o), name == "b") for o, mine in owned.items()}
         self.players = [self.views[t] for t in range(k)]
         # routing table: block offset -> (owner, shift), where global index g
         # of the block is index g + shift of the owner's view
@@ -343,8 +351,7 @@ class _Side:
         self.norms: np.ndarray | None = None    # filled by the one-time setup
         self.counts: list | None = None
         self.owner_law: SqVector | None = None   # stage 1 of a stacked draw; norm ||side||_F
-        # one combination's exact phi: ((coefficient dtype, bytes, row), phi)
-        self.phi_memo: tuple | None = None
+        self.slot: _Combination | None = None   # filled by `_Combination.of`
 
     def require_blocks(self) -> None:
         if not self.blocks:
@@ -361,13 +368,6 @@ class _Side:
         if self.norms is None:
             self.require_blocks()
             raise NotSetup(f"run coord_{self.name}_setup first")
-
-    @functools.cached_property
-    def readers(self) -> list:
-        """Each player's entry reader, the bound `item` of its owner array,
-        in player order; bound on the first live combination entry, since a
-        replay clone holds no owner array to bind."""
-        return [view.data.item for view in self.players]
 
 
 class Session:
@@ -501,14 +501,16 @@ def make_replay_session(session: Session) -> Session:
     The clone opens by the session's own step on the live, already checked
     layout: a private block keeps its owner, offset, start and shape as a
     zero-stride view of one zero, which holds no bytes, and the public owner
-    array is the live one, shared."""
+    view, with its array and its law, is the live one, shared."""
     def layout(side):
         blocks = [bl if bl.owner == PUBLIC else replace(
             bl, data=np.broadcast_to(bl.data.dtype.type(0), bl.data.shape)) for bl in side.blocks]
-        return blocks, side.rows, {PUBLIC: side.views[PUBLIC].data}
+        return blocks, side.rows, {}
 
     clone = Session.__new__(Session)
     clone._open(session.k, layout(session._a), layout(session._b), session.encoding)
+    for mine, live in ((clone._a, session._a), (clone._b, session._b)):
+        mine.views[PUBLIC] = live.views[PUBLIC]
     clone._replay_queue = deque(session.meter.rows)
     return clone
 
@@ -764,7 +766,7 @@ def protocol_distribution(session: Session, access) -> np.ndarray:
 
     # a combination's dominator law: the row-norm law, or that of a row's columns
     side = session._b if kind == "lincomb_b_dominator" else session._a
-    return _Combination(session, side, args[0]).law(*args[1:])
+    return _Combination.of(session, side, args[0]).law(*args[1:])
 
 
 # --- linear-combination access -------------------------------------------------
@@ -773,27 +775,37 @@ class _Combination:
     """The linear combination sum_t c_t S^(t) of one side's k same-shape
     shares, each a (rows, cols) block; a vector is the one-column case and
     reads entry (j, 0).  The dominator has entries sqrt(k sum_t |c_t S^(t)_ij|^2).
-    The constructor checks the coefficients and the shares once, before
-    anything is metered, and prepares what every round of a request reuses:
+    `of` checks the coefficients and the shares once, before anything is
+    metered, and the record prepares what every round of its requests reuses:
     the coefficients as Python scalars, the message kinds, the bit widths and
-    the player names.  The record then serves the metered requests and,
-    simulation-side, the exact phi and the exact dominator laws; a fanned-out
-    entry reads each player's owner array in place (`_Side.readers`), copying
-    no share.  Only a matrix is asked for row norms or a draw within a row."""
+    the player names.  It then serves the metered requests and the exact phi
+    and dominator laws; a fanned-out entry reads each owner array in place by
+    its bound `item` (`readers`), copying no share.  Only a matrix is asked for
+    row norms or a draw within a row."""
 
-    def __init__(self, session: Session, side: _Side, coeffs):
+    @classmethod
+    def of(cls, session: Session, side: _Side, coeffs) -> _Combination:
+        """The side's slot, a new record of `coeffs` unless it holds one of
+        the same checked coefficients (dtype and bytes)."""
         c = np.asarray(coeffs)
         if c.shape != (session.k,):
             raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
-        self.coeffs = _checks.numeric(c, "coefficients")
-        self.terms = self.coeffs.tolist()
+        c = _checks.numeric(c, "coefficients")
+        if side.slot is None or side.slot.key != (c.dtype.str, c.tobytes()):
+            side.slot = cls(session, side, c)
+        return side.slot
+
+    def __init__(self, session: Session, side: _Side, coeffs: np.ndarray):
+        self.coeffs, self.key = coeffs, (coeffs.dtype.str, coeffs.tobytes())
+        self.terms = coeffs.tolist()
         if not all(map(cmath.isfinite, self.terms)):
-            raise ValueError(f"coefficients must be finite, got {coeffs!r}")
+            raise ValueError(f"coefficients must be finite, got {self.terms!r}")
         side.require_blocks()
         if side.share_rows is None:
             raise DimensionMismatch("vector shares differ in length" if side.name == "b"
                                     else "matrix shares differ in shape")
-        self.session, self.side = session, side
+        # weak, so the side's slot holding the record makes no reference cycle
+        self.session, self.side = weakref.proxy(session), weakref.proxy(side)
         self.rows, self.cols = side.share_rows, side.cols
         self.names = session.player_names
         enc = session.encoding
@@ -802,6 +814,8 @@ class _Combination:
         self.row_req = self.opcode_bits + self.row_bits
         self.query_kind = f"lincomb_{side.name}_query"
         self.sample_kind = "lincomb_b_sample" if side.name == "b" else "lincomb_a_row_norm_sample"
+        self.readers = None if session.replaying else [v.data.item for v in side.players]
+        self.phi_memo: tuple | None = None   # (row, phi) of the last row asked
 
     def _terms(self, row=None):
         """Simulation-side: the k player views, their shares (or the shares'
@@ -828,14 +842,10 @@ class _Combination:
         return phi
 
     def cached_phi(self, row=None) -> float:
-        """`phi`, memoised on the side in one slot keyed by the coefficients'
-        dtype and bytes and the row (the shares never change).  A
-        Cancellation is raised again on every call, never memoised."""
-        key = (self.coeffs.dtype.str, self.coeffs.tobytes(), row)
-        memo = self.side.phi_memo
-        if memo is None or memo[0] != key:
-            memo = self.side.phi_memo = (key, self.phi(row))
-        return memo[1]
+        """`phi` of the last row asked, memoised; a Cancellation is never memoised."""
+        if self.phi_memo is None or self.phi_memo[0] != row:
+            self.phi_memo = (row, self.phi(row))
+        return self.phi_memo[1]
 
     def law(self, row=None) -> np.ndarray:
         """Exact law of a dominator draw: the row-norm law, or with `row` the
@@ -845,6 +855,11 @@ class _Combination:
                        else (self.cols, f"dominator row {row} is identically zero"))
         return _mixture_law(size, [abs(c) ** 2 * q for c, q in zip(self.terms, sq)], views,
                             empty, row=row)
+
+    @functools.cached_property
+    def owner_law(self) -> SqVector:
+        """The owner law of a dominator row draw, on the setup norms' `weights`."""
+        return _law(self.weights(self.side.norms))
 
     def weights(self, norms) -> np.ndarray:
         """Owner weights of a dominator draw, |c_t|^2 * norms[t]^2: with the
@@ -868,7 +883,7 @@ class _Combination:
         entry, squared dominator entry, bits)."""
         values, bits = self.session._exchange(
             self.names, self.query_kind, "access", self.row_req + self.col_bits,
-            self.scalar_bits, lambda: [read(i, j) for read in self.side.readers], (i, j))
+            self.scalar_bits, lambda: [read(i, j) for read in self.readers], (i, j))
         combined = dom_sq = 0
         for c, v in zip(self.terms, values):
             term = c * v
@@ -882,14 +897,14 @@ class _Combination:
             self.names, "lincomb_a_row_norm", "access", self.row_req, self.scalar_bits,
             lambda: [v.row_norm(i) for v in self.side.players], (i,))
 
-    def draw(self, rng, law: SqVector | None = None, row=None):
+    def draw(self, rng, row=None):
         """One dominator draw, the one `_owner_draw`; returns (row, column,
-        bits).  Without `row`, a row under the row-norm law `law` (column 0);
-        with it, a column of that row, the owner weighted by |c_t|^2 times the
-        fanned-out norm of its share's row."""
+        bits).  Without `row`, a row under the record's row-norm law (column
+        0); with it, a column of that row, the owner weighted by |c_t|^2 times
+        the fanned-out norm of its share's row."""
         if row is None:
             _, i, bits = _owner_draw(self.session, self.side, self.sample_kind, rng,
-                                     self.opcode_bits, self.row_bits, owner_law=law)
+                                     self.opcode_bits, self.row_bits, self.owner_law)
             return i, 0, bits
         norms, bits = self.row_norms(row)
         law = _law(self.weights(norms))
@@ -898,11 +913,11 @@ class _Combination:
                                  args=(row,))
         return row, j, bits + cost
 
-    def rejection_round(self, rng, law: SqVector | None = None, row=None):
+    def rejection_round(self, rng, row=None):
         """A dominator draw as in `draw`, then its entry fanned out; returns
         (the drawn index, |combined|^2 / dominator^2 or None where the
         dominator is zero, bits)."""
-        i, j, bits = self.draw(rng, law, row)
+        i, j, bits = self.draw(rng, row)
         combined, dom_sq, cost = self.entry(i, j)
         return (i if row is None else j), (abs(combined) ** 2 / dom_sq if dom_sq > 0
                                            else None), bits + cost
@@ -910,12 +925,12 @@ class _Combination:
 
 def lincomb_b_phi(session: Session, mu) -> float:
     """Exact oversampling ratio phi for the combined vector (simulation-side)."""
-    return _Combination(session, session._b, mu).cached_phi()
+    return _Combination.of(session, session._b, mu).cached_phi()
 
 
 def lincomb_a_phi(session: Session, lambdas) -> float:
     """Exact oversampling ratio phi for the combined matrix (simulation-side)."""
-    return _Combination(session, session._a, lambdas).cached_phi()
+    return _Combination.of(session, session._a, lambdas).cached_phi()
 
 
 # request kind -> (fewest, most) arguments on each side; a vector request
@@ -939,7 +954,7 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
     metered."""
     kind, args = _split(request, _COMBINATION_KINDS[side.name], "combination access")
     side.require_setup()
-    comb = _Combination(session, side, coeffs)
+    comb = _Combination.of(session, side, coeffs)
 
     if kind in ("query", "dominator_query"):
         i, j = args if len(args) == 2 else (args[0], 0)
@@ -958,18 +973,15 @@ def _combination_access(session: Session, side: _Side, coeffs, request, rng):
 
     # every other kind samples
     _checks.generator(rng, kind)
+    row = None   # a dominator row, under the record's one row-norm law
     if kind in ("dominator_row_sample", "sq_row_sample_via_rejection"):
-        # a column of row i: the law is fanned out per draw
-        row, args, law = args[0], args[1:], None
+        row, args = args[0], args[1:]   # a column of row i: its law is fanned out per draw
         comb.check_row(row)
-    else:
-        # a dominator row: one row-norm law per request
-        row, law = None, _law(comb.weights(side.norms))
     if kind.startswith("dominator_"):
-        i, j, bits = comb.draw(rng, law, row)
+        i, j, bits = comb.draw(rng, row)
         return (i if row is None else j), bits
 
-    one_round = functools.partial(comb.rejection_round, rng, law, row)
+    one_round = functools.partial(comb.rejection_round, rng, row)
     phi = functools.partial(session._annotate, "phi_b" if row is None else "phi_row",
                             functools.partial(comb.cached_phi, row))
     if kind == "norm_estimate":

@@ -75,14 +75,13 @@ def _unwritable(arr: np.ndarray) -> bool:
 
 def _table(values, ndim: int):
     """A nonempty read-only float64 (or complex128) array of `values` with
-    `ndim` axes, its read-only squared magnitudes and their total; raises
-    ValueError on a nan or infinite entry and when the total overflows.  A
-    float64 or complex128 array that no caller can write is taken as it is;
-    anything else is copied."""
-    arr = np.asarray(values)
+    `ndim` axes and its read-only squared magnitudes; raises ValueError on a
+    nan or infinite entry and when their total overflows, and AllZero when
+    it is zero.  A float64 or complex128 array that no caller can write is
+    taken as it is; anything else is copied."""
+    arr, noun = np.asarray(values), "vector" if ndim == 1 else "matrix"
     if arr.ndim != ndim or arr.size == 0:
-        raise ValueError("expected a nonempty 1-d vector" if ndim == 1
-                         else "expected a nonempty 2-d matrix")
+        raise ValueError(f"expected a nonempty {ndim}-d {noun}")
     arr = _checks.numeric_kind(arr, "entries")
     dtype = _checks.numeric_dtype(arr.dtype)
     if arr.dtype != dtype or not _unwritable(arr):
@@ -94,7 +93,9 @@ def _table(values, ndim: int):
         if not np.isfinite(arr).all():
             raise ValueError("entries must be finite (found nan or inf)")
         raise ValueError("squared magnitudes overflow: their total is not finite")
-    return arr, _frozen(weights), total
+    if total == 0.0:
+        raise AllZero(f"cannot build an l2 sampling law on the zero {noun}")
+    return arr, _frozen(weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,15 +120,13 @@ def _law(weights: np.ndarray, values=None) -> SqVector:
     if not math.isfinite(total):
         raise ValueError("l2 masses overflow: their total is not finite")
     return SqVector(values=values, norm=math.sqrt(total), weights=_frozen(weights),
-                    cum=_frozen(np.cumsum(weights)))
+                    cum=_frozen(weights.cumsum()))
 
 
 def build_sq_vector(values) -> SqVector:
     """Build an SQ handle in O(n). Raises AllZero for the zero vector and
     ValueError for a non-finite entry or an overflowing squared norm."""
-    arr, weights, total = _table(values, 1)
-    if total == 0.0:
-        raise AllZero("cannot build an l2 sampling law on the zero vector")
+    arr, weights = _table(values, 1)
     return _law(weights, arr)
 
 
@@ -204,9 +203,7 @@ def build_sq_matrix(matrix) -> SqMatrix:
     """Build the table and the row-norm handle in O(mn). Raises AllZero if
     M = 0 and ValueError for a non-finite entry or an overflowing squared
     Frobenius norm."""
-    arr, weights, total = _table(matrix, 2)
-    if total == 0.0:
-        raise AllZero("cannot build an l2 sampling law on the zero matrix")
+    arr, weights = _table(matrix, 2)
     row_norms = _frozen(np.sqrt(weights.sum(axis=1)))
     return SqMatrix(values=arr, weights=weights, cum=_frozen(np.cumsum(weights, axis=1)),
                     row_norm_vector=_law(row_norms**2, row_norms))

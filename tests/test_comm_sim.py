@@ -3,10 +3,12 @@ combinations, and transcript replay."""
 
 import ast
 import dataclasses
+import gc
 import hashlib
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -502,20 +504,25 @@ def test_exact_laws_and_phi_refuse_the_masses_setup_refuses():
 
 
 def test_owner_views_build_their_handles_when_the_session_opens(monkeypatch):
+    # a matrix view builds one SQ matrix handle, a vector view one table of
+    # its column (`_table`), which its law is built on
     builds = []
 
-    def counting(matrix):
-        builds.append(np.asarray(matrix).shape)
-        return build_sq_matrix(matrix)
+    def counting(build):
+        def counted(values, *args):
+            builds.append(np.asarray(values).shape)
+            return build(values, *args)
+        return counted
 
-    monkeypatch.setattr(comm_sim, "build_sq_matrix", counting)
+    monkeypatch.setattr(comm_sim, "build_sq_matrix", counting(build_sq_matrix))
+    monkeypatch.setattr(comm_sim, "_table", counting(comm_sim._table))
     a_blocks = [(0, [[1.0, 2.0]]), (1, [[0.0, 3.0]]), (None, [[4.0, 0.0]]), (1, [[0.0, 0.0]])]
     b_blocks = [(0, [1.0, 2.0]), (1, [0.0]), (0, [5.0])]
     s = open_session_blocks(2, a_blocks, b_blocks)
     # the b side first, then A, each in owner order; player 1's b view is
     # all zero and never built, and there is no public b block
-    assert builds == [(3, 1), (1, 2), (2, 2), (1, 2)]
-    assert s._b.views[1].handle is None
+    assert builds == [(3,), (1, 2), (2, 2), (1, 2)]
+    assert s._b.views[1].law is None and s._b.views[0].handle is None
     # setups, draws and queries build nothing more
     coord_b_setup(s)
     coord_a_setup(s)
@@ -528,18 +535,17 @@ def test_owner_views_build_their_handles_when_the_session_opens(monkeypatch):
         coord_a_access(s, ("entry_query", 1, 1))
         coord_a_access(s, ("row_norm_query", 1))
     assert len(builds) == 4
-    # a replay clone builds its public view only
+    # a replay clone builds nothing: it shares the live public view
     del builds[:]
     clone = make_replay_session(s)
-    assert builds == [(1, 2)]
     coord_b_setup(clone)
     coord_a_setup(clone)
-    assert builds == [(1, 2)]
+    assert builds == []
     # a squared total near the float64 limit is built and kept; a non-finite
     # entry is refused at open by the same build
     del builds[:]
     open_session_blocks(1, [], [(0, [1.3e154])])
-    assert builds == [(1, 1)]
+    assert builds == [(1,)]
     with pytest.raises(ValueError, match="finite"):
         open_session_blocks(2, [], [(0, [1.0]), (1, [complex(np.inf, 0.0)])])
 
@@ -1520,7 +1526,9 @@ def test_later_writes_to_the_blocks_change_no_access(dtype):
 
 
 def test_an_owner_holds_its_data_once():
-    # each owner's blocks are rows of one read-only array, which its handle keeps
+    # each owner's blocks are rows of one read-only array, which a matrix
+    # view's handle keeps; a vector view keeps the array and its law's
+    # masses, |b_j|^2 byte for byte, and no handle
     live = _mixed_session()
     mixed = open_session_blocks(1, [], [(0, [1.0, 2.0]), (0, [1j])])
     for s in (live, mixed):
@@ -1535,7 +1543,12 @@ def test_an_owner_holds_its_data_once():
                     continue
                 assert not view.data.flags.writeable and view.data.flags.c_contiguous
                 assert all(np.shares_memory(d, view.data) for d in mine)
-                assert np.shares_memory(view.handle.values, view.data)
+                if side is s._a:
+                    assert np.shares_memory(view.handle.values, view.data)
+                    continue
+                assert view.handle is None and view.law.values is None
+                column = np.concatenate(mine)[:, 0]
+                assert view.law.weights.tobytes() == (np.abs(column) ** 2).tobytes()
     assert mixed._b.views[0].data.dtype == np.complex128
     assert assemble_stacked(mixed)[1].tolist() == [1.0, 2.0, 1j]
 
@@ -1559,6 +1572,32 @@ def test_replay_clone_shares_the_live_public_array():
     for side, was in ((clone._b, live._b), (clone._a, live._a)):
         assert np.shares_memory(side.views[comm_sim.PUBLIC].data, was.views[comm_sim.PUBLIC].data)
         assert all(view.data is None and view.handle is None for view in side.players)
+
+
+def test_replay_clone_shares_the_live_public_view():
+    # the live public view never changes once the session opens, so a clone
+    # holds that view, not a second SQ table over the array it shares: on a
+    # session whose rows are half public the clone held about 1.1x the data
+    live = _mixed_session()
+    clone = make_replay_session(live)
+    for side, was in ((clone._b, live._b), (clone._a, live._a)):
+        assert side.views[comm_sim.PUBLIC] is was.views[comm_sim.PUBLIC]
+    g = np.random.default_rng(7)
+    A, b = g.standard_normal((2048, 64)), g.standard_normal(2048)
+    owners = [t // 2 if t % 2 == 0 else None for t in range(8)]
+    live = open_session_blocks(4, [(o, A[t * 256:(t + 1) * 256]) for t, o in enumerate(owners)],
+                               [(o, b[t * 256:(t + 1) * 256]) for t, o in enumerate(owners)])
+    coord_b_setup(live)
+    coord_a_setup(live)
+    tracemalloc.start()
+    try:
+        clone = make_replay_session(live)
+        coord_b_setup(clone)
+        coord_a_setup(clone)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < (A.nbytes + b.nbytes) / 20
 
 
 def test_replay_clone_opens_without_checking_blocks_again(monkeypatch):
@@ -1603,6 +1642,23 @@ def test_a_session_holds_its_data_about_three_times():
     # slack: per-row layout (global indices, row-norm laws) and Python objects
     assert held < 3 * data + 2**18
     assert clone_peak < data / 4
+
+
+def test_a_vector_session_holds_about_four_times_its_data():
+    # one player's 4096-entry b: its owner array, its law's masses and
+    # cumulative table, and its global index table; a one-column SQ matrix
+    # per owner held about 7.2x
+    b = np.random.default_rng(6).standard_normal(4096)
+    tracemalloc.start()
+    try:
+        s = open_session_blocks(1, [], [(0, b)])
+        coord_b_setup(s)
+        after_setup = tracemalloc.get_traced_memory()[0]
+        coord_b_sample(s, np.random.default_rng(0))
+        after_draw = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_setup <= 4.5 * b.nbytes and after_draw <= 4.5 * b.nbytes
 
 
 def test_a_combination_entry_copies_no_share():
@@ -1973,3 +2029,105 @@ def test_phi_is_memoised_per_side(monkeypatch):
     assert calls[before:] == [None] * 3
     assert [type(r.value) for r in s.meter.rows if isinstance(r, Annotation)] == (
         [Cancellation] * 3)
+
+
+def test_each_side_keeps_its_last_combination_in_one_slot(monkeypatch):
+    # the slot holds the record of the last checked coefficients (dtype and
+    # bytes) with its phi and its dominator row-norm law, built once for
+    # every request it answers
+    phis, laws = [], []
+    exact, build = comm_sim._Combination.phi, comm_sim._law
+
+    def counted_phi(self, row=None):
+        phis.append(row)
+        return exact(self, row)
+
+    def counted_law(weights, *args):
+        laws.append(weights.size)
+        return build(weights, *args)
+
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    monkeypatch.setattr(comm_sim._Combination, "phi", counted_phi)
+    monkeypatch.setattr(comm_sim, "_law", counted_law)
+    vector = "sq_sample_via_rejection"
+    # (access, coefficients, request, whether it takes a new record); every
+    # new record of a row-free draw builds one row-norm law, and a draw
+    # within a row fans out its owner law per round
+    script = [(lincomb_b_access, _MU, vector, True)]
+    script += [(lincomb_b_access, coeffs, vector, False)
+               for coeffs in [_MU] * 7 + [np.array(_MU), tuple(_MU)]]
+    script += [
+        (lincomb_b_access, [1.0, -0.5, 2.5], vector, True),
+        (lincomb_b_access, [1.0 + 0j, -0.5, 2.5], vector, True),
+        (lincomb_a_access, _LAM, "dominator_row_norm_sample", True),
+        (lincomb_a_access, _LAM, ("sq_row_sample_via_rejection", 1), False),
+        (lincomb_b_access, [1.0 + 0j, -0.5, 2.5], "dominator_sample", False),
+    ]
+    assert s._b.slot is None and s._a.slot is None
+    rng = np.random.default_rng(9)
+    live, records = [], []
+    for access, coeffs, request, new in script:
+        side = s._b if access is lincomb_b_access else s._a
+        before, built = side.slot, len(laws)
+        live.append(access(s, coeffs, request, rng))
+        assert (side.slot is not before) == new
+        if "sq_row_sample_via_rejection" not in request:
+            assert len(laws) - built == new
+        records.append(side.slot)
+    # ten requests with equal coefficients share one record and one phi
+    assert records[:10] == [records[0]] * 10
+    assert phis == [None, None, None, 1]
+    assert s._b.slot is records[11] and s._a.slot is records[12]
+
+    # a replay clone starts with empty slots, reproduces every answer and
+    # computes no phi
+    clone = make_replay_session(s)
+    assert clone._b.slot is None and clone._a.slot is None
+    coord_b_setup(clone)
+    coord_a_setup(clone)
+    rng = np.random.default_rng(9)
+    assert [access(clone, coeffs, request, rng) for access, coeffs, request, _ in script] == live
+    assert len(phis) == 4
+
+    # a Cancellation is raised on every request and never stored
+    s = open_session_blocks(2, [], [(0, [1.0, 2.0]), (1, [1.0, 2.0])])
+    coord_b_setup(s)
+    del phis[:]
+    for _ in range(3):
+        with pytest.raises(Cancellation):
+            lincomb_b_access(s, [1.0, -1.0], vector, np.random.default_rng(0))
+        assert s._b.slot.phi_memo is None
+    assert phis == [None] * 3
+
+
+def test_a_session_is_freed_without_the_cycle_collector():
+    # the slot's record refers to its session and side weakly: a strong
+    # reference back made every session that answered a combination request
+    # cyclic garbage, which only the collector freed (in 03 that took about
+    # 60 ms of collector time, against about 1 ms without it)
+    def run(s):
+        coord_b_setup(s)
+        coord_a_setup(s)
+        rng = np.random.default_rng(3)
+        for request in ("dominator_sample", "sq_sample_via_rejection", ("query", 1)):
+            lincomb_b_access(s, _MU, request, rng)
+        lincomb_a_access(s, _LAM, ("sq_row_sample_via_rejection", 0), rng)
+        assert s._b.slot is not None and s._a.slot is not None
+
+    gc.collect()
+    gc.disable()
+    try:
+        live = _lincomb_session()
+        run(live)
+        clone = make_replay_session(live)
+        run(clone)
+        dead = weakref.ref(clone)
+        del clone
+        assert dead() is None
+        dead = weakref.ref(live)
+        del live
+        assert dead() is None
+    finally:
+        gc.enable()

@@ -50,8 +50,8 @@ def _rejection_round_next_index(patch):
     # with the drawn index's ratio
     real = comm_sim._Combination.rejection_round
 
-    def shifted(self, rng, law=None, row=None):
-        index, ratio, bits = real(self, rng, law, row)
+    def shifted(self, rng, row=None):
+        index, ratio, bits = real(self, rng, row)
         return (index + 1) % (self.rows if row is None else self.cols), ratio, bits
 
     patch.setattr(comm_sim._Combination, "rejection_round", shifted)
