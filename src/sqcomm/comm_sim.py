@@ -17,23 +17,21 @@ each player's value from that player's owner array, with no copy of the
 shares.  A replay checks a whole exchange, every row of it, by indexing its
 queue, then consumes it; `meter_report` is one pass over the rows.
 
-Each player's data is held once.  Opening a session checks the caller's
-blocks without a copy and copies them once: each owner's blocks on a side,
-in stack order, become one read-only float64 array (complex128 when any of
-them is complex), each block is its rows of that array, and the owner's l2
-law is built there and then: a matrix owner's SQ handle keeps the array as
-its entries, adding the squared magnitudes and their sums, and a vector
-owner's law holds only its column's masses and their cumulative sums; both
-refuse a nan or inf entry or an overflowing squared total.  A caller's later
-writes to its arrays change nothing.  A replay clone opens by the same step
-from the live session's checked layout: each private block keeps its owner,
-offset, start and shape, its owner view holds no array and builds no law,
-and the public owner view is the live one, shared.
-
-Each side's index widths are fixed when the session opens, and its Frobenius
-total when its setup runs, so a stacked access does only the work that
-depends on its request.  A stacked access on a side the session does not
-hold is refused as that side's setup is, with `DimensionMismatch`.
+Each player's data is held once, and an open checks it once.  Stacking
+(`_stack_blocks`) checks the caller's owners, dtypes and shapes without a
+copy and copies the blocks once: each owner's blocks on a side, in stack
+order, become one read-only float64 array (complex128 when any is complex),
+each block its rows of that array.  The owner's view then builds its l2 law
+there, the builder refusing a nan or inf entry or an overflowing squared
+total: a matrix owner's SQ handle keeps the array as its entries, a vector
+owner's law only its column's masses.  A block whose squares all underflow
+has no mass, as an all-zero one; every owner with no block on a side shares
+one empty view.  A caller's later writes change nothing.  A replay clone
+opens by the same step from the live session's checked layout: its private
+views hold no array and build no law, and the public view is the live one.
+Index widths are fixed at the open and each Frobenius total at its setup; a
+stacked access on a side the session does not hold is refused as that
+side's setup is, with `DimensionMismatch`.
 
 One norm rule: every norm the coordinator serves is read off the masses its
 draws use, so sq_access's handle builder alone decides how a norm of player
@@ -61,14 +59,15 @@ the one rejection loop in `sq_access`, and every norm estimate through its one
 norm estimator, one round at a time.  A round is that owner draw of a
 dominator index, then one fan-out of the drawn entry, folded in player order
 with the coefficients the record prepared once as Python scalars; it does not
-re-check the indices it drew.  Each side keeps its last record in one slot,
-keyed by the checked coefficients' dtype and bytes, with its dominator
-row-norm law and the exact phi of the last row asked, built once for all the
-requests of one combination; the phi is still recorded as an annotation on
-each.  Each dispatcher checks a request's kind and argument count against its
-own table (`_split`), and its indices and Generator, before anything is
-metered or drawn.  Each request records the indices it carries, so a replay
-checks them as well as kind and widths.
+re-check the indices it drew, and a row-free one calls `_owner_draw` itself.
+A request's kind, argument count (`_split`), indices and Generator are
+checked before anything is metered or drawn.  Each side keeps its last record
+in one slot, with its dominator row-norm law and the phi of the last row
+asked; a request's coefficients are compared with the record's as they are,
+and copied and checked only for a new record.  A rejection request checks
+its delta once and takes its cap from that memoised phi, still recorded as
+an annotation on each request, and every request records the indices it
+carries, for a replay to check.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
 the Generator passed to each operation, one for the owner pick and one more
@@ -238,12 +237,12 @@ def _stack_blocks(k: int, blocks, ndim: int):
     array.  The caller's arrays are checked without a copy and copied once,
     into the owner arrays."""
     checked, parts = [], {}
+    rule = f"owner {{!r}} is not None, {PUBLIC!r} or an integer in [0, {k})"
     for owner, data in blocks:
         if owner is None or (isinstance(owner, str) and owner == PUBLIC):
             owner = PUBLIC
         else:
-            owner = _checks.count(owner, 0, k - 1, f"owner {{!r}} is not None, {PUBLIC!r} "
-                                                   f"or an integer in [0, {k})")
+            owner = _checks.count(owner, 0, k - 1, rule)
         arr = _checks.numeric_kind(np.asarray(data), "block entries")
         if arr.ndim != ndim or arr.size == 0:
             noun = "vector" if ndim == 1 else "matrix"
@@ -285,23 +284,25 @@ def _assembled(a_blocks, b_blocks):
 class _OwnerView:
     """One owner's stacked blocks on one side, its owner array `data` (None
     when it holds no block or the session is a replay clone) and the l2 `law`
-    stage 2 samples, or one of whose rows it samples, built when the session
-    opens (None when the view holds no nonzero entry): a matrix view's
-    row-norm law of the SQ `handle` that shares its array, a vector view's
+    stage 2 samples, or one of whose rows it samples, built at the open (None
+    without mass: no nonzero entry, or every square underflows): a matrix
+    view's row-norm law of the SQ `handle` sharing its array, a vector view's
     masses alone, |b_j|^2 rooted and squared again as a row norm's are."""
 
     def __init__(self, blocks, data, vector: bool):
-        self.globals = np.concatenate(
-            [np.arange(b.offset, b.offset + len(b.data)) for b in blocks]
-        ) if blocks else np.zeros(0, dtype=np.int64)
+        spans = [np.arange(b.offset, b.offset + len(b.data)) for b in blocks] or [np.arange(0)]
+        self.globals = spans[0] if len(spans) == 1 else np.concatenate(spans)
         self.data, self.handle, self.law = data, None, None
-        self.size = int(self.globals.size)
-        if data is not None and data.any():
-            if vector:
-                self.law = _law(np.sqrt(_table(data[:, 0], 1)[1]) ** 2)
-            else:
-                self.handle = build_sq_matrix(data)
-                self.law = self.handle.row_norm_vector
+        self.size = len(self.globals)
+        if data is not None and np.count_nonzero(data):
+            try:
+                if vector:
+                    self.law = _law(np.sqrt(_table(data[:, 0], 1)[1]) ** 2)
+                else:
+                    self.handle = build_sq_matrix(data)
+                    self.law = self.handle.row_norm_vector
+            except AllZero:   # every square underflows: no mass, as an all-zero view
+                pass
         self.norm = 0.0 if self.law is None else self.law.norm
 
     def row_norm(self, i: int) -> float:
@@ -319,6 +320,7 @@ class _Side:
     """One stacked side of a session (vector b or matrix A): the owner views,
     the layout-only routing tables, the index widths of its spaces (fixed
     when it opens), the coordinator's setup knowledge and the combination slot."""
+    no_blocks = _OwnerView([], None, False)   # the one view of each owner holding no block
 
     def __init__(self, name: str, k: int, blocks, rows: int, arrays: dict,
                  encoding: EncodingSpec):
@@ -330,7 +332,8 @@ class _Side:
         owned = {o: [] for o in list(range(k)) + [PUBLIC]}
         for bl in blocks:
             owned[bl.owner].append(bl)
-        self.views = {o: _OwnerView(mine, arrays.get(o), name == "b") for o, mine in owned.items()}
+        self.views = {o: _OwnerView(mine, arrays.get(o), name == "b") if mine else self.no_blocks
+                      for o, mine in owned.items()}
         self.players = [self.views[t] for t in range(k)]
         # routing table: block offset -> (owner, shift), where global index g
         # of the block is index g + shift of the owner's view
@@ -373,6 +376,7 @@ class _Side:
 class Session:
     """Protocol state: block layout (public metadata), player data (private),
     coordinator knowledge, and the metered transcript."""
+    _default_encoding = EncodingSpec()   # one frozen instance for every session
 
     def __init__(self, k: int, a_blocks, b_blocks, encoding: EncodingSpec | None = None):
         self._open(*_stack_layout(k, a_blocks, b_blocks), encoding)
@@ -381,7 +385,7 @@ class Session:
         """Open on checked sides, each the (blocks, rows, arrays) of
         `_stack_blocks`; an owner with no array gets a view with no data."""
         self.k = k
-        self.encoding = encoding if encoding is not None else EncodingSpec()
+        self.encoding = encoding if encoding is not None else self._default_encoding
         self.meter = BitMeter()
         self.player_names = tuple(f"P{t + 1}" for t in range(self.k))
         self._replay_queue: deque | None = None
@@ -439,9 +443,7 @@ class Session:
                 if row[:6] != want:
                     raise RuntimeError(f"transcript mismatch: expected {want}, saw {row[:6]}")
                 answers.append(row[6])
-            rows = meter.rows
-            for _ in names:
-                rows.append(queue.popleft())
+            meter.rows.extend(queue.popleft() for _ in names)
             failure = answers[0] if isinstance(answers[0], Exception) else None
         bits = len(names) * (req_bits + resp_bits)
         meter.total_bits += bits
@@ -582,7 +584,7 @@ def _setup(session: Session, side: _Side, kind: str) -> int:
     side.norms = np.asarray([float(norm) for norm, _ in values])
     side.counts = [int(size) for _, size in values]
     # stage 1 of every stacked draw: player masses, then the public view's
-    side.owner_law = _law(np.append(side.norms**2, side.views[PUBLIC].norm**2))
+    side.owner_law = _law(np.concatenate((side.norms**2, [side.views[PUBLIC].norm**2])))
     return bits
 
 
@@ -786,17 +788,20 @@ class _Combination:
     @classmethod
     def of(cls, session: Session, side: _Side, coeffs) -> _Combination:
         """The side's slot, a new record of `coeffs` unless it holds one of
-        the same checked coefficients (dtype and bytes)."""
+        the same checked coefficients (dtype and bytes), compared first as
+        the caller's array is and copied (checked) only when that differs."""
         c = np.asarray(coeffs)
         if c.shape != (session.k,):
             raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
-        c = _checks.numeric(c, "coefficients")
-        if side.slot is None or side.slot.key != (c.dtype.str, c.tobytes()):
-            side.slot = cls(session, side, c)
+        key = None if side.slot is None else side.slot.key
+        if (c.dtype, c.tobytes()) != key:
+            c = _checks.numeric(c, "coefficients")
+            if (c.dtype, c.tobytes()) != key:
+                side.slot = cls(session, side, c)
         return side.slot
 
     def __init__(self, session: Session, side: _Side, coeffs: np.ndarray):
-        self.coeffs, self.key = coeffs, (coeffs.dtype.str, coeffs.tobytes())
+        self.coeffs, self.key = coeffs, (coeffs.dtype, coeffs.tobytes())
         self.terms = coeffs.tolist()
         if not all(map(cmath.isfinite, self.terms)):
             raise ValueError(f"coefficients must be finite, got {self.terms!r}")
@@ -914,10 +919,15 @@ class _Combination:
         return row, j, bits + cost
 
     def rejection_round(self, rng, row=None):
-        """A dominator draw as in `draw`, then its entry fanned out; returns
-        (the drawn index, |combined|^2 / dominator^2 or None where the
-        dominator is zero, bits)."""
-        i, j, bits = self.draw(rng, row)
+        """A dominator draw as in `draw` (a row-free one made here, a call
+        shorter), then its entry fanned out; returns (the drawn index,
+        |combined|^2 / dominator^2 or None where the dominator is zero, bits)."""
+        if row is None:
+            _, i, bits = _owner_draw(self.session, self.side, self.sample_kind, rng,
+                                     self.opcode_bits, self.row_bits, self.owner_law)
+            j = 0
+        else:
+            i, j, bits = self.draw(rng, row)
         combined, dom_sq, cost = self.entry(i, j)
         return (i if row is None else j), (abs(combined) ** 2 / dom_sq if dom_sq > 0
                                            else None), bits + cost

@@ -86,8 +86,8 @@ def _table(values, ndim: int):
     dtype = _checks.numeric_dtype(arr.dtype)
     if arr.dtype != dtype or not _unwritable(arr):
         arr = _frozen(arr.astype(dtype))
-    weights = np.abs(arr)
-    np.square(weights, out=weights)   # the bytes of np.abs(arr) ** 2, without a temporary
+    mags = np.abs(arr) if arr.dtype.kind == "c" else arr   # a real entry squares as |x| does
+    weights = np.square(mags, out=None if mags is arr else mags)   # no complex temporary
     total = float(weights.sum())   # finite iff every entry is and nothing overflows
     if not math.isfinite(total):
         if not np.isfinite(arr).all():
@@ -212,11 +212,11 @@ def build_sq_matrix(matrix) -> SqMatrix:
 def sq_row(m: SqMatrix, i: int) -> SqVector:
     """Handle for row i, a view into the table. Raises AllZero for a zero row,
     IndexOutOfRange off the end."""
-    _check_index(i, m.m, "row")
-    norm = float(m.row_norm_vector.values[i])
+    _check_index(i, len(m.values), "row")
+    norm = m.row_norm_vector.values.item(i)
     if norm == 0.0:
         raise AllZero(f"row {i} is identically zero")
-    return SqVector(values=m.values[i], norm=norm, weights=m.weights[i], cum=m.cum[i])
+    return SqVector(m.values[i], norm, m.weights[i], m.cum[i])
 
 
 # --- oversampled access: rejection and norm estimation ----------------------
@@ -242,6 +242,11 @@ def rejection_round_cap(phi: float, delta: float) -> int:
     """
     _checks.real(phi, 0, math.inf, "phi must be finite and positive, got phi = {!r}")
     _checks.real(delta, *_DELTA)
+    return _round_cap(phi, delta)
+
+
+def _round_cap(phi: float, delta: float) -> int:
+    """`rejection_round_cap` of a phi and a delta already checked."""
     return _round_budget(phi * math.log(1.0 / delta), "rejection round cap") + 1
 
 
@@ -259,20 +264,20 @@ def _rejection_loop(one_round, get_phi, delta: float, rng: np.random.Generator):
 
     one_round() draws a dominator index j and returns (j, |target_j|^2 /
     |dom_j|^2 or None where dom_j is zero, bits spent); each round with a
-    ratio draws one accept uniform from rng.  get_phi() is called once delta
-    is known to be valid, and its phi sets the round cap (a cap above
-    MAX_ROUNDS is refused before any round).  Returns (RejectionSample,
-    bits); raises Timeout, its `rounds` the cap, after it (probability <= delta).
+    ratio draws one accept uniform from rng.  Delta is checked here, once;
+    the cap is `_round_cap` of it and get_phi()'s checked phi (comm_sim's
+    record memoises it), refused above MAX_ROUNDS before any round.  Returns
+    (RejectionSample, bits); raises Timeout, `rounds` the cap, at odds <= delta.
     """
     _checks.real(delta, *_DELTA)
     phi = get_phi()
-    cap = rejection_round_cap(phi, delta)
+    cap = _round_cap(phi, delta)
     bits = 0
     for rounds in range(1, cap + 1):
         j, ratio, cost = one_round()
         bits += cost
         if ratio is not None and rng.random() < ratio:
-            return RejectionSample(index=j, rounds=rounds), bits
+            return RejectionSample(j, rounds), bits
     raise Timeout(f"no acceptance within {cap} rounds (phi={phi:.3g}, delta={delta:g})", cap)
 
 

@@ -2131,3 +2131,133 @@ def test_a_session_is_freed_without_the_cycle_collector():
         assert dead() is None
     finally:
         gc.enable()
+
+
+# --- lean opens and requests -----------------------------------------------------
+
+def test_a_block_whose_squares_all_underflow_is_a_zero_mass_owner():
+    # every square of 1e-170 underflows to zero, so the block carries no l2
+    # law; it is held as an all-zero block is: no law, norm 0.0, never
+    # drawn, and its entries still served
+    s = open_session_blocks(2, [], [(0, [1.0]), (1, [1e-170])])
+    tiny = s._b.views[1]
+    assert (tiny.law, tiny.norm) == (None, 0.0)
+    coord_b_setup(s)
+    rng = np.random.default_rng(0)
+    assert [coord_b_sample(s, rng)[0] for _ in range(20)] == [0] * 20
+    assert coord_b_query(s, 1)[0] == 1e-170
+    assert protocol_distribution(s, "b_sample").tolist() == [1.0, 0.0]
+    m = open_session_blocks(2, [(0, [[1.0]]), (1, [[1e-170]])], [])
+    tiny = m._a.views[1]
+    assert (tiny.law, tiny.handle, tiny.norm) == (None, None, 0.0)
+    coord_a_setup(m)
+    assert [coord_a_access(m, "row_norm_sample", rng)[0] for _ in range(20)] == [0] * 20
+    assert coord_a_access(m, ("entry_query", 1, 0))[0] == 1e-170
+    assert coord_a_access(m, ("row_norm_query", 1))[0] == 0.0
+    with pytest.raises(AllZero):
+        coord_a_access(m, ("row_sample", 1), rng)
+
+
+@pytest.mark.parametrize("delta", [0, 1, math.nan, math.inf, -0.5, True, "0.1"])
+def test_an_invalid_delta_is_refused_before_anything_is_drawn(delta):
+    # delta is checked once, before the phi is annotated, a row norm is
+    # fanned out or a uniform is drawn
+    s = _lincomb_session()
+    coord_b_setup(s)
+    coord_a_setup(s)
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    rows, bits = list(s.meter.rows), s.meter.total_bits
+    for access, coeffs, request in (
+            (lincomb_b_access, _MU, ("sq_sample_via_rejection", delta)),
+            (lincomb_a_access, _LAM, ("sq_row_sample_via_rejection", 1, delta))):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            access(s, coeffs, request, rng)
+    assert (s.meter.rows, s.meter.total_bits) == (rows, bits)
+    assert not any(isinstance(row, Annotation) for row in s.meter.rows)
+    assert rng.bit_generator.state == state
+
+
+def test_a_timed_out_draw_spends_the_cap_of_its_own_delta():
+    # one record answers every request; its memoised phi sets each cap with
+    # that request's delta (phi = 762, caps 82 and 172)
+    s = open_session_blocks(2, [], [(0, [1.0, 1.0]), (1, [1.0, 0.9])])
+    coord_b_setup(s)
+    mu = [1.0, -1.0]
+    phi = lincomb_b_phi(s, mu)
+    record = s._b.slot
+    rng = np.random.default_rng(2)
+    caps = []
+    for delta in (0.9, 0.8, 0.9):
+        with pytest.raises(Timeout) as err:
+            lincomb_b_access(s, mu, ("sq_sample_via_rejection", delta), rng)
+        caps.append(err.value.rounds)
+        assert err.value.rounds == rejection_round_cap(phi, delta)
+    assert caps[0] != caps[1] and caps[0] == caps[2]
+    assert s._b.slot is record
+
+
+def test_a_coefficient_array_changed_in_place_takes_a_new_record():
+    # a slot hit compares the caller's array as it is, with no copy, against
+    # the record's own copy: an array written in place no longer matches
+    s = _lincomb_session()
+    coord_b_setup(s)
+    mu = np.array(_MU)
+    rng = np.random.default_rng(6)
+    lincomb_b_access(s, mu, "sq_sample_via_rejection", rng)
+    first = s._b.slot
+    assert not np.shares_memory(first.coeffs, mu)
+    lincomb_b_access(s, mu, "sq_sample_via_rejection", rng)
+    assert s._b.slot is first
+    mu[0] = 3.0
+    lincomb_b_access(s, mu, "sq_sample_via_rejection", rng)
+    assert s._b.slot is not first and s._b.slot.terms == [3.0, -0.5, 2.0]
+    fresh = _lincomb_session()
+    coord_b_setup(fresh)
+    phis = [row.value for row in s.meter.rows if isinstance(row, Annotation)]
+    assert phis[-1] == lincomb_b_phi(fresh, [3.0, -0.5, 2.0]) != phis[0]
+
+
+# the module attributes perfbench's tracer and the planted faults patch
+_SEAMS = [(comm_sim, "sq_sample"), (comm_sim, "sq_sample_at"), (comm_sim, "_owner_draw"),
+          (comm_sim, "_rejection_loop"), (comm_sim._Combination, "rejection_round"),
+          (comm_sim.Session, "_exchange")]
+
+
+def _seam_script(stacked, combination, rng):
+    out = _stacked_stream(stacked, rng)
+    coord_b_setup(combination)
+    coord_a_setup(combination)
+    for t in range(12):
+        for access, coeffs, request in _SAMPLING_REQUESTS:
+            try:
+                out.append(access(combination, coeffs, request, rng))
+            except Timeout as err:
+                out.append(err.rounds)
+        out.append(lincomb_b_access(combination, _MU, ("query", t % 3)))
+        out.append(lincomb_a_access(combination, _LAM, ("query", t % 3, 1)))
+    return out
+
+
+def test_every_seam_is_looked_up_at_call_time(monkeypatch):
+    # each seam is reached through its module or class attribute on every
+    # call, live and replayed: a speed-up that bound one early would escape
+    # both the tracer and the planted faults.  Counts taken before the open,
+    # the request and the round were made lean.
+    counts = dict.fromkeys([name for _, name in _SEAMS], 0)
+    for owner, name in _SEAMS:
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    stacked, combination = _mixed_session(), _lincomb_session()
+    live = _seam_script(stacked, combination, np.random.default_rng(77))
+    assert counts == {"sq_sample": 1512, "sq_sample_at": 1482, "_owner_draw": 1518,
+                      "_rejection_loop": 24, "rejection_round": 1434, "_exchange": 3220}
+    counts.update(dict.fromkeys(counts, 0))
+    replayed = _seam_script(make_replay_session(stacked), make_replay_session(combination),
+                            np.random.default_rng(77))
+    assert replayed == live
+    # a replay draws no private owner's local index: only the public view's
+    assert counts == {"sq_sample": 10, "sq_sample_at": 1482, "_owner_draw": 1518,
+                      "_rejection_loop": 24, "rejection_round": 1434, "_exchange": 3220}
