@@ -17,21 +17,21 @@ each player's value from that player's owner array, with no copy of the
 shares.  A replay checks a whole exchange, every row of it, by indexing its
 queue, then consumes it; `meter_report` is one pass over the rows.
 
-Each player's data is held once, and an open checks it once.  Stacking
-(`_stack_blocks`) checks the caller's owners, dtypes and shapes without a
-copy and copies the blocks once: each owner's blocks on a side, in stack
-order, become one read-only float64 array (complex128 when any is complex),
-each block its rows of that array.  The owner's view then builds its l2 law
-there, the builder refusing a nan or inf entry or an overflowing squared
-total: a matrix owner's SQ handle keeps the array as its entries, a vector
-owner's law only its column's masses.  A block whose squares all underflow
-has no mass, as an all-zero one; every owner with no block on a side shares
-one empty view.  A caller's later writes change nothing.  A replay clone
-opens by the same step from the live session's checked layout: its private
-views hold no array and build no law, and the public view is the live one.
-Index widths are fixed at the open and each Frobenius total at its setup; a
-stacked access on a side the session does not hold is refused as that
-side's setup is, with `DimensionMismatch`.
+Each player's data is held once.  Stacking (`_stack_blocks`) checks the
+caller's owners, dtypes and shapes without a copy and copies the blocks
+once: each owner's blocks on a side, in stack order, become one read-only
+float64 array (complex128 when any is complex), each block its rows of that
+array.  The owner's view then builds its l2 law there, the builder refusing
+a nan or inf entry or an overflowing squared total: a matrix owner's SQ
+handle keeps the array as its entries, a vector owner's law only its
+column's masses.  A block whose squares all underflow has no mass, as an
+all-zero one; every owner with no block on a side shares one empty view.  A
+caller's later writes change nothing.  A replay clone opens by the same step
+from the live session's checked layout: its private views hold no array and
+build no law, and the public view is the live one.  Index widths are fixed
+at the open and each Frobenius total at its setup; a stacked access on a
+side the session does not hold is refused as that side's setup is, with
+`DimensionMismatch`.
 
 One norm rule: every norm the coordinator serves is read off the masses its
 draws use, so sq_access's handle builder alone decides how a norm of player
@@ -59,15 +59,14 @@ the one rejection loop in `sq_access`, and every norm estimate through its one
 norm estimator, one round at a time.  A round is that owner draw of a
 dominator index, then one fan-out of the drawn entry, folded in player order
 with the coefficients the record prepared once as Python scalars; it does not
-re-check the indices it drew, and a row-free one calls `_owner_draw` itself.
-A request's kind, argument count (`_split`), indices and Generator are
-checked before anything is metered or drawn.  Each side keeps its last record
-in one slot, with its dominator row-norm law and the phi of the last row
-asked; a request's coefficients are compared with the record's as they are,
-and copied and checked only for a new record.  A rejection request checks
-its delta once and takes its cap from that memoised phi, still recorded as
-an annotation on each request, and every request records the indices it
-carries, for a replay to check.
+re-check the indices it drew.  A request's kind, argument count (`_split`),
+indices and Generator are checked before anything is metered or drawn.  Each
+side keeps its last record in one slot, with its dominator row-norm law and
+the phi of the last row asked; a request's coefficients are compared with
+the record's as they are, and copied and checked only for a new record.  A
+rejection request checks its delta once and takes its cap from that memoised
+phi, still recorded as an annotation on each request, and every request
+records the indices it carries, for a replay to check.
 
 Randomness is caller-owned and public-coin: every draw takes uniforms from
 the Generator passed to each operation, one for the owner pick and one more
@@ -237,12 +236,12 @@ def _stack_blocks(k: int, blocks, ndim: int):
     array.  The caller's arrays are checked without a copy and copied once,
     into the owner arrays."""
     checked, parts = [], {}
-    rule = f"owner {{!r}} is not None, {PUBLIC!r} or an integer in [0, {k})"
     for owner, data in blocks:
         if owner is None or (isinstance(owner, str) and owner == PUBLIC):
             owner = PUBLIC
-        else:
-            owner = _checks.count(owner, 0, k - 1, rule)
+        elif owner.__class__ is not int or not 0 <= owner < k:   # an int in range: no call
+            owner = _checks.count(owner, 0, k - 1, f"owner {{!r}} is not None, {PUBLIC!r} "
+                                                   f"or an integer in [0, {k})")
         arr = _checks.numeric_kind(np.asarray(data), "block entries")
         if arr.ndim != ndim or arr.size == 0:
             noun = "vector" if ndim == 1 else "matrix"
@@ -297,7 +296,8 @@ class _OwnerView:
         if data is not None and np.count_nonzero(data):
             try:
                 if vector:
-                    self.law = _law(np.sqrt(_table(data[:, 0], 1)[1]) ** 2)
+                    masses = np.sqrt(_table(data[:, 0], 1)[1])
+                    self.law = _law(np.square(masses, out=masses))   # rooted, squared again
                 else:
                     self.handle = build_sq_matrix(data)
                     self.law = self.handle.row_norm_vector
@@ -443,7 +443,9 @@ class Session:
                 if row[:6] != want:
                     raise RuntimeError(f"transcript mismatch: expected {want}, saw {row[:6]}")
                 answers.append(row[6])
-            meter.rows.extend(queue.popleft() for _ in names)
+            rows = meter.rows
+            for _ in names:
+                rows.append(queue.popleft())
             failure = answers[0] if isinstance(answers[0], Exception) else None
         bits = len(names) * (req_bits + resp_bits)
         meter.total_bits += bits
@@ -787,9 +789,8 @@ class _Combination:
 
     @classmethod
     def of(cls, session: Session, side: _Side, coeffs) -> _Combination:
-        """The side's slot, a new record of `coeffs` unless it holds one of
-        the same checked coefficients (dtype and bytes), compared first as
-        the caller's array is and copied (checked) only when that differs."""
+        """The side's slot, or a new record unless the slot's coefficients
+        equal `coeffs` (dtype and bytes), as given or else once checked."""
         c = np.asarray(coeffs)
         if c.shape != (session.k,):
             raise DimensionMismatch(f"need {session.k} coefficients, got {c.shape}")
@@ -919,15 +920,10 @@ class _Combination:
         return row, j, bits + cost
 
     def rejection_round(self, rng, row=None):
-        """A dominator draw as in `draw` (a row-free one made here, a call
-        shorter), then its entry fanned out; returns (the drawn index,
-        |combined|^2 / dominator^2 or None where the dominator is zero, bits)."""
-        if row is None:
-            _, i, bits = _owner_draw(self.session, self.side, self.sample_kind, rng,
-                                     self.opcode_bits, self.row_bits, self.owner_law)
-            j = 0
-        else:
-            i, j, bits = self.draw(rng, row)
+        """A dominator draw as in `draw`, then its entry fanned out; returns
+        (the drawn index, |combined|^2 / dominator^2 or None where the
+        dominator is zero, bits)."""
+        i, j, bits = self.draw(rng, row)
         combined, dom_sq, cost = self.entry(i, j)
         return (i if row is None else j), (abs(combined) ** 2 / dom_sq if dom_sq > 0
                                            else None), bits + cost

@@ -236,10 +236,9 @@ def _round_budget(rounds: float, what: str) -> int:
 def rejection_round_cap(phi: float, delta: float) -> int:
     """Round budget guaranteeing failure probability <= delta.
 
-    Per-round acceptance probability is exactly 1/phi, so
-    (1 - 1/phi)^cap <= exp(-cap/phi) <= delta at cap = ceil(phi ln(1/delta)) + 1.
-    The ceiling is refused (ValueError) above MAX_ROUNDS.
-    """
+    Per-round acceptance probability is exactly 1/phi, so (1 - 1/phi)^cap
+    <= exp(-cap/phi) <= delta at cap = ceil(phi ln(1/delta)) + 1, refused
+    (ValueError) above MAX_ROUNDS."""
     _checks.real(phi, 0, math.inf, "phi must be finite and positive, got phi = {!r}")
     _checks.real(delta, *_DELTA)
     return _round_cap(phi, delta)
